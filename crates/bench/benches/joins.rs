@@ -13,7 +13,6 @@ use mct_query::ops::{
     holistic_path_join, index_scan, nl_join_cmp, structural_join, value_join_eq, KeySpec, NumCmp,
     Rel,
 };
-use mct_query::TwigNode;
 use mct_workloads::SchemaKind;
 
 fn joins(c: &mut Criterion) {
@@ -32,34 +31,6 @@ fn joins(c: &mut Criterion) {
         let l: Vec<_> = lines.iter().map(|t| t[0]).collect();
         c.bench_function("holistic_path_join/order-orderline", |b| {
             b.iter(|| holistic_path_join(&[o.clone(), l.clone()], &[Rel::Child]).len())
-        });
-        // Branching twig: customer[order[orderline][total]].
-        let custs: Vec<_> = index_scan(db, cust, "customer")
-            .unwrap()
-            .iter()
-            .map(|t| t[0])
-            .collect();
-        let totals: Vec<_> = index_scan(db, cust, "total")
-            .unwrap()
-            .iter()
-            .map(|t| t[0])
-            .collect();
-        let pattern = TwigNode::node(
-            "customer",
-            vec![(
-                Rel::Child,
-                TwigNode::node(
-                    "order",
-                    vec![
-                        (Rel::Child, TwigNode::leaf("orderline")),
-                        (Rel::Child, TwigNode::leaf("total")),
-                    ],
-                ),
-            )],
-        );
-        let lists = vec![custs, o.clone(), l.clone(), totals];
-        c.bench_function("holistic_twig_join/customer-order-branch", |b| {
-            b.iter(|| mct_query::holistic_twig_join(&pattern, &lists).len())
         });
     }
 

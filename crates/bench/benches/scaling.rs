@@ -8,8 +8,8 @@
 use mct_bench::microbench::Criterion;
 use mct_bench::Fixtures;
 use mct_bench::{criterion_group, criterion_main};
-use mct_query::exec::{cross_tree_op_par, holistic_chain_par};
-use mct_query::ops::Rel;
+use mct_query::exec::holistic_chain_par;
+use mct_query::ops::{cross_tree_op, Rel};
 use mct_query::Tuple;
 use mct_workloads::SchemaKind;
 
@@ -27,14 +27,14 @@ fn scaling(c: &mut Criterion) {
     // --- cross-tree: cust orderlines -> auth items --------------------
     let lines = db.postings_named(cust, "orderline").expect("postings");
     let tuples: Vec<Tuple> = lines.iter().map(|r| vec![*r]).collect();
-    let expected = cross_tree_op_par(db, tuples.clone(), 0, auth, 1, None)
+    let expected = cross_tree_op(db, tuples.clone(), 0, auth, 1, None)
         .expect("join")
         .len();
     for threads in THREADS {
         let name = format!("cross_tree_par/orderline-auth/t{threads}");
         c.bench_function(&name, |b| {
             b.iter(|| {
-                let out = cross_tree_op_par(db, tuples.clone(), 0, auth, threads, None).expect("join");
+                let out = cross_tree_op(db, tuples.clone(), 0, auth, threads, None).expect("join");
                 assert_eq!(out.len(), expected);
                 out.len()
             })

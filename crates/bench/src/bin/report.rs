@@ -56,7 +56,7 @@ fn main() {
         let mut base = None;
         for threads in [1usize, 2, 4, 8] {
             let (t, n) = time_paper_protocol(|| {
-                mct_query::exec::cross_tree_op_par(db, tuples.clone(), 0, auth, threads, None)
+                mct_query::ops::cross_tree_op(db, tuples.clone(), 0, auth, threads, None)
                     .expect("join")
                     .len()
             });

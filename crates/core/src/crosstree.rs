@@ -26,15 +26,21 @@ use mct_storage::DiskManager;
 use std::sync::OnceLock;
 
 /// Global-registry handles for color transitions
-/// (`query.crosstree.*`), covering both join variants.
-struct CrossTreeCounters {
-    calls: Counter,
-    input_rows: Counter,
-    output_rows: Counter,
-    transitions: Counter,
+/// (`query.crosstree.*`), shared by both join variants here and by
+/// `mct-query`'s tuple-stream operator.
+pub struct CrossTreeCounters {
+    /// Transitions run.
+    pub calls: Counter,
+    /// References fed in.
+    pub input_rows: Counter,
+    /// References that had the target color.
+    pub output_rows: Counter,
+    /// Color transitions performed (equal to `output_rows`).
+    pub transitions: Counter,
 }
 
-fn crosstree_counters() -> &'static CrossTreeCounters {
+/// The process-wide `query.crosstree.*` counter handles.
+pub fn crosstree_counters() -> &'static CrossTreeCounters {
     static C: OnceLock<CrossTreeCounters> = OnceLock::new();
     C.get_or_init(|| CrossTreeCounters {
         calls: mct_obs::counter("query.crosstree.calls"),

@@ -4,8 +4,9 @@
 //! pool: a [`std::thread::scope`] of workers pulling chunk indexes
 //! from a shared atomic cursor until the work list drains (the
 //! morsel-at-a-time scheduling of Leis et al.). Chunk results merge
-//! back **in chunk order**, so every parallel operator here is
-//! output-identical to its sequential twin in [`crate::ops`].
+//! back **in chunk order**, so every operator that fans out over it —
+//! [`holistic_chain_par`] here, [`ops::cross_tree_op`], the planner's
+//! predicate filters — is output-identical to its sequential path.
 //!
 //! Work is partitioned by node-id range: posting lists and tuple
 //! streams are sorted by `code.start`, so a contiguous index chunk is
@@ -23,8 +24,8 @@
 //! out (see [`crate::plan`]), leaving the fan-out phase read-only.
 
 use crate::ops::{self, Rel, Tuple};
-use mct_core::{ColorId, StoredDb, StructRef};
-use mct_storage::{DiskManager, StorageError};
+use mct_core::StructRef;
+use mct_storage::StorageError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -186,54 +187,6 @@ where
     Ok(out)
 }
 
-/// Parallel color transition — same contract (and same global
-/// `query.crosstree.*` counters) as [`ops::cross_tree_op`]. The input
-/// is cut into contiguous morsels; each worker probes the target
-/// color's link index through the shared buffer pool and merges its
-/// own transition count into the registry once per chunk; the merged
-/// output is re-sorted by target-tree start. Output is byte-identical
-/// to the sequential operator.
-pub fn cross_tree_op_par<D: DiskManager>(
-    s: &StoredDb<D>,
-    input: Vec<Tuple>,
-    col: usize,
-    to: ColorId,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> mct_storage::Result<Vec<Tuple>> {
-    check_cancel(cancel)?;
-    if threads <= 1 || input.len() < 2 * MIN_MORSEL {
-        return ops::cross_tree_op(s, input, col, to);
-    }
-    let _span = mct_obs::trace::span("crosstree.op_par");
-    let calls = mct_obs::counter("query.crosstree.calls");
-    let input_rows = mct_obs::counter("query.crosstree.input_rows");
-    let output_rows = mct_obs::counter("query.crosstree.output_rows");
-    let transitions = mct_obs::counter("query.crosstree.transitions");
-    calls.inc();
-    input_rows.add(input.len() as u64);
-    let ranges = chunk_ranges(input.len(), threads);
-    let chunks = run_morsels(threads, ranges.len(), |ci| {
-        check_cancel(cancel)?;
-        let range = ranges[ci].clone();
-        let mut out = Vec::with_capacity(range.len());
-        for t in &input[range] {
-            if let Some(code) = s.link_probe(t[col].node, to)? {
-                let mut t = t.clone();
-                t[col] = StructRef { node: t[col].node, code };
-                out.push(t);
-            }
-        }
-        // Per-worker delta, merged into the shared atomic per chunk.
-        transitions.add(out.len() as u64);
-        Ok::<_, mct_storage::StorageError>(out)
-    })?;
-    let mut out: Vec<Tuple> = chunks.into_iter().flatten().collect();
-    out.sort_by_key(|t| t[col].code.start);
-    output_rows.add(out.len() as u64);
-    Ok(out)
-}
-
 /// Parallel PathStack chain join over `lists` (see
 /// [`ops::holistic_path_join`]). The root list is cut into contiguous
 /// morsels; each inner list is narrowed by binary search to the
@@ -386,7 +339,7 @@ mod tests {
         let r = holistic_chain_par(&lists, &[Rel::Child], 4, Some(&token));
         assert!(matches!(r, Err(StorageError::Cancelled)), "{r:?}");
         let input: Vec<Tuple> = sections.into_iter().map(|r| vec![r]).collect();
-        let r = cross_tree_op_par(&s, input, 0, green, 4, Some(&token));
+        let r = ops::cross_tree_op(&s, input, 0, green, 4, Some(&token));
         assert!(matches!(r, Err(StorageError::Cancelled)), "{r:?}");
     }
 
@@ -439,17 +392,17 @@ mod tests {
             .into_iter()
             .map(|r| vec![r])
             .collect();
-        let seq = ops::cross_tree_op(&s, input.clone(), 0, green).unwrap();
+        let seq = ops::cross_tree_op(&s, input.clone(), 0, green, 1, None).unwrap();
         assert!(!seq.is_empty());
         for threads in [2, 4, 8] {
-            let par = cross_tree_op_par(&s, input.clone(), 0, green, threads, None).unwrap();
+            let par = ops::cross_tree_op(&s, input.clone(), 0, green, threads, None).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
     }
 
     #[test]
     fn small_inputs_fall_back_to_sequential() {
-        // Below 2·MIN_MORSEL the parallel entry points must not spawn.
+        // Below 2·MIN_MORSEL the operator probes in one pass.
         let s = big_stored();
         let green = s.db.color("green").unwrap();
         let few: Vec<Tuple> = s
@@ -459,8 +412,8 @@ mod tests {
             .take(10)
             .map(|r| vec![r])
             .collect();
-        let a = cross_tree_op_par(&s, few.clone(), 0, green, 8, None).unwrap();
-        let b = ops::cross_tree_op(&s, few, 0, green).unwrap();
+        let a = ops::cross_tree_op(&s, few.clone(), 0, green, 8, None).unwrap();
+        let b = ops::cross_tree_op(&s, few, 0, green, 1, None).unwrap();
         assert_eq!(a, b);
     }
 }

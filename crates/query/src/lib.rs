@@ -6,9 +6,10 @@
 //!   constructors, updates) and the Figure 11/12 complexity metrics.
 //! * [`parser`] — recursive-descent parser for the MCXQuery subset.
 //! * [`ops`] — the physical operator algebra: stack-tree structural
-//!   join, PathStack holistic chain join, hash value join, nested-loop
-//!   inequality join, cross-tree (color transition) operator,
-//!   selections, duplicate elimination.
+//!   join, PathStack holistic chain join (branching patterns split
+//!   into chains joined on the branch element), hash value join,
+//!   nested-loop inequality join, cross-tree (color transition)
+//!   operator, selections, duplicate elimination.
 //! * [`mod@eval`] — the navigational interpreter (FLWOR, identity-
 //!   preserving construction, `createColor` / `createCopy`, the
 //!   duplicate-occurrence dynamic error).
@@ -19,8 +20,6 @@
 //!   worker pool partitioning posting lists and cross-tree join
 //!   inputs by node-id range, output-identical to the sequential
 //!   operators.
-//! * [`twig`] — branching holistic twig joins (TwigStack) for tree
-//!   patterns, complementing the chain join in [`ops`].
 //! * [`update`] — two-phase color-aware update execution.
 //!
 //! Benchmark queries use hand-written plans over [`ops`] — the paper
@@ -34,7 +33,6 @@ pub mod exec;
 pub mod ops;
 pub mod parser;
 pub mod plan;
-pub mod twig;
 pub mod update;
 
 pub use ast::{complexity, update_complexity, Complexity, Expr, UpdateStmt};
@@ -43,5 +41,4 @@ pub use exec::CancelToken;
 pub use ops::{Rel, Tuple};
 pub use parser::{parse_query, parse_update, QueryParseError};
 pub use plan::{plan_path, AnalyzeReport, PathPlan, PlanError, StageStats};
-pub use twig::{holistic_twig_join, naive_twig_join, TwigNode};
 pub use update::{execute_update, execute_update_with, UpdateOutcome};

@@ -16,7 +16,8 @@
 //! * [`nl_join_cmp`] — block nested-loop join for inequality
 //!   predicates; quadratic, exactly the behaviour the paper observed.
 //! * [`cross_tree_op`] — the color-transition operator (§6.2) over
-//!   tuple streams, built on [`mct_core::cross_tree_join`]'s probe.
+//!   tuple streams, built on [`mct_core::cross_tree_join`]'s probe,
+//!   sequential or morsel-parallel.
 //! * selections ([`select_contains`], [`select_content_eq`],
 //!   [`select_number_cmp`], [`select_attr_eq`]), [`dup_elim`],
 //!   [`project`], [`sort_by_col`].
@@ -24,6 +25,7 @@
 //! Tuples are just `Vec<StructRef>` with positional columns; joins
 //! concatenate the outer and inner tuples.
 
+use crate::exec::{self, CancelToken};
 use mct_core::{ColorId, StoredDb, StructRef};
 use mct_storage::DiskManager;
 use std::collections::HashMap;
@@ -380,45 +382,59 @@ pub fn nl_join_cmp<D: DiskManager>(
 /// The color-transition operator: replace column `col`'s structural
 /// reference with its counterpart in color `to` (dropping tuples whose
 /// node lacks the color), then re-sort by that column. Uses the
-/// paper's link-probe join.
+/// paper's link-probe join and counts into the same `query.crosstree.*`
+/// counters as [`mct_core::cross_tree_join`].
+///
+/// `threads <= 1` (or an input below two morsels) probes in one pass
+/// over `input`, recoding tuples in place. Otherwise the input is cut
+/// into contiguous morsels probed by [`exec::run_morsels`] workers
+/// through the shared buffer pool; the re-sort makes the output
+/// byte-identical at any thread count. `cancel` is checked on entry
+/// and at every morsel.
 pub fn cross_tree_op<D: DiskManager>(
     s: &StoredDb<D>,
     input: Vec<Tuple>,
     col: usize,
     to: ColorId,
+    threads: usize,
+    cancel: Option<&CancelToken>,
 ) -> mct_storage::Result<Vec<Tuple>> {
-    // Same metric names as mct_core's bulk cross_tree_join — the
-    // registry hands back the shared counters, so every color
-    // transition lands in query.crosstree.* regardless of entry point.
-    struct Counters {
-        calls: mct_obs::Counter,
-        input_rows: mct_obs::Counter,
-        output_rows: mct_obs::Counter,
-        transitions: mct_obs::Counter,
-    }
-    static COUNTERS: std::sync::OnceLock<Counters> = std::sync::OnceLock::new();
-    let c = COUNTERS.get_or_init(|| Counters {
-        calls: mct_obs::counter("query.crosstree.calls"),
-        input_rows: mct_obs::counter("query.crosstree.input_rows"),
-        output_rows: mct_obs::counter("query.crosstree.output_rows"),
-        transitions: mct_obs::counter("query.crosstree.transitions"),
-    });
+    exec::check_cancel(cancel)?;
     let _span = mct_obs::trace::span("crosstree.op");
+    let c = mct_core::crosstree::crosstree_counters();
     c.calls.inc();
     c.input_rows.add(input.len() as u64);
-    let mut out = Vec::with_capacity(input.len());
-    for mut t in input {
-        if let Some(code) = s.link_probe(t[col].node, to)? {
-            t[col] = StructRef {
-                node: t[col].node,
-                code,
-            };
-            out.push(t);
-        }
-    }
+    let mut out = if threads <= 1 || input.len() < 2 * exec::MIN_MORSEL {
+        probe_links(s, input.into_iter(), col, to)?
+    } else {
+        let ranges = exec::chunk_ranges(input.len(), threads);
+        let chunks = exec::run_morsels(threads, ranges.len(), |ci| {
+            exec::check_cancel(cancel)?;
+            probe_links(s, input[ranges[ci].clone()].iter().cloned(), col, to)
+        })?;
+        chunks.into_iter().flatten().collect()
+    };
     out.sort_by_key(|t| t[col].code.start);
     c.output_rows.add(out.len() as u64);
     c.transitions.add(out.len() as u64);
+    Ok(out)
+}
+
+/// The link-probe loop behind [`cross_tree_op`]: keep the tuples whose
+/// `col` node has color `to`, that column recoded into `to`'s tree.
+fn probe_links<D: DiskManager>(
+    s: &StoredDb<D>,
+    tuples: impl ExactSizeIterator<Item = Tuple>,
+    col: usize,
+    to: ColorId,
+) -> mct_storage::Result<Vec<Tuple>> {
+    let mut out = Vec::with_capacity(tuples.len());
+    for mut t in tuples {
+        if let Some(code) = s.link_probe(t[col].node, to)? {
+            t[col].code = code;
+            out.push(t);
+        }
+    }
     Ok(out)
 }
 
@@ -762,7 +778,7 @@ mod tests {
         let red = s.db.color("red").unwrap();
         let green = s.db.color("green").unwrap();
         let movies = index_scan(&s, red, "movie").unwrap();
-        let crossed = cross_tree_op(&s, movies, 0, green).unwrap();
+        let crossed = cross_tree_op(&s, movies, 0, green, 1, None).unwrap();
         assert_eq!(crossed.len(), 4, "even movies are green");
         for t in &crossed {
             assert_eq!(

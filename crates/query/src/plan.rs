@@ -28,10 +28,7 @@
 use crate::ast::{Axis, CmpOp, Expr, Literal, NodeTest, PathExpr, PathStart, Step};
 use crate::exec::{self, CancelToken};
 use mct_storage::{DiskManager, StorageError};
-use crate::ops::{
-    self, dup_elim, select_attr_eq, select_contains,
-    select_content_eq, select_number_cmp, NumCmp, Rel, Tuple,
-};
+use crate::ops::{self, dup_elim, select_attr_eq, NumCmp, Rel, Tuple};
 use mct_core::{ColorId, McNodeId, StoredDb, StructRef};
 use mct_storage::PoolStats;
 use std::fmt;
@@ -98,6 +95,19 @@ enum Stage {
     DupElim,
 }
 
+impl Stage {
+    /// The color whose tree the stage reads, if any.
+    fn color(&self) -> Option<ColorId> {
+        match self {
+            Stage::ContentEntry { color, .. }
+            | Stage::Chain { color, .. }
+            | Stage::Parent { color, .. } => Some(*color),
+            Stage::CrossTree { to } => Some(*to),
+            Stage::DupElim => None,
+        }
+    }
+}
+
 /// A predicate compiled to a physical selection.
 #[derive(Debug, Clone)]
 enum CompiledPred {
@@ -122,7 +132,7 @@ pub struct StageStats {
     pub pool: PoolStats,
 }
 
-/// The result of [`PathPlan::execute_analyze`]: per-stage actuals
+/// The result of [`PathPlan::execute_shared_analyze`]: per-stage actuals
 /// plus totals, renderable as an annotated plan tree.
 #[derive(Debug, Clone)]
 pub struct AnalyzeReport {
@@ -232,37 +242,31 @@ impl PathPlan {
         render_tree(&self.labels(s))
     }
 
-    /// Execute the plan, returning the final single-column tuples.
-    pub fn execute<D: DiskManager>(&self, s: &mut StoredDb<D>) -> mct_storage::Result<Vec<Tuple>> {
-        self.run(s, None, 1).map(|(tuples, _)| tuples)
-    }
-
     /// Hoist the one `&mut` prerequisite of execution: annotate every
     /// color the plan touches. After this (and until a mutation dirties
     /// a color again), the plan can run over `&StoredDb` via
     /// [`PathPlan::execute_shared`].
     pub fn prepare<D: DiskManager>(&self, s: &mut StoredDb<D>) {
-        for st in &self.stages {
-            match st {
-                Stage::ContentEntry { color, .. }
-                | Stage::Chain { color, .. }
-                | Stage::Parent { color, .. } => s.db.ensure_annotated(*color),
-                Stage::CrossTree { to } => s.db.ensure_annotated(*to),
-                Stage::DupElim => {}
-            }
+        for c in self.stages.iter().filter_map(Stage::color) {
+            s.db.ensure_annotated(c);
         }
     }
 
-    /// Execute over a shared reference — the serving path, where many
-    /// worker threads run cached plans against one `StoredDb` behind a
-    /// read lock. Every color the plan touches must be annotated and
-    /// clean (guaranteed after [`PathPlan::prepare`], and restored by
+    /// Execute the plan, returning the final single-column tuples —
+    /// the one way to run a plan. Worker threads of the serving layer
+    /// run cached plans this way against one `StoredDb` behind a read
+    /// lock. Every color the plan touches must be annotated and clean
+    /// (guaranteed after [`PathPlan::prepare`], and restored by
     /// [`StoredDb::ensure_all_annotated`] after updates); a dirty color
-    /// is reported as an error here rather than the panic the in-memory
-    /// accessors would raise.
+    /// is reported as [`StorageError::NotAnnotated`] rather than the
+    /// panic the in-memory accessors would raise.
     ///
-    /// `cancel` is consulted at stage and morsel boundaries; an elapsed
-    /// deadline surfaces as [`StorageError::Cancelled`].
+    /// With `threads > 1`, Chain and CrossTree stages and predicate
+    /// filters fan their inputs out over [`exec::run_morsels`] workers;
+    /// the output is byte-identical at any thread count (chunk results
+    /// merge in chunk order and those stages re-sort by document
+    /// order). `cancel` is consulted at stage and morsel boundaries; an
+    /// elapsed deadline surfaces as [`StorageError::Cancelled`].
     pub fn execute_shared<D: DiskManager>(
         &self,
         s: &StoredDb<D>,
@@ -270,17 +274,19 @@ impl PathPlan {
         cancel: Option<&CancelToken>,
     ) -> mct_storage::Result<Vec<Tuple>> {
         self.check_clean(s)?;
-        self.run_shared(s, None, threads, cancel)
-            .map(|(tuples, _)| tuples)
+        self.run(s, None, threads, cancel).map(|(tuples, _)| tuples)
     }
 
-    /// [`PathPlan::execute_shared`] with per-stage actuals — the
-    /// serving layer's always-on EXPLAIN ANALYZE: worker threads run
-    /// this under the read lock so a request that turns out slow can
-    /// be captured with its full annotated plan tree without being
-    /// re-executed. The per-stage instrumentation is two `Instant`
-    /// reads and one pool-stats snapshot per stage; plans have a
-    /// handful of stages, so the overhead is noise next to execution.
+    /// [`PathPlan::execute_shared`] with per-stage actuals (EXPLAIN
+    /// ANALYZE): rows in/out, elapsed time, and buffer-pool deltas,
+    /// which with `threads > 1` aggregate every worker's page traffic.
+    /// This is also the serving layer's always-on EXPLAIN ANALYZE:
+    /// worker threads run it under the read lock so a request that
+    /// turns out slow can be captured with its full annotated plan
+    /// tree without being re-executed. The per-stage instrumentation is
+    /// two `Instant` reads and one pool-stats snapshot per stage; plans
+    /// have a handful of stages, so the overhead is noise next to
+    /// execution.
     pub fn execute_shared_analyze<D: DiskManager>(
         &self,
         s: &StoredDb<D>,
@@ -291,7 +297,7 @@ impl PathPlan {
         let labels = self.labels(s);
         let pool_mark = s.pool.stats();
         let t0 = Instant::now();
-        let (tuples, stages) = self.run_shared(s, Some(&labels), threads, cancel)?;
+        let (tuples, stages) = self.run(s, Some(&labels), threads, cancel)?;
         let report = AnalyzeReport {
             stages,
             total: t0.elapsed(),
@@ -301,94 +307,21 @@ impl PathPlan {
         Ok((tuples, report))
     }
 
-    /// Shared-execution precondition: every color the plan touches is
-    /// annotated and clean (a dirty color is an error here rather than
-    /// the panic the in-memory accessors would raise).
+    /// Execution precondition: every color the plan touches is
+    /// annotated and clean.
     fn check_clean<D: DiskManager>(&self, s: &StoredDb<D>) -> mct_storage::Result<()> {
-        for st in &self.stages {
-            let c = match st {
-                Stage::ContentEntry { color, .. }
-                | Stage::Chain { color, .. }
-                | Stage::Parent { color, .. } => *color,
-                Stage::CrossTree { to } => *to,
-                Stage::DupElim => continue,
-            };
-            if s.db.is_dirty(c) {
-                return Err(StorageError::Corrupt(
-                    "color tree not annotated; call prepare/ensure_all_annotated first",
-                ));
-            }
+        if self.stages.iter().filter_map(Stage::color).any(|c| s.db.is_dirty(c)) {
+            return Err(StorageError::NotAnnotated);
         }
         Ok(())
     }
 
-    /// Execute with `threads` morsel workers. Output is byte-identical
-    /// to [`PathPlan::execute`]: the parallel operators merge chunk
-    /// results in chunk order and the Chain/CrossTree stages re-sort
-    /// by document order (see [`crate::exec`]). `threads <= 1` is the
-    /// sequential path.
-    pub fn execute_parallel<D: DiskManager>(
-        &self,
-        s: &mut StoredDb<D>,
-        threads: usize,
-    ) -> mct_storage::Result<Vec<Tuple>> {
-        self.run(s, None, threads).map(|(tuples, _)| tuples)
-    }
-
-    /// Execute the plan collecting per-stage actuals (EXPLAIN
-    /// ANALYZE): rows in/out, elapsed time, and buffer-pool deltas.
-    pub fn execute_analyze<D: DiskManager>(
-        &self,
-        s: &mut StoredDb<D>,
-    ) -> mct_storage::Result<(Vec<Tuple>, AnalyzeReport)> {
-        self.execute_analyze_parallel(s, 1)
-    }
-
-    /// [`PathPlan::execute_analyze`] with `threads` morsel workers:
-    /// per-stage wall clock then reflects the parallel operators, and
-    /// pool deltas aggregate the page traffic of every worker.
-    pub fn execute_analyze_parallel<D: DiskManager>(
-        &self,
-        s: &mut StoredDb<D>,
-        threads: usize,
-    ) -> mct_storage::Result<(Vec<Tuple>, AnalyzeReport)> {
-        let labels = self.labels(s);
-        let pool_mark = s.pool.stats();
-        let t0 = Instant::now();
-        let (tuples, stages) = self.run(s, Some(&labels), threads)?;
-        let report = AnalyzeReport {
-            stages,
-            total: t0.elapsed(),
-            pool: s.pool.stats().delta_since(&pool_mark),
-            rows: tuples.len() as u64,
-        };
-        Ok((tuples, report))
-    }
-
-    /// Pipeline driver behind both execute flavors. With
+    /// The pipeline driver: every color already annotated (see
+    /// [`PathPlan::prepare`]), so `&StoredDb` suffices and the serving
+    /// layer can run many plans concurrently under a read lock. With
     /// `labels: Some(..)`, each stage is timed and its pool delta
     /// captured; without, only the (cheap) spans and row counters run.
-    /// With `threads > 1`, Chain and CrossTree stages fan their inputs
-    /// out over [`exec::run_morsels`] workers.
     fn run<D: DiskManager>(
-        &self,
-        s: &mut StoredDb<D>,
-        labels: Option<&[String]>,
-        threads: usize,
-    ) -> mct_storage::Result<(Vec<Tuple>, Vec<StageStats>)> {
-        // Hoist color annotation: parent navigation and predicate
-        // evaluation need in-memory interval codes, and annotating is
-        // the one `&mut` operation in the pipeline. Doing it up front
-        // leaves the stage loop a pure read, so morsel workers can
-        // share `&StoredDb` freely.
-        self.prepare(s);
-        self.run_shared(s, labels, threads, None)
-    }
-
-    /// The read-only pipeline driver: every color already annotated
-    /// (see [`PathPlan::prepare`]), so `&StoredDb` suffices and the
-    /// serving layer can run many plans concurrently under a read lock.
-    fn run_shared<D: DiskManager>(
         &self,
         s: &StoredDb<D>,
         labels: Option<&[String]>,
@@ -411,23 +344,7 @@ impl PathPlan {
             let mark = labels.map(|_| (s.pool.stats(), Instant::now()));
             current = Some(match st {
                 Stage::ContentEntry { color, tag, child_tag, value } => {
-                    let hits = s.content_lookup(value)?;
-                    let mut out = Vec::new();
-                    for n in hits {
-                        if s.db.name_str(n) != Some(child_tag.as_str()) {
-                            continue;
-                        }
-                        if let Some(p) = s.db.parent(n, *color) {
-                            if s.db.name_str(p) == Some(tag.as_str()) {
-                                if let Some(code) = s.db.code(p, *color) {
-                                    out.push(vec![StructRef { node: p, code }]);
-                                }
-                            }
-                        }
-                    }
-                    out.sort_by_key(|t| t[0].code.start);
-                    out.dedup_by_key(|t| t[0].node);
-                    out
+                    content_entry(s, *color, tag, child_tag, value)?
                 }
                 Stage::Chain { color, tags, rels, preds, root_only } => {
                     // Gather the posting lists; a leading `«pipeline»`
@@ -472,7 +389,7 @@ impl PathPlan {
                 }
                 Stage::CrossTree { to } => {
                     let cur = current.take().unwrap_or_default();
-                    exec::cross_tree_op_par(s, cur, 0, *to, threads, cancel)?
+                    ops::cross_tree_op(s, cur, 0, *to, threads, cancel)?
                 }
                 Stage::Parent { color, tag } => {
                     let cur = current.take().unwrap_or_default();
@@ -537,8 +454,8 @@ fn apply_pred_par<D: DiskManager>(
 }
 
 /// Apply one compiled predicate. Callers must have annotated `color`
-/// already (see [`PathPlan::run`]'s hoist) — this is a pure read and
-/// safe to fan across threads.
+/// already (see [`PathPlan::prepare`]) — this is a pure read and safe
+/// to fan across threads.
 fn apply_pred<D: DiskManager>(
     s: &StoredDb<D>,
     tuples: Vec<Tuple>,
@@ -546,78 +463,106 @@ fn apply_pred<D: DiskManager>(
     color: ColorId,
     p: &CompiledPred,
 ) -> mct_storage::Result<Vec<Tuple>> {
-    // Predicates on a named child evaluate against that child's content.
-    let resolve_child = |s: &StoredDb<D>, tuples: Vec<Tuple>, child: &Option<String>| {
-        match child {
-            None => tuples,
-            Some(name) => tuples
-                .into_iter()
-                .filter(|t| {
-                    s.db.children(t[col].node, color)
-                        .any(|ch| s.db.name_str(ch) == Some(name.as_str()))
-                })
-                .collect(),
-        }
-    };
     match p {
         CompiledPred::AttrEq { name, value } => select_attr_eq(s, tuples, col, name, value),
-        CompiledPred::ContentEq { child: None, value } => {
-            select_content_eq(s, tuples, col, value)
+        CompiledPred::ContentEq { child, value } => {
+            filter_by_value(s, tuples, col, color, child.as_deref(), |v| v == value)
         }
-        CompiledPred::ContentContains { child: None, value } => {
-            select_contains(s, tuples, col, value)
+        CompiledPred::ContentContains { child, value } => {
+            filter_by_value(s, tuples, col, color, child.as_deref(), |v| v.contains(value.as_str()))
         }
-        CompiledPred::ContentCmp { child: None, cmp, value } => {
-            select_number_cmp(s, tuples, col, *cmp, *value)
-        }
-        // Child-targeted predicates: test every same-named child.
-        CompiledPred::ContentEq { child: Some(name), value } => {
-            let candidates = resolve_child(s, tuples, &Some(name.clone()));
-            filter_by_child(s, candidates, col, color, name, |c| c == value.as_str())
-        }
-        CompiledPred::ContentContains { child: Some(name), value } => {
-            let candidates = resolve_child(s, tuples, &Some(name.clone()));
-            filter_by_child(s, candidates, col, color, name, |c| c.contains(value.as_str()))
-        }
-        CompiledPred::ContentCmp { child: Some(name), cmp, value } => {
-            let candidates = resolve_child(s, tuples, &Some(name.clone()));
-            let cmp = *cmp;
-            let value = *value;
-            filter_by_child(s, candidates, col, color, name, move |c| {
-                c.trim().parse::<f64>().map(|v| cmp.test(v, value)).unwrap_or(false)
+        CompiledPred::ContentCmp { child, cmp, value } => {
+            filter_by_value(s, tuples, col, color, child.as_deref(), |v| {
+                v.trim().parse::<f64>().is_ok_and(|v| cmp.test(v, *value))
             })
         }
     }
 }
 
-fn filter_by_child<D: DiskManager>(
+/// Keep the tuples whose `col` element passes `test` on its value
+/// (`child: None`), or has a `child`-named child in `color` that does.
+fn filter_by_value<D: DiskManager>(
     s: &StoredDb<D>,
     tuples: Vec<Tuple>,
     col: usize,
     color: ColorId,
-    child: &str,
+    child: Option<&str>,
     test: impl Fn(&str) -> bool,
 ) -> mct_storage::Result<Vec<Tuple>> {
     let mut out = Vec::new();
     for t in tuples {
-        let kids: Vec<McNodeId> = s
-            .db
-            .children(t[col].node, color)
-            .filter(|&ch| s.db.name_str(ch) == Some(child))
-            .collect();
-        let mut hit = false;
-        for ch in kids {
-            if let Some(content) = s.fetch_content(ch)? {
-                if test(&content) {
-                    hit = true;
-                    break;
+        let n = t[col].node;
+        let hit = match child {
+            None => test(&value_of(s, n, color)?),
+            Some(name) => {
+                let mut hit = false;
+                for ch in s.db.children(n, color) {
+                    if s.db.name_str(ch) == Some(name) && test(&value_of(s, ch, color)?) {
+                        hit = true;
+                        break;
+                    }
                 }
+                hit
             }
-        }
+        };
         if hit {
             out.push(t);
         }
     }
+    Ok(out)
+}
+
+/// An element's value as [`crate::eval::atomize`] takes it: its own
+/// content when it has some, otherwise its string-value in `color`
+/// (the content of its color-`color` subtree, in local order).
+fn value_of<D: DiskManager>(
+    s: &StoredDb<D>,
+    n: McNodeId,
+    color: ColorId,
+) -> mct_storage::Result<String> {
+    Ok(match s.fetch_content(n)? {
+        Some(content) => content,
+        None => s.db.string_value(n, color).unwrap_or_default(),
+    })
+}
+
+/// `tag[child_tag = value]` through the content index: the `tag`
+/// parents of the `child_tag` elements whose value is `value`, in
+/// document order. A hit is an element whose own content is `value`;
+/// a content-less `child_tag` ancestor of a hit matches when its
+/// string-value is that same text (see [`value_of`]). One whose
+/// string-value joins the content of several descendants has no index
+/// entry and is not found.
+fn content_entry<D: DiskManager>(
+    s: &StoredDb<D>,
+    color: ColorId,
+    tag: &str,
+    child_tag: &str,
+    value: &str,
+) -> mct_storage::Result<Vec<Tuple>> {
+    let mut out = Vec::new();
+    let Some(child_sym) = s.db.names.get(child_tag) else {
+        return Ok(out);
+    };
+    for hit in s.content_lookup(value)? {
+        for n in std::iter::once(hit).chain(s.db.ancestors(hit, color)) {
+            if s.db.node(n).name != Some(child_sym) {
+                continue;
+            }
+            if n != hit && value_of(s, n, color)? != value {
+                continue;
+            }
+            if let Some(p) = s.db.parent(n, color) {
+                if s.db.name_str(p) == Some(tag) {
+                    if let Some(code) = s.db.code(p, color) {
+                        out.push(vec![StructRef { node: p, code }]);
+                    }
+                }
+            }
+        }
+    }
+    out.sort_by_key(|t| t[0].code.start);
+    out.dedup_by_key(|t| t[0].node);
     Ok(out)
 }
 
@@ -900,12 +845,17 @@ mod tests {
         StoredDb::build(db, 16 * 1024 * 1024).unwrap()
     }
 
+    fn exec(plan: &PathPlan, s: &mut StoredDb, threads: usize) -> Vec<Tuple> {
+        plan.prepare(s);
+        plan.execute_shared(s, threads, None).unwrap()
+    }
+
     fn plan_nodes(s: &mut StoredDb, text: &str) -> Vec<u32> {
         let Expr::Path(p) = parse_query(text).unwrap() else {
             panic!("not a bare path")
         };
         let plan = plan_path(s, &p, true).unwrap();
-        let out = plan.execute(s).unwrap();
+        let out = exec(&plan, s, 1);
         let mut v: Vec<u32> = out.iter().map(|t| t[0].node.0).collect();
         v.sort_unstable();
         v
@@ -972,8 +922,37 @@ mod tests {
         let plan = plan_path(&s, &p, true).unwrap();
         let text = plan.explain(&s);
         assert!(text.contains("content-index entry"), "{text}");
-        let out = plan.execute(&mut s).unwrap();
+        let out = exec(&plan, &mut s, 1);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn contentless_elements_compare_by_string_value() {
+        // root > a > b > c, only c holds text: a and b have no content
+        // of their own, so their value is their red string-value, "7".
+        let mut db = MctDatabase::new();
+        let red = db.add_color("red");
+        let mut parent = McNodeId::DOCUMENT;
+        for tag in ["root", "a", "b", "c"] {
+            let n = db.new_element(tag, red);
+            db.append_child(parent, n, red);
+            parent = n;
+        }
+        db.set_content(parent, "7");
+        let mut s = StoredDb::build(db, 1024 * 1024).unwrap();
+        for q in [
+            r#"document("d")/{red}descendant::a[. > 5]"#,
+            r#"document("d")/{red}descendant::a[. = "7"]"#,
+            r#"document("d")/{red}descendant::a[contains(., "7")]"#,
+            r#"document("d")/{red}descendant::a[{red}child::b > 5]"#,
+            r#"document("d")/{red}descendant::a[{red}child::b = "7"]"#,
+            r#"document("d")/{red}child::root/{red}child::a[{red}child::b = "7"]"#,
+            r#"document("d")/{red}descendant::a[{red}child::b = "8"]"#,
+        ] {
+            let want = interp_nodes(&mut s, q);
+            assert_eq!(plan_nodes(&mut s, q), want, "{q}");
+            assert_eq!(want.len(), usize::from(!q.contains("\"8\"")), "{q}");
+        }
     }
 
     #[test]
@@ -1002,30 +981,14 @@ mod tests {
         ] {
             let Expr::Path(p) = parse_query(q).unwrap() else { panic!("{q}") };
             let plan = plan_path(&s, &p, true).unwrap();
-            let seq = plan.execute(&mut s).unwrap();
+            let seq = exec(&plan, &mut s, 1);
             for threads in [2, 4] {
-                let par = plan.execute_parallel(&mut s, threads).unwrap();
+                let par = plan.execute_shared(&s, threads, None).unwrap();
                 assert_eq!(par, seq, "{q} threads={threads}");
             }
-            let (analyzed, report) = plan.execute_analyze_parallel(&mut s, 4).unwrap();
+            let (analyzed, report) = plan.execute_shared_analyze(&s, 4, None).unwrap();
             assert_eq!(analyzed, seq, "{q} analyze");
             assert_eq!(report.rows as usize, seq.len());
-        }
-    }
-
-    #[test]
-    fn execute_shared_matches_mut_execution() {
-        let mut s = stored();
-        for q in [
-            r#"document("m")/{red}descendant::movie/{red}child::name"#,
-            r#"document("m")/{green}descendant::movie[{green}child::votes > 8]/{red}child::name"#,
-        ] {
-            let Expr::Path(p) = parse_query(q).unwrap() else { panic!("{q}") };
-            let plan = plan_path(&s, &p, true).unwrap();
-            let seq = plan.execute(&mut s).unwrap();
-            plan.prepare(&mut s);
-            let shared = plan.execute_shared(&s, 2, None).unwrap();
-            assert_eq!(shared, seq, "{q}");
         }
     }
 
@@ -1035,8 +998,7 @@ mod tests {
         let q = r#"document("m")/{green}descendant::movie[{green}child::votes > 8]/{red}child::name"#;
         let Expr::Path(p) = parse_query(q).unwrap() else { panic!("{q}") };
         let plan = plan_path(&s, &p, true).unwrap();
-        let seq = plan.execute(&mut s).unwrap();
-        plan.prepare(&mut s);
+        let seq = exec(&plan, &mut s, 1);
         let (shared, report) = plan.execute_shared_analyze(&s, 2, None).unwrap();
         assert_eq!(shared, seq, "analyze must not change the result");
         assert_eq!(report.rows as usize, seq.len());
@@ -1065,7 +1027,8 @@ mod tests {
         let genre = s.postings_named(red, "movie-genre").unwrap()[0].node;
         s.db.append_child(genre, m, red);
         assert!(s.db.is_dirty(red));
-        assert!(plan.execute_shared(&s, 1, None).is_err(), "must not panic");
+        let r = plan.execute_shared(&s, 1, None);
+        assert!(matches!(r, Err(StorageError::NotAnnotated)), "{r:?}");
         s.ensure_all_annotated().unwrap();
         assert!(plan.execute_shared(&s, 1, None).is_ok());
     }

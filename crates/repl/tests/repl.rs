@@ -5,7 +5,9 @@
 //!
 //! Primary and replica share the process-global metric registry here,
 //! so counter assertions work on before/after deltas, never absolute
-//! values.
+//! values — and every test takes [`registry_lock`], because a sibling
+//! test's bootstrap running in parallel bumps the same counters. (The
+//! cure is a metrics registry per instance; the lock is the stop-gap.)
 
 mod common;
 
@@ -13,7 +15,7 @@ use common::{commit_edit, fingerprint, primary_store, POOL};
 use mct_repl::{start_primary, start_replica, PrimaryCfg, ReplicaCfg, ReplicaHandle};
 use mct_storage::MemDisk;
 use std::net::TcpListener;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 type SharedDb = Arc<RwLock<mct_core::StoredDb<MemDisk>>>;
@@ -52,6 +54,12 @@ fn replica_fingerprint(r: &ReplicaHandle) -> Vec<String> {
     fingerprint(&mut w)
 }
 
+/// Serializes the tests of this binary over the global registry.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let end = Instant::now() + deadline;
     while !cond() {
@@ -65,6 +73,7 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn snapshot_bootstrap_then_streaming_catchup() {
+    let _registry = registry_lock();
     let db = shared(primary_store());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -130,6 +139,7 @@ fn snapshot_bootstrap_then_streaming_catchup() {
 
 #[test]
 fn reconnect_resumes_from_applied_lsn_without_snapshot() {
+    let _registry = registry_lock();
     let db = shared(primary_store());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -177,6 +187,7 @@ fn reconnect_resumes_from_applied_lsn_without_snapshot() {
 
 #[test]
 fn checkpoint_truncation_outruns_replica_and_forces_rebootstrap() {
+    let _registry = registry_lock();
     let db = shared(primary_store());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -236,6 +247,7 @@ fn checkpoint_truncation_outruns_replica_and_forces_rebootstrap() {
 
 #[test]
 fn two_replicas_converge_independently() {
+    let _registry = registry_lock();
     let db = shared(primary_store());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();

@@ -431,7 +431,7 @@ fn transient(e: &io::Error) -> bool {
             | io::ErrorKind::UnexpectedEof
             | io::ErrorKind::TimedOut
             | io::ErrorKind::WouldBlock
-    ) || e.to_string().contains("no header/body separator")
+    )
 }
 
 /// Parse a full `Connection: close` response capture.
@@ -439,7 +439,11 @@ fn parse_reply(raw: &[u8]) -> io::Result<Reply> {
     let header_end = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| io::Error::other("no header/body separator in response"))?;
+        .ok_or_else(|| {
+            // The peer closed before a whole header arrived.
+            let what = "no header/body separator in response";
+            io::Error::new(io::ErrorKind::UnexpectedEof, what)
+        })?;
     let head = std::str::from_utf8(&raw[..header_end])
         .map_err(|_| io::Error::other("non-UTF-8 response head"))?;
     let mut lines = head.split("\r\n");
@@ -507,33 +511,30 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
                 let mut buf = [0u8; 1024];
                 let _ = sock.read(&mut buf);
-                match step {
+                let response = match step {
                     Script::Busy => {
-                        let _ = sock.write_all(
-                            b"HTTP/1.1 503 Busy\r\nRetry-After: 0\r\nContent-Length: 5\r\n\r\nbusy\n",
-                        );
+                        "HTTP/1.1 503 Busy\r\nRetry-After: 0\r\nContent-Length: 5\r\n\r\nbusy\n"
+                            .to_string()
                     }
-                    Script::Ok => {
-                        let _ = sock.write_all(
-                            b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok\n",
-                        );
-                    }
+                    Script::Ok => "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok\n".to_string(),
                     Script::Hangup => {
                         // Close without a response: the client sees an
                         // empty capture and classifies it transient.
                         drop(sock);
+                        continue;
                     }
-                    Script::Misdirect(primary_port) => {
-                        let _ = sock.write_all(
-                            format!(
-                                "HTTP/1.1 421 Misdirected Request\r\n\
-                                 X-Primary: 127.0.0.1:{primary_port}\r\n\
-                                 Content-Length: 9\r\n\r\nreadonly\n"
-                            )
-                            .as_bytes(),
-                        );
-                    }
-                }
+                    Script::Misdirect(primary_port) => format!(
+                        "HTTP/1.1 421 Misdirected Request\r\n\
+                         X-Primary: 127.0.0.1:{primary_port}\r\n\
+                         Content-Length: 9\r\n\r\nreadonly\n"
+                    ),
+                };
+                let _ = sock.write_all(response.as_bytes());
+                // Half-close, then drain what is left of the request
+                // until the client hangs up: closing with unread bytes
+                // would reset the connection under the reply.
+                let _ = sock.shutdown(std::net::Shutdown::Write);
+                let _ = io::copy(&mut sock, &mut io::sink());
             }
         });
         (port, accepts)
@@ -579,10 +580,20 @@ mod tests {
         assert_eq!(accepts.load(Ordering::SeqCst), 1, "update was resent: {err}");
     }
 
-    /// A port that is (almost certainly) closed.
-    fn dead_port() -> u16 {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
+    /// A client of an endpoint that refuses connections, and the
+    /// listener that keeps it dead. Binding and dropping a port is not
+    /// enough: a test running in parallel can be handed the freed port
+    /// and would then answer. The listener holds the port on 127.0.0.1
+    /// for the test's lifetime, and the client dials that port on
+    /// 127.0.0.2 — also loopback on Linux, where nothing listens.
+    fn dead_endpoint(retries: u32) -> (TcpListener, Client) {
+        let reserved = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = reserved.local_addr().unwrap().port();
+        let client = Client {
+            host: "127.0.0.2".to_string(),
+            ..fast(port, retries)
+        };
+        (reserved, client)
     }
 
     #[test]
@@ -600,7 +611,8 @@ mod tests {
     #[test]
     fn multi_client_skips_a_dead_endpoint_and_rotates() {
         let (alive, accepts) = scripted_server(vec![Script::Ok, Script::Ok, Script::Ok]);
-        let mc = MultiClient::new(vec![fast(dead_port(), 0), fast(alive, 0)]);
+        let (_reserved, dead) = dead_endpoint(0);
+        let mc = MultiClient::new(vec![dead, fast(alive, 0)]);
         for _ in 0..3 {
             assert_eq!(mc.query("q").unwrap().status, 200);
         }
@@ -640,13 +652,9 @@ mod tests {
 
     #[test]
     fn connect_refused_exhausts_retries_then_errors() {
-        // Bind-then-drop: the port is (almost certainly) closed.
-        let port = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
-        };
+        let (_reserved, dead) = dead_endpoint(2);
         let t0 = std::time::Instant::now();
-        let err = fast(port, 2).update("u").unwrap_err();
+        let err = dead.update("u").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         // Two backoffs happened (1-2ms each at the test schedule).
         assert!(t0.elapsed() >= Duration::from_millis(2));

@@ -4,7 +4,7 @@
 //! (`Sequence` of [`Item`]s) funnel into the same [`Row`] shape, so a
 //! query answered from the plan cache, the cold planner, or the
 //! interpreter renders byte-identically. Tests exploit this: they run
-//! [`PathPlan::execute_parallel`](mct_query::PathPlan) directly,
+//! [`PathPlan::execute_shared`](mct_query::PathPlan) directly,
 //! render with these functions, and compare against server responses
 //! byte for byte.
 

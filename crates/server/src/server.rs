@@ -746,7 +746,7 @@ fn handle_query<D: DiskManager>(
                     state.metrics.timeouts.inc();
                     return Response::text(408, "deadline exceeded\n");
                 }
-                Err(StorageError::Corrupt(m)) if m.contains("not annotated") && attempt == 0 => {
+                Err(StorageError::NotAnnotated) if attempt == 0 => {
                     drop(db);
                     let mut w = state.db.write().unwrap_or_else(PoisonError::into_inner);
                     if let Err(e) = w.ensure_all_annotated() {

@@ -37,7 +37,8 @@ fn direct_xml(stored: &mut StoredDb, query: &str) -> String {
         panic!("test queries must be bare paths")
     };
     let plan = plan_path(stored, p, true).expect("plannable");
-    let tuples = plan.execute_parallel(stored, 1).expect("direct execution");
+    plan.prepare(stored);
+    let tuples = plan.execute_shared(stored, 1, None).expect("direct execution");
     render_xml(&rows_from_tuples(stored, &tuples))
 }
 

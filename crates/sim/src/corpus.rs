@@ -272,5 +272,32 @@ pub fn planted() -> Vec<(String, MctDatabase, Vec<CaseOp>)> {
         ));
     }
 
+    // 7. Value predicates on elements without content of their own:
+    //    their value is their string-value, on the self axis, on a
+    //    child, and through the content-index entry point alike.
+    {
+        let mut db = MctDatabase::new();
+        let red = db.add_color("red");
+        let mut parent = mct_core::McNodeId::DOCUMENT;
+        for tag in ["root", "a", "b", "c"] {
+            let n = db.new_element(tag, red);
+            db.append_child(parent, n, red);
+            parent = n;
+        }
+        db.set_content(parent, "7");
+        out.push((
+            "planted-contentless-value".to_string(),
+            db,
+            vec![
+                q("document(\"d\")/{red}descendant::a[. > 5]"),
+                q("document(\"d\")/{red}descendant::a[. = \"7\"]"),
+                q("document(\"d\")/{red}descendant::a[contains(., \"7\")]"),
+                q("document(\"d\")/{red}descendant::a[{red}child::b > 5]"),
+                q("document(\"d\")/{red}descendant::a[{red}child::b = \"7\"]"),
+                q("document(\"d\")/{red}child::root/{red}child::a[{red}child::b = \"7\"]"),
+            ],
+        ));
+    }
+
     out
 }

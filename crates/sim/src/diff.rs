@@ -5,12 +5,12 @@
 //! §3.2-shaped evaluator in the tree. Every other surface must agree
 //! with it:
 //!
-//! 1. **planned** — `plan_path` + `PathPlan::execute` on a second
-//!    store (same logical content, independent pages/indexes), for the
-//!    plannable path fragment of each query; plus the interpreter
-//!    itself re-run on that second store (catches store-construction
-//!    divergence even for non-plannable queries).
-//! 2. **parallel** — `execute_parallel` at `--threads N` vs `1`,
+//! 1. **planned** — `plan_path` + `PathPlan::execute_shared` at one
+//!    thread on a second store (same logical content, independent
+//!    pages/indexes), for the plannable path fragment of each query;
+//!    plus the interpreter itself re-run on that second store (catches
+//!    store-construction divergence even for non-plannable queries).
+//! 2. **parallel** — `execute_shared` at `--threads N` vs `1`,
 //!    required byte-identical (same tuples, same order).
 //! 3. **served** — the mctd HTTP path (`POST /query` / `POST
 //!    /update`), compared against the body the oracle's state renders.
@@ -557,11 +557,15 @@ fn run_query(
                     want.sort_unstable();
                     want.dedup();
 
+                    // One thread: compared with the interpreter on
+                    // "planned", with N threads on "parallel".
+                    plan.prepare(pl);
+                    let surface = if cfg.surfaces.planned { "planned" } else { "parallel" };
+                    let one = plan.execute_shared(pl, 1, None).map_err(|err| {
+                        div(surface, at, format!("plan execute failed on {text:?}: {err}"))
+                    })?;
                     if cfg.surfaces.planned {
-                        let tuples = plan
-                            .execute(pl)
-                            .map_err(|err| div("planned", at, format!("plan execute failed on {text:?}: {err}")))?;
-                        let got = node_set(&tuples);
+                        let got = node_set(&one);
                         if got != want {
                             return Err(div(
                                 "planned",
@@ -571,19 +575,16 @@ fn run_query(
                         }
                     }
                     if cfg.surfaces.parallel {
-                        let one = plan
-                            .execute_parallel(pl, 1)
-                            .map_err(|err| div("parallel", at, format!("1-thread execute failed: {err}")))?;
-                        let many = plan
-                            .execute_parallel(pl, cfg.threads.max(2))
-                            .map_err(|err| div("parallel", at, format!("{}-thread execute failed: {err}", cfg.threads.max(2))))?;
+                        let threads = cfg.threads.max(2);
+                        let many = plan.execute_shared(pl, threads, None).map_err(|err| {
+                            div("parallel", at, format!("{threads}-thread execute failed: {err}"))
+                        })?;
                         if one != many {
                             return Err(div(
                                 "parallel",
                                 at,
                                 format!(
-                                    "execute_parallel({}) differs from execute_parallel(1) for {text:?} ({} vs {} tuples)",
-                                    cfg.threads.max(2),
+                                    "{threads}-thread execution differs from 1-thread for {text:?} ({} vs {} tuples)",
                                     many.len(),
                                     one.len()
                                 ),
@@ -622,7 +623,8 @@ fn run_query(
                 };
                 let body = match plan {
                     Some(plan) => {
-                        let tuples = plan.execute_parallel(oracle, 1).map_err(|err| {
+                        plan.prepare(oracle);
+                        let tuples = plan.execute_shared(oracle, 1, None).map_err(|err| {
                             div("served", at, format!("oracle-side plan failed: {err}"))
                         })?;
                         render_xml(&rows_from_tuples(oracle, &tuples))

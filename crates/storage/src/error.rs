@@ -36,6 +36,10 @@ pub enum StorageError {
     /// The operation was cancelled cooperatively (deadline exceeded or
     /// an explicit cancel) before it completed.
     Cancelled,
+    /// A read-only query plan met a color tree whose interval codes are
+    /// stale since an update; annotate it (`prepare` /
+    /// `ensure_all_annotated`) and retry.
+    NotAnnotated,
 }
 
 impl fmt::Display for StorageError {
@@ -54,6 +58,7 @@ impl fmt::Display for StorageError {
             StorageError::PoolExhausted => write!(f, "buffer pool exhausted (all frames pinned)"),
             StorageError::Corrupt(what) => write!(f, "corrupt page: {what}"),
             StorageError::Cancelled => write!(f, "operation cancelled"),
+            StorageError::NotAnnotated => write!(f, "color tree not annotated"),
         }
     }
 }

@@ -3,7 +3,7 @@
 //! * [`TagIndex`] — `(tag, interval)` → node. A posting-list scan for a
 //!   tag returns its structural nodes **sorted by interval start**,
 //!   i.e. in (per-color) document order — exactly the input order the
-//!   stack-tree structural join and holistic twig join require.
+//!   stack-tree structural join and holistic chain join require.
 //! * [`ContentIndex`] — `value → nodes`, for string-equality predicates
 //!   and attribute-value (cross-tree / IDREF) joins.
 

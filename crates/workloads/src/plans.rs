@@ -244,7 +244,7 @@ fn tq3<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
             let custs = parents(s, unames, 0, cust);
             let orders = last_col(children_named(s, custs, 0, cust, "order"));
             let lines = last_col(children_named(s, orders, 0, cust, "orderline"));
-            let lines = cross_tree_op(s, lines, 0, auth)?;
+            let lines = cross_tree_op(s, lines, 0, auth, 1, None)?;
             let items = parents(s, lines, 0, auth);
             let items = dup_elim(items, &[0]);
             distinct_by_title(s, items)
@@ -414,7 +414,7 @@ fn tq10<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> 
             let addrs = parents(s, cities, 0, ship);
             let orders = last_col(children_named(s, addrs, 0, ship, "order"));
             let lines = last_col(children_named(s, orders, 0, ship, "orderline"));
-            let lines = cross_tree_op(s, lines, 0, auth)?;
+            let lines = cross_tree_op(s, lines, 0, auth, 1, None)?;
             let items = parents(s, lines, 0, auth);
             let authors = parents(s, items, 0, auth);
             let authors = dup_elim(authors, &[0]);
@@ -519,7 +519,7 @@ fn tq12<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params, ded
             let unames = by_content(s, &p.uname, "uname", cust)?;
             let custs = parents(s, unames, 0, cust);
             let orders = last_col(children_named(s, custs, 0, cust, "order"));
-            let orders = cross_tree_op(s, orders, 0, ship)?;
+            let orders = cross_tree_op(s, orders, 0, ship, 1, None)?;
             let addrs = parents(s, orders, 0, ship);
             let countries = last_col(children_named(s, addrs, 0, ship, "country"));
             if dedup {

@@ -13,6 +13,10 @@ cargo test --workspace --offline -q
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> mctbench build + smoke test (the benchmark must keep compiling)"
+cargo build --release --offline --manifest-path mctbench/Cargo.toml
+cargo test --release --offline --manifest-path mctbench/Cargo.toml
+
 echo "==> mctq --analyze smoke run"
 ANALYZE_QUERY='document("t")/{cust}descendant::order[{cust}child::status = "SHIPPED"]/{cust}child::orderline/{auth}parent::item'
 analyze_out=$(cargo run --release --offline --bin mctq -- \

@@ -223,9 +223,10 @@ fn main() {
                         eprint!("{}", plan.explain(&stored));
                         eprintln!("-------------------");
                     }
+                    plan.prepare(&mut stored);
                     if opts.analyze {
                         let (out, report) = plan
-                            .execute_analyze_parallel(&mut stored, opts.threads)
+                            .execute_shared_analyze(&stored, opts.threads, None)
                             .unwrap_or_else(|e| {
                                 eprintln!("plan execution failed: {e}");
                                 std::process::exit(EXIT_EXEC);
@@ -245,7 +246,7 @@ fn main() {
                     }
                     if opts.plan_exec {
                         let out = plan
-                            .execute_parallel(&mut stored, opts.threads)
+                            .execute_shared(&stored, opts.threads, None)
                             .unwrap_or_else(|e| {
                                 eprintln!("plan execution failed: {e}");
                                 std::process::exit(EXIT_EXEC);

@@ -4,7 +4,7 @@
 //! ANALYZE tree must share the EXPLAIN renderer's shape.
 
 use colorful_xml::core::StoredDb;
-use colorful_xml::query::plan::{plan_path, PathPlan};
+use colorful_xml::query::plan::{plan_path, AnalyzeReport, PathPlan};
 use colorful_xml::query::Expr;
 use colorful_xml::query::{parse_query, Tuple};
 use colorful_xml::workloads::{TpcwConfig, TpcwData};
@@ -17,11 +17,14 @@ fn stored() -> StoredDb {
     StoredDb::build(data.build_mct(), 64 * 1024 * 1024).unwrap()
 }
 
-fn planned(s: &StoredDb, text: &str) -> PathPlan {
+/// The plan for `text`, prepared to run over `&StoredDb`.
+fn planned(s: &mut StoredDb, text: &str) -> PathPlan {
     let Expr::Path(p) = parse_query(text).unwrap() else {
         panic!("not a path: {text}")
     };
-    plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"))
+    let plan = plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"));
+    plan.prepare(s);
+    plan
 }
 
 /// A TPC-W twig: items of shipped orders' orderlines, crossing from
@@ -32,17 +35,23 @@ const TWIG: &str = r#"document("t")/{cust}descendant::order[{cust}child::status 
 #[test]
 fn analyze_row_counts_match_actual_cardinality() {
     let mut s = stored();
-    let plan = planned(&s, TWIG);
-    let expected: Vec<Tuple> = plan.execute(&mut s).unwrap();
-    let (tuples, report) = plan.execute_analyze(&mut s).unwrap();
-    assert_eq!(tuples, expected, "ANALYZE must not change the result");
-    assert!(!tuples.is_empty(), "query should match something");
+    let plan = planned(&mut s, TWIG);
+    let expected: Vec<Tuple> = plan.execute_shared(&s, 1, None).unwrap();
+    assert!(!expected.is_empty(), "query should match something");
+    for threads in [1, 2, 4] {
+        let (tuples, report) = plan.execute_shared_analyze(&s, threads, None).unwrap();
+        assert_eq!(tuples, expected, "ANALYZE changed the result at {threads} threads");
+        assert_cardinalities(&report, tuples.len() as u64);
+    }
+}
 
-    assert_eq!(report.rows, tuples.len() as u64);
+/// The report's row counts agree with a result of `rows` tuples.
+fn assert_cardinalities(report: &AnalyzeReport, rows: u64) {
+    assert_eq!(report.rows, rows);
     assert!(report.stages.len() >= 3, "chain, cross-tree, ..., dup-elim");
     // The last stage's output IS the result cardinality, and rows flow
     // stage to stage: each stage's input is the previous one's output.
-    assert_eq!(report.stages.last().unwrap().rows_out, tuples.len() as u64);
+    assert_eq!(report.stages.last().unwrap().rows_out, rows);
     for w in report.stages.windows(2) {
         assert_eq!(w[0].rows_out, w[1].rows_in, "pipeline rows must chain");
     }
@@ -55,11 +64,11 @@ fn analyze_row_counts_match_actual_cardinality() {
 #[test]
 fn analyze_warm_rerun_has_zero_buffer_misses() {
     let mut s = stored();
-    let plan = planned(&s, TWIG);
+    let plan = planned(&mut s, TWIG);
     // Cold-ish first run primes the pool (the pool is large enough to
     // hold the working set).
-    let _ = plan.execute_analyze(&mut s).unwrap();
-    let (_, warm) = plan.execute_analyze(&mut s).unwrap();
+    let _ = plan.execute_shared_analyze(&s, 1, None).unwrap();
+    let (_, warm) = plan.execute_shared_analyze(&s, 1, None).unwrap();
     assert_eq!(warm.pool.misses, 0, "warm re-run must hit the pool only");
     for st in &warm.stages {
         assert_eq!(st.pool.misses, 0, "warm stage missed: {}", st.label);
@@ -70,9 +79,9 @@ fn analyze_warm_rerun_has_zero_buffer_misses() {
 #[test]
 fn analyze_render_shares_the_explain_tree_shape() {
     let mut s = stored();
-    let plan = planned(&s, TWIG);
+    let plan = planned(&mut s, TWIG);
     let explain = plan.explain(&s);
-    let (_, report) = plan.execute_analyze(&mut s).unwrap();
+    let (_, report) = plan.execute_shared_analyze(&s, 1, None).unwrap();
     let rendered = report.render();
     // Same stage lines in the same positions with the same stable
     // indentation; ANALYZE only appends per-stage annotations and a

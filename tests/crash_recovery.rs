@@ -4,13 +4,13 @@
 //! disk, then repeats the build with a simulated power loss (torn
 //! write + dead disk) at each write the uncrashed run performed. After
 //! every crash the database is reopened through WAL recovery and must
-//! answer cross-tree joins and holistic twig queries byte-identically
+//! answer cross-tree joins and holistic chain joins byte-identically
 //! to the uncrashed run; crashes before the first durable commit must
 //! report "nothing committed" so the caller can rebuild. A final test
 //! checks that silent bit rot surfaces as `StorageError::Corrupt`.
 
 use mct_core::{cross_tree_join, MctDatabase, StoredDb};
-use mct_query::{holistic_twig_join, Rel, TwigNode};
+use mct_query::ops::{holistic_path_join, Rel};
 use mct_storage::{
     BufferPool, DiskManager, FaultDisk, FaultInjector, FileDisk, PageId, StorageError, Wal,
     PAGE_SIZE,
@@ -30,7 +30,7 @@ fn tpcw_db() -> MctDatabase {
     mct_workloads::tpcw::TpcwData::generate(&cfg).build_mct()
 }
 
-/// Cross-tree join + twig query results, as one comparable blob.
+/// Cross-tree join + chain join results, as one comparable blob.
 fn digest<D: DiskManager>(s: &mut StoredDb<D>) -> String {
     let mut out = String::new();
     let cust = s.db.color("cust").unwrap();
@@ -48,20 +48,13 @@ fn digest<D: DiskManager>(s: &mut StoredDb<D>) -> String {
         writeln!(out, "l n{} [{},{}]@{}", r.node.0, r.code.start, r.code.end, r.code.level)
             .unwrap();
     }
-    // Branching twig on the customer tree.
-    let pattern = TwigNode::node(
-        "customer",
-        vec![(
-            Rel::Child,
-            TwigNode::node("order", vec![(Rel::Descendant, TwigNode::leaf("qty"))]),
-        )],
-    );
-    let lists: Vec<_> = pattern
-        .tags()
+    // Chain join over three posting lists of the customer tree:
+    // customer/order//qty.
+    let lists: Vec<_> = ["customer", "order", "qty"]
         .iter()
         .map(|t| s.postings_named(cust, t).unwrap())
         .collect();
-    for t in holistic_twig_join(&pattern, &lists) {
+    for t in holistic_path_join(&lists, &[Rel::Child, Rel::Descendant]) {
         writeln!(out, "t {t:?}").unwrap();
     }
     // Value access paths: index lookup + heap fetch.

@@ -18,23 +18,26 @@ fn tpcw() -> StoredDb {
     StoredDb::build(data.build_mct(), 64 * 1024 * 1024).unwrap()
 }
 
-fn planned(s: &StoredDb, text: &str) -> PathPlan {
+/// The plan for `text`, prepared to run over `&StoredDb`.
+fn planned(s: &mut StoredDb, text: &str) -> PathPlan {
     let Expr::Path(p) = parse_query(text).unwrap() else {
         panic!("not a path: {text}")
     };
-    plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"))
+    let plan = plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"));
+    plan.prepare(s);
+    plan
 }
 
 /// Sequential vs 2/4/8-thread execution of `text` on `s`, plus the
 /// ANALYZE variant; all must agree tuple-for-tuple.
 fn assert_parallel_identical(s: &mut StoredDb, text: &str) {
     let plan = planned(s, text);
-    let expected: Vec<Tuple> = plan.execute(s).unwrap();
+    let expected: Vec<Tuple> = plan.execute_shared(s, 1, None).unwrap();
     for threads in [2, 4, 8] {
-        let got = plan.execute_parallel(s, threads).unwrap();
+        let got = plan.execute_shared(s, threads, None).unwrap();
         assert_eq!(got, expected, "{text} diverged at {threads} threads");
     }
-    let (got, report) = plan.execute_analyze_parallel(s, 4).unwrap();
+    let (got, report) = plan.execute_shared_analyze(s, 4, None).unwrap();
     assert_eq!(got, expected, "{text} ANALYZE diverged at 4 threads");
     assert_eq!(report.rows, expected.len() as u64);
 }
@@ -64,11 +67,6 @@ fn movie_queries_are_thread_count_invariant() {
         r#"document("m")/{red}descendant::movie/{green}child::votes"#,
         r#"document("m")/{green}descendant::movie[{green}child::votes > 8]/{red}child::name"#,
     ] {
-        let plan = planned(&s, text);
-        let expected: Vec<Tuple> = plan.execute(&mut s).unwrap();
-        for threads in [2, 4, 8] {
-            let got = plan.execute_parallel(&mut s, threads).unwrap();
-            assert_eq!(got, expected, "{text} diverged at {threads} threads");
-        }
+        assert_parallel_identical(&mut s, text);
     }
 }

@@ -20,7 +20,8 @@ fn via_planner(s: &mut StoredDb, text: &str) -> Vec<u32> {
         panic!("not a path: {text}")
     };
     let plan = plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"));
-    let out = plan.execute(s).unwrap();
+    plan.prepare(s);
+    let out = plan.execute_shared(s, 1, None).unwrap();
     let mut v: Vec<u32> = out.iter().map(|t| t[0].node.0).collect();
     v.sort_unstable();
     v
@@ -104,7 +105,8 @@ fn planner_uses_content_index_entry_for_point_queries() {
         "{}",
         plan.explain(&s)
     );
-    let out = plan.execute(&mut s).unwrap();
+    plan.prepare(&mut s);
+    let out = plan.execute_shared(&s, 1, None).unwrap();
     assert_eq!(out.len(), 1);
     assert_eq!(via_planner(&mut s, &q), via_interpreter(&mut s, &q));
 }

@@ -364,8 +364,9 @@ fn planner_equals_interpreter() {
                 unreachable!()
             };
             let plan = plan_path(&stored, &p, true).unwrap();
+            plan.prepare(&mut stored);
             let via_plan: std::collections::BTreeSet<u32> = plan
-                .execute(&mut stored)
+                .execute_shared(&stored, 1, None)
                 .unwrap()
                 .iter()
                 .map(|t| t[0].node.0)
