@@ -140,6 +140,9 @@ impl<D: DiskManager> StoredDb<D> {
     /// Persist a logical database onto a caller-supplied buffer pool
     /// (its disk must be empty). If a WAL is attached it is reset —
     /// a rebuild invalidates any previously committed state.
+    ///
+    /// Heap records are appended in node order; each index's entries
+    /// are collected, sorted and bulk-loaded bottom-up.
     pub fn build_on(mut pool: BufferPool<D>, mut db: MctDatabase) -> mct_storage::Result<StoredDb<D>> {
         if let Some(wal) = pool.wal_mut() {
             wal.reset()?;
@@ -150,50 +153,50 @@ impl<D: DiskManager> StoredDb<D> {
         }
         let mut content_heap = HeapFile::new();
         let mut attr_heap = HeapFile::new();
-        let mut struct_heaps: Vec<HeapFile> = (0..ncolors).map(|_| HeapFile::new()).collect();
-        let mut tag_indexes = Vec::with_capacity(ncolors);
-        let mut link_indexes = Vec::with_capacity(ncolors);
-        for _ in 0..ncolors {
-            tag_indexes.push(TagIndex::create(&pool)?);
-            link_indexes.push(BTree::create(&pool)?);
-        }
-        let mut content_index = ContentIndex::create(&pool)?;
-        let mut attr_index = ContentIndex::create(&pool)?;
+        let mut content_keys = Vec::new();
+        let mut attr_keys = Vec::new();
         let mut content_rid = vec![None; db.len()];
         let mut attr_rid = vec![None; db.len()];
+        let elements: Vec<McNodeId> = (0..db.len() as u32)
+            .map(McNodeId)
+            .filter(|&n| {
+                let node = db.node(n);
+                node.kind == McNodeKind::Element && !node.colors.is_empty()
+            })
+            .collect();
 
-        for i in 0..db.len() {
-            let n = McNodeId(i as u32);
+        for &n in &elements {
             let node = db.node(n);
-            if node.kind != McNodeKind::Element || node.colors.is_empty() {
-                continue;
+            let value = u64::from(n.0);
+            if let Some(content) = &node.content {
+                let rec = encode_content(n, content);
+                content_rid[n.index()] = Some(content_heap.insert(&pool, &rec)?);
+                content_keys.push((ContentIndex::key(content, value), value));
             }
-            let name = node.name.expect("element named");
-            // Content record + index.
-            if let Some(content) = node.content.clone() {
-                let rec = encode_content(n, &content);
-                content_rid[i] = Some(content_heap.insert(&pool, &rec)?);
-                content_index.insert(&pool, &content, u64::from(n.0))?;
-            }
-            // Attribute record + index.
             if !node.attrs.is_empty() {
-                let pairs: Vec<(Sym, Box<str>)> = node.attrs.clone();
-                let rec = encode_attrs(n, &pairs);
-                attr_rid[i] = Some(attr_heap.insert(&pool, &rec)?);
-                for (s, v) in &pairs {
+                let rec = encode_attrs(n, &node.attrs);
+                attr_rid[n.index()] = Some(attr_heap.insert(&pool, &rec)?);
+                for (s, v) in &node.attrs {
                     let key = format!("{}={}", db.names.resolve(*s), v);
-                    attr_index.insert(&pool, &key, u64::from(n.0))?;
+                    attr_keys.push((ContentIndex::key(&key, value), value));
                 }
             }
-            // One structural record per color; the link index points at
-            // the structural record (Figure 10's back-links).
-            for c in node.colors.iter() {
-                let code = db.code(n, c).expect("annotated");
-                let rid =
-                    struct_heaps[c.index()].insert(&pool, &encode_struct(n, name, code))?;
-                tag_indexes[c.index()].insert(&pool, name.0, code, u64::from(n.0))?;
-                link_indexes[c.index()].insert(&pool, &KeyEncoder::u32(n.0), pack_rid(rid))?;
-            }
+        }
+        let content_index = ContentIndex::from_btree(load_index(&pool, content_keys)?);
+        let attr_index = ContentIndex::from_btree(load_index(&pool, attr_keys)?);
+        let mut struct_heaps = Vec::with_capacity(ncolors);
+        let mut tag_indexes = Vec::with_capacity(ncolors);
+        let mut link_indexes = Vec::with_capacity(ncolors);
+        for i in 0..ncolors {
+            let c = ColorId(i as u8);
+            let members = elements
+                .iter()
+                .copied()
+                .filter(|&n| db.node(n).colors.contains(c));
+            let (heap, tag, link) = load_color(&pool, &db, c, members)?;
+            struct_heaps.push(heap);
+            tag_indexes.push(tag);
+            link_indexes.push(link);
         }
         Ok(StoredDb {
             db,
@@ -746,21 +749,8 @@ impl<D: DiskManager> StoredDb<D> {
     pub fn reindex_color(&mut self, c: ColorId) -> mct_storage::Result<()> {
         self.generation += 1;
         self.db.ensure_annotated(c);
-        let mut tag = TagIndex::create(&self.pool)?;
-        let mut link = BTree::create(&self.pool)?;
-        let mut heap = HeapFile::new();
-        let nodes: Vec<(McNodeId, Sym)> = self
-            .db
-            .descendants_or_self(McNodeId::DOCUMENT, c)
-            .skip(1)
-            .map(|n| (n, self.db.node(n).name.expect("element named")))
-            .collect();
-        for (n, name) in nodes {
-            let code = self.db.code(n, c).expect("annotated");
-            let rid = heap.insert(&self.pool, &encode_struct(n, name, code))?;
-            tag.insert(&self.pool, name.0, code, u64::from(n.0))?;
-            link.insert(&self.pool, &KeyEncoder::u32(n.0), pack_rid(rid))?;
-        }
+        let members = self.db.descendants_or_self(McNodeId::DOCUMENT, c).skip(1);
+        let (heap, tag, link) = load_color(&self.pool, &self.db, c, members)?;
         self.tag_indexes[c.index()] = tag;
         self.link_indexes[c.index()] = link;
         self.struct_heaps[c.index()] = heap;
@@ -802,6 +792,42 @@ impl<D: DiskManager> StoredDb<D> {
     pub fn flush_cache(&self) -> mct_storage::Result<()> {
         self.pool.evict_all()
     }
+}
+
+/// Sort `(key, value)` pairs and bulk-load them into a fresh B+-tree.
+/// A key given twice is stored once, as an insert would overwrite it.
+fn load_index<D: DiskManager>(
+    pool: &BufferPool<D>,
+    mut entries: Vec<(Vec<u8>, u64)>,
+) -> mct_storage::Result<BTree> {
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    entries.dedup_by(|a, b| a.0 == b.0);
+    BTree::bulk_load(pool, &entries)
+}
+
+/// Color `c`'s physical side for its member elements: their
+/// structural records appended to a fresh heap in the order given,
+/// and the tag and link indexes over them bulk-loaded.
+fn load_color<D: DiskManager>(
+    pool: &BufferPool<D>,
+    db: &MctDatabase,
+    c: ColorId,
+    members: impl Iterator<Item = McNodeId>,
+) -> mct_storage::Result<(HeapFile, TagIndex, BTree)> {
+    let mut heap = HeapFile::new();
+    let mut tags = Vec::new();
+    let mut links = Vec::new();
+    for n in members {
+        let name = db.node(n).name.expect("element named");
+        let code = db.code(n, c).expect("annotated");
+        let rid = heap.insert(pool, &encode_struct(n, name, code))?;
+        tags.push((TagIndex::key(name.0, &code), u64::from(n.0)));
+        // The link index points at the structural record (Figure 10's
+        // back-links).
+        links.push((KeyEncoder::u32(n.0).to_vec(), pack_rid(rid)));
+    }
+    let tag = TagIndex::from_btree(load_index(pool, tags)?);
+    Ok((heap, tag, load_index(pool, links)?))
 }
 
 fn encode_content(n: McNodeId, content: &str) -> Vec<u8> {
@@ -910,6 +936,8 @@ mod tests {
         assert!(red_movies.windows(2).all(|w| w[0].code.start < w[1].code.start));
         // Unknown tag -> empty.
         assert!(s.postings_named(red, "nope").unwrap().is_empty());
+        let report = s.check().unwrap();
+        assert!(report.is_ok(), "{report}");
     }
 
     #[test]
@@ -1033,6 +1061,8 @@ mod tests {
         for r in &movies {
             assert_eq!(s.db.code(r.node, red).unwrap().start, r.code.start);
         }
+        let report = s.check().unwrap();
+        assert!(report.is_ok(), "{report}");
     }
 
     fn walled_pool(pool_bytes: usize) -> BufferPool<MemDisk> {

@@ -2,8 +2,14 @@
 //!
 //! Keys are arbitrary byte strings (unique at this layer — callers
 //! needing duplicates compose `key || value` composite keys, see
-//! [`crate::index`]); values are `u64`. One tree node per page,
-//! serialized as a whole; leaves are chained for range scans.
+//! [`crate::index`]); values are `u64`. One tree node per page;
+//! leaves are chained for range scans.
+//!
+//! A tree is either created empty and grown by inserts, or built
+//! bottom-up from sorted entries by [`BTree::bulk_load`], which packs
+//! every node up to the split threshold. Reads (`get`, `scan_range`)
+//! walk the node bytes in place; only insert and delete decode a node
+//! into owned entries and re-encode it.
 //!
 //! Deletion is *lazy* (remove from leaf, no rebalancing) — the standard
 //! practical simplification; the paper's workloads are insert- and
@@ -24,14 +30,37 @@ use crate::disk::DiskManager;
 use crate::error::StorageError;
 use crate::page::{PageId, PAGE_BODY};
 use crate::Result;
+use std::cmp::Ordering;
+use std::ops::ControlFlow;
 
-/// Soft byte budget per node; exceeding it triggers a split.
+/// Soft byte budget per node; exceeding it triggers a split, and
+/// [`BTree::bulk_load`] packs nodes up to it.
 const NODE_BUDGET: usize = PAGE_BODY - 64;
+
+/// Bytes before the first entry: kind, count, link.
+const NODE_HEADER: usize = 7;
+const KIND_INTERNAL: u8 = 0;
+const KIND_LEAF: u8 = 1;
+
+/// Longest key [`BTree::bulk_load`] accepts: one leaf entry must fit a
+/// node on its own.
+const MAX_KEY: usize = NODE_BUDGET - NODE_HEADER - 2 - 8;
+
+/// Bytes an entry takes besides its key: the key length plus the
+/// value (leaf) or child page id (internal node).
+fn entry_overhead(leaf: bool) -> usize {
+    if leaf {
+        2 + 8
+    } else {
+        2 + 4
+    }
+}
 
 /// Result of a recursive insert: the replaced value (if any) and a
 /// `(separator, new right page)` pair when the child split.
 type InsertOutcome = (Option<u64>, Option<(Vec<u8>, PageId)>);
 
+/// A node decoded into owned entries — the write path's form.
 #[derive(Clone, Debug)]
 enum Node {
     Leaf {
@@ -57,61 +86,152 @@ impl Node {
     }
 
     fn encode(&self, buf: &mut [u8]) {
-        let mut w = Writer { buf, at: 0 };
         match self {
-            Node::Leaf { entries, next } => {
-                w.u8(1);
-                w.u16(entries.len() as u16);
-                w.u32(next.map(|p| p.0 + 1).unwrap_or(0));
-                for (k, v) in entries {
-                    w.u16(k.len() as u16);
-                    w.bytes(k);
-                    w.u64(*v);
-                }
-            }
-            Node::Internal { child0, entries } => {
-                w.u8(0);
-                w.u16(entries.len() as u16);
-                w.u32(child0.0);
-                for (k, c) in entries {
-                    w.u16(k.len() as u16);
-                    w.bytes(k);
-                    w.u32(c.0);
-                }
-            }
+            Node::Leaf { entries, next } => encode_node(
+                buf,
+                true,
+                next.map_or(0, |p| p.0 + 1),
+                entries.iter().map(|(k, v)| (k.as_slice(), *v)),
+            ),
+            Node::Internal { child0, entries } => encode_node(
+                buf,
+                false,
+                child0.0,
+                entries.iter().map(|(k, c)| (k.as_slice(), u64::from(c.0))),
+            ),
         }
     }
 
     fn decode(buf: &[u8]) -> Result<Node> {
-        let mut r = Reader { buf, at: 0 };
-        let leaf = r.u8()? == 1;
-        let count = r.u16()? as usize;
-        if leaf {
-            let next_raw = r.u32()?;
-            let next = if next_raw == 0 {
-                None
-            } else {
-                Some(PageId(next_raw - 1))
-            };
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let klen = r.u16()? as usize;
-                let key = r.bytes(klen)?.to_vec();
-                let val = r.u64()?;
-                entries.push((key, val));
-            }
-            Ok(Node::Leaf { entries, next })
+        let view = NodeView::parse(buf)?;
+        if view.leaf {
+            let entries = view
+                .entries()
+                .map(|e| e.map(|(k, v)| (k.to_vec(), v)))
+                .collect::<Result<_>>()?;
+            Ok(Node::Leaf {
+                entries,
+                next: view.next_leaf(),
+            })
         } else {
-            let child0 = PageId(r.u32()?);
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let klen = r.u16()? as usize;
-                let key = r.bytes(klen)?.to_vec();
-                let child = PageId(r.u32()?);
-                entries.push((key, child));
-            }
-            Ok(Node::Internal { child0, entries })
+            let entries = view
+                .entries()
+                .map(|e| e.map(|(k, c)| (k.to_vec(), PageId(c as u32))))
+                .collect::<Result<_>>()?;
+            Ok(Node::Internal {
+                child0: PageId(view.link),
+                entries,
+            })
         }
+    }
+}
+
+/// Serialize one node: the header, then each entry as `klen key value`,
+/// the value 8 bytes wide in a leaf and 4 (a child page) in an
+/// internal node.
+fn encode_node<'k>(
+    buf: &mut [u8],
+    leaf: bool,
+    link: u32,
+    entries: impl ExactSizeIterator<Item = (&'k [u8], u64)>,
+) {
+    let mut w = Writer { buf, at: 0 };
+    w.u8(if leaf { KIND_LEAF } else { KIND_INTERNAL });
+    w.u16(entries.len() as u16);
+    w.u32(link);
+    for (k, v) in entries {
+        w.u16(k.len() as u16);
+        w.bytes(k);
+        if leaf {
+            w.u64(v);
+        } else {
+            w.u32(v as u32);
+        }
+    }
+}
+
+/// A node read in place from its page body. [`NodeView::parse`] is the
+/// one header check for both the read path and [`Node::decode`]: the
+/// kind byte must name a leaf or an internal node, and `count` entries
+/// of the smallest size must fit the page body, so a scribbled header
+/// is `Corrupt` before any entry is read. Entries are then read through
+/// bounds-checked slices, so an entry running past the page is
+/// `Corrupt` too.
+struct NodeView<'a> {
+    leaf: bool,
+    count: usize,
+    /// Leaf: next leaf + 1 (0 = none). Internal: `child0`.
+    link: u32,
+    buf: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    fn parse(buf: &'a [u8]) -> Result<NodeView<'a>> {
+        let mut r = Reader { buf, at: 0 };
+        let leaf = match r.u8()? {
+            KIND_LEAF => true,
+            KIND_INTERNAL => false,
+            _ => return Err(StorageError::Corrupt("btree node kind")),
+        };
+        let count = r.u16()? as usize;
+        let link = r.u32()?;
+        if NODE_HEADER + count * entry_overhead(leaf) > buf.len() {
+            return Err(StorageError::Corrupt("btree node count exceeds page"));
+        }
+        Ok(NodeView {
+            leaf,
+            count,
+            link,
+            buf,
+        })
+    }
+
+    /// Entries in key order: `(key, value)` in a leaf, `(key, child
+    /// page)` in an internal node.
+    fn entries(&self) -> impl Iterator<Item = Result<(&'a [u8], u64)>> + 'a {
+        let mut r = Reader {
+            buf: self.buf,
+            at: NODE_HEADER,
+        };
+        let leaf = self.leaf;
+        (0..self.count).map(move |_| {
+            let klen = r.u16()? as usize;
+            let key = r.bytes(klen)?;
+            let val = if leaf { r.u64()? } else { u64::from(r.u32()?) };
+            Ok((key, val))
+        })
+    }
+
+    /// Internal node: the child covering `key` — that of the last entry
+    /// whose key is `<= key`, else `child0`.
+    fn child_for(&self, key: &[u8]) -> Result<PageId> {
+        let mut child = self.link;
+        for e in self.entries() {
+            let (k, c) = e?;
+            if k > key {
+                break;
+            }
+            child = c as u32;
+        }
+        Ok(PageId(child))
+    }
+
+    /// Leaf: the value stored under `key`.
+    fn find(&self, key: &[u8]) -> Result<Option<u64>> {
+        for e in self.entries() {
+            let (k, v) = e?;
+            match k.cmp(key) {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok(Some(v)),
+                Ordering::Greater => break,
+            }
+        }
+        Ok(None)
+    }
+
+    /// Leaf: the next leaf in the chain.
+    fn next_leaf(&self) -> Option<PageId> {
+        self.link.checked_sub(1).map(PageId)
     }
 }
 
@@ -179,6 +299,21 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// How many of the leading entries, given their key lengths, one node
+/// of the given kind holds within [`NODE_BUDGET`].
+fn packed_len(key_lens: impl Iterator<Item = usize>, leaf: bool) -> usize {
+    let mut size = NODE_HEADER;
+    let mut n = 0;
+    for klen in key_lens {
+        size += entry_overhead(leaf) + klen;
+        if size > NODE_BUDGET {
+            break;
+        }
+        n += 1;
+    }
+    n
+}
+
 /// A B+-tree rooted at a page, parameterized by the shared buffer pool.
 pub struct BTree {
     root: PageId,
@@ -215,6 +350,96 @@ impl BTree {
         })
     }
 
+    /// Build a tree bottom-up from `entries`, sorted strictly ascending
+    /// by key. Leaves are written left to right, each packed up to the
+    /// split threshold and chained to the next; each internal level is
+    /// then packed the same way over the level below until one root is
+    /// left. Every page is written once. Empty input gives the same
+    /// tree as [`BTree::create`].
+    ///
+    /// Out-of-order or repeated keys are [`StorageError::UnsortedKeys`],
+    /// and a key too long to fit a node is
+    /// [`StorageError::RecordTooLarge`]; both are reported before any
+    /// page is allocated.
+    pub fn bulk_load<D: DiskManager>(
+        pool: &BufferPool<D>,
+        entries: &[(Vec<u8>, u64)],
+    ) -> Result<BTree> {
+        if let Some((k, _)) = entries.iter().find(|(k, _)| k.len() > MAX_KEY) {
+            return Err(StorageError::RecordTooLarge {
+                size: k.len(),
+                max: MAX_KEY,
+            });
+        }
+        if let Some(i) = entries.windows(2).position(|w| w[0].0 >= w[1].0) {
+            return Err(StorageError::UnsortedKeys { index: i + 1 });
+        }
+        if entries.is_empty() {
+            return BTree::create(pool);
+        }
+        let mut pages = 0u32;
+        // Each node of the level just written: (its first key, its page).
+        let mut level: Vec<(&[u8], PageId)> = Vec::new();
+        let mut page = pool.allocate()?;
+        let mut rest = entries;
+        loop {
+            let n = packed_len(rest.iter().map(|(k, _)| k.len()), true);
+            let (leaf, tail) = rest.split_at(n);
+            let next = if tail.is_empty() {
+                None
+            } else {
+                Some(pool.allocate()?)
+            };
+            pool.with_page_mut(page, |buf| {
+                encode_node(
+                    buf,
+                    true,
+                    next.map_or(0, |p| p.0 + 1),
+                    leaf.iter().map(|(k, v)| (k.as_slice(), *v)),
+                )
+            })?;
+            pages += 1;
+            level.push((&leaf[0].0, page));
+            rest = tail;
+            match next {
+                Some(p) => page = p,
+                None => break,
+            }
+        }
+        while level.len() > 1 {
+            let mut upper = Vec::new();
+            let mut rest = &level[..];
+            while !rest.is_empty() {
+                // The first child is child0; the node's entries are the
+                // children after it, keyed by their first keys.
+                let mut n = 1 + packed_len(rest[1..].iter().map(|(k, _)| k.len()), false);
+                if rest.len() - n == 1 && n > 2 {
+                    // Leave the next node two children, not a lone child0.
+                    n -= 1;
+                }
+                let (children, tail) = rest.split_at(n);
+                let node = pool.allocate()?;
+                pool.with_page_mut(node, |buf| {
+                    encode_node(
+                        buf,
+                        false,
+                        children[0].1 .0,
+                        children[1..].iter().map(|(k, c)| (*k, u64::from(c.0))),
+                    )
+                })?;
+                pages += 1;
+                upper.push((children[0].0, node));
+                rest = tail;
+            }
+            level = upper;
+        }
+        Ok(BTree {
+            root: level[0].1,
+            entries: entries.len() as u64,
+            pages,
+        })
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> u64 {
         self.entries
@@ -230,25 +455,55 @@ impl BTree {
         self.pages
     }
 
+    /// Levels from the root down to the leaves (1 when the root is a
+    /// leaf).
+    pub fn height<D: DiskManager>(&self, pool: &BufferPool<D>) -> Result<u32> {
+        let mut page = self.root;
+        let mut height = 1;
+        loop {
+            let child = pool.with_page(page, |buf| {
+                NodeView::parse(buf).map(|n| (!n.leaf).then_some(PageId(n.link)))
+            })??;
+            match child {
+                Some(c) => {
+                    page = c;
+                    height += 1;
+                }
+                None => return Ok(height),
+            }
+        }
+    }
+
     /// Exact-match lookup.
     pub fn get<D: DiskManager>(
         &self,
         pool: &BufferPool<D>,
         key: &[u8],
     ) -> Result<Option<u64>> {
+        self.at_leaf(pool, key, |leaf| leaf.find(key))
+    }
+
+    /// Descend from the root to the leaf covering `key` and run
+    /// `on_leaf` over it in place.
+    fn at_leaf<D: DiskManager, R>(
+        &self,
+        pool: &BufferPool<D>,
+        key: &[u8],
+        mut on_leaf: impl FnMut(&NodeView<'_>) -> Result<R>,
+    ) -> Result<R> {
         let mut page = self.root;
         loop {
-            let node = read_node(pool, page)?;
-            match node {
-                Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1));
+            let step = pool.with_page(page, |buf| {
+                let node = NodeView::parse(buf)?;
+                if node.leaf {
+                    on_leaf(&node).map(ControlFlow::Break)
+                } else {
+                    node.child_for(key).map(ControlFlow::Continue)
                 }
-                Node::Internal { child0, entries } => {
-                    page = descend(&entries, child0, key);
-                }
+            })??;
+            match step {
+                ControlFlow::Break(r) => return Ok(r),
+                ControlFlow::Continue(child) => page = child,
             }
         }
     }
@@ -408,7 +663,8 @@ impl BTree {
     }
 
     /// Visit every `(key, value)` with `lo <= key < hi` in key order.
-    /// `hi = None` means unbounded above.
+    /// `hi = None` means unbounded above. `f` runs while the leaf's page
+    /// is pinned, so it must not call back into the pool.
     pub fn scan_range<D: DiskManager>(
         &self,
         pool: &BufferPool<D>,
@@ -416,40 +672,17 @@ impl BTree {
         hi: Option<&[u8]>,
         mut f: impl FnMut(&[u8], u64),
     ) -> Result<()> {
-        // Find the leaf containing lo.
-        let mut page = self.root;
-        loop {
-            let node = read_node(pool, page)?;
-            match node {
-                Node::Internal { child0, entries } => {
-                    page = descend(&entries, child0, lo);
+        let mut next = self.at_leaf(pool, lo, |leaf| scan_leaf(leaf, lo, hi, &mut f))?;
+        while let Some(page) = next {
+            next = pool.with_page(page, |buf| {
+                let leaf = NodeView::parse(buf)?;
+                if !leaf.leaf {
+                    return Err(StorageError::Corrupt("leaf chain hit internal node"));
                 }
-                Node::Leaf { .. } => break,
-            }
+                scan_leaf(&leaf, lo, hi, &mut f)
+            })??;
         }
-        // Walk the leaf chain.
-        loop {
-            let node = read_node(pool, page)?;
-            let (entries, next) = match node {
-                Node::Leaf { entries, next } => (entries, next),
-                _ => return Err(StorageError::Corrupt("leaf chain hit internal node")),
-            };
-            for (k, v) in &entries {
-                if k.as_slice() < lo {
-                    continue;
-                }
-                if let Some(hi) = hi {
-                    if k.as_slice() >= hi {
-                        return Ok(());
-                    }
-                }
-                f(k, *v);
-            }
-            match next {
-                Some(n) => page = n,
-                None => return Ok(()),
-            }
-        }
+        Ok(())
     }
 
     /// Collect a range into a vector (convenience over [`Self::scan_range`]).
@@ -463,6 +696,27 @@ impl BTree {
         self.scan_range(pool, lo, hi, |k, v| out.push((k.to_vec(), v)))?;
         Ok(out)
     }
+}
+
+/// Visit a leaf's entries in `[lo, hi)`. Returns the next leaf to visit,
+/// or `None` once `hi` is reached or the chain ends.
+fn scan_leaf(
+    leaf: &NodeView<'_>,
+    lo: &[u8],
+    hi: Option<&[u8]>,
+    f: &mut impl FnMut(&[u8], u64),
+) -> Result<Option<PageId>> {
+    for e in leaf.entries() {
+        let (k, v) = e?;
+        if k < lo {
+            continue;
+        }
+        if hi.is_some_and(|hi| k >= hi) {
+            return Ok(None);
+        }
+        f(k, v);
+    }
+    Ok(leaf.next_leaf())
 }
 
 fn descend(entries: &[(Vec<u8>, PageId)], child0: PageId, key: &[u8]) -> PageId {
@@ -635,5 +889,131 @@ mod tests {
         let got = t.range_vec(&p, &[], None).unwrap();
         assert_eq!(got.len(), 25);
         assert!(got.iter().all(|(_, v)| v % 2 == 1));
+    }
+
+    // ----- bulk load ------------------------------------------------------------
+
+    /// `n` entries with 8-byte big-endian keys `0, 2, 4, …` (odd keys
+    /// are free for later inserts).
+    fn even_entries(n: u64) -> Vec<(Vec<u8>, u64)> {
+        (0..n)
+            .map(|i| ((2 * i).to_be_bytes().to_vec(), i))
+            .collect()
+    }
+
+    /// Entries of 8-byte keys one packed leaf holds.
+    fn leaf_capacity() -> u64 {
+        packed_len(std::iter::repeat(8), true) as u64
+    }
+
+    /// Load `entries` into a fresh pool; check that `len`, `page_count`
+    /// and the pages the pool allocated agree, and that a full scan and
+    /// every point lookup return the input.
+    fn load_and_check(entries: &[(Vec<u8>, u64)]) -> (BufferPool<MemDisk>, BTree) {
+        let p = BufferPool::new(MemDisk::new(), 256 * PAGE_SIZE);
+        let t = BTree::bulk_load(&p, entries).unwrap();
+        assert_eq!(t.len(), entries.len() as u64);
+        assert_eq!(
+            t.page_count(),
+            p.num_pages(),
+            "every page written is counted"
+        );
+        assert_eq!(t.range_vec(&p, &[], None).unwrap(), entries);
+        for (k, v) in entries {
+            assert_eq!(t.get(&p, k).unwrap(), Some(*v));
+        }
+        (p, t)
+    }
+
+    #[test]
+    fn bulk_load_empty_is_create() {
+        let (p, mut t) = load_and_check(&[]);
+        assert_eq!((t.page_count(), t.height(&p).unwrap()), (1, 1));
+        assert_eq!(t.get(&p, b"x").unwrap(), None);
+        t.insert(&p, b"x", 7).unwrap();
+        assert_eq!(t.get(&p, b"x").unwrap(), Some(7));
+    }
+
+    #[test]
+    fn bulk_load_one_entry() {
+        let (p, t) = load_and_check(&even_entries(1));
+        assert_eq!((t.page_count(), t.height(&p).unwrap()), (1, 1));
+    }
+
+    #[test]
+    fn bulk_load_exactly_one_full_leaf() {
+        let (p, t) = load_and_check(&even_entries(leaf_capacity()));
+        assert_eq!((t.page_count(), t.height(&p).unwrap()), (1, 1));
+    }
+
+    #[test]
+    fn bulk_load_one_past_a_full_leaf() {
+        let (p, t) = load_and_check(&even_entries(leaf_capacity() + 1));
+        // Two leaves under one root.
+        assert_eq!((t.page_count(), t.height(&p).unwrap()), (3, 2));
+    }
+
+    #[test]
+    fn bulk_load_builds_several_internal_levels() {
+        // 600-byte keys: 13 entries per leaf and 14 children per internal
+        // node, so 2 000 entries need three levels.
+        let entries: Vec<(Vec<u8>, u64)> = (0..2_000u64)
+            .map(|i| (format!("{i:0>600}").into_bytes(), i))
+            .collect();
+        let (p, t) = load_and_check(&entries);
+        assert_eq!(t.height(&p).unwrap(), 3);
+        let lo = format!("{:0>600}", 700).into_bytes();
+        let hi = format!("{:0>600}", 1_300).into_bytes();
+        let got = t.range_vec(&p, &lo, Some(&hi)).unwrap();
+        assert_eq!(got, entries[700..1_300]);
+        // 190 entries make 15 leaves: one more than an internal node
+        // holds, so the last internal node takes two of them.
+        let (p, t) = load_and_check(&entries[..190]);
+        assert_eq!((t.page_count(), t.height(&p).unwrap()), (15 + 2 + 1, 3));
+    }
+
+    #[test]
+    fn bulk_load_rejects_unsorted_and_duplicate_keys() {
+        let p = pool();
+        let unsorted = vec![(b"b".to_vec(), 1), (b"a".to_vec(), 2)];
+        let dup = vec![(b"a".to_vec(), 1), (b"b".to_vec(), 2), (b"b".to_vec(), 3)];
+        assert!(matches!(
+            BTree::bulk_load(&p, &unsorted),
+            Err(StorageError::UnsortedKeys { index: 1 })
+        ));
+        assert!(matches!(
+            BTree::bulk_load(&p, &dup),
+            Err(StorageError::UnsortedKeys { index: 2 })
+        ));
+        let huge = vec![(vec![0u8; MAX_KEY + 1], 1)];
+        assert!(matches!(
+            BTree::bulk_load(&p, &huge),
+            Err(StorageError::RecordTooLarge { .. })
+        ));
+        assert_eq!(p.num_pages(), 0, "rejected input allocates nothing");
+    }
+
+    #[test]
+    fn inserts_and_deletes_on_a_bulk_loaded_tree_match_the_model() {
+        let entries = even_entries(5 * leaf_capacity());
+        let (p, mut t) = load_and_check(&entries);
+        let mut model: std::collections::BTreeMap<Vec<u8>, u64> = entries.iter().cloned().collect();
+        let pages = t.page_count();
+        // Odd keys land inside full leaves, which split on first touch.
+        for i in (1..2 * entries.len() as u64).step_by(37) {
+            let k = i.to_be_bytes().to_vec();
+            assert_eq!(t.insert(&p, &k, i).unwrap(), model.insert(k, i));
+        }
+        assert!(t.page_count() > pages, "full leaves split");
+        for i in (0..2 * entries.len() as u64).step_by(5) {
+            let k = i.to_be_bytes().to_vec();
+            assert_eq!(t.delete(&p, &k).unwrap(), model.remove(&k));
+        }
+        assert_eq!(t.len(), model.len() as u64);
+        let expected: Vec<(Vec<u8>, u64)> = model.into_iter().collect();
+        assert_eq!(t.range_vec(&p, &[], None).unwrap(), expected);
+        for (k, v) in &expected {
+            assert_eq!(t.get(&p, k).unwrap(), Some(*v));
+        }
     }
 }

@@ -31,6 +31,11 @@ pub enum StorageError {
     },
     /// Every buffer frame is pinned; nothing can be evicted.
     PoolExhausted,
+    /// B+-tree bulk-load input was not sorted strictly ascending by key.
+    UnsortedKeys {
+        /// First entry whose key is not above its predecessor's.
+        index: usize,
+    },
     /// On-page bytes failed structural validation.
     Corrupt(&'static str),
     /// The operation was cancelled cooperatively (deadline exceeded or
@@ -56,6 +61,9 @@ impl fmt::Display for StorageError {
                 write!(f, "record of {size} bytes exceeds page capacity {max}")
             }
             StorageError::PoolExhausted => write!(f, "buffer pool exhausted (all frames pinned)"),
+            StorageError::UnsortedKeys { index } => {
+                write!(f, "bulk-load key {index} is not above its predecessor")
+            }
             StorageError::Corrupt(what) => write!(f, "corrupt page: {what}"),
             StorageError::Cancelled => write!(f, "operation cancelled"),
             StorageError::NotAnnotated => write!(f, "color tree not annotated"),

@@ -66,7 +66,9 @@ impl TagIndex {
         &self.tree
     }
 
-    fn key(tag: u32, code: &IntervalCode) -> Vec<u8> {
+    /// The B+-tree key of a posting: `be32(tag) || code`, so one tag's
+    /// postings are adjacent and ordered by interval start.
+    pub fn key(tag: u32, code: &IntervalCode) -> Vec<u8> {
         KeyEncoder::pair(&KeyEncoder::u32(tag), &code.to_bytes())
     }
 
@@ -154,7 +156,8 @@ impl ContentIndex {
         &self.tree
     }
 
-    fn key(value: &str, node: u64) -> Vec<u8> {
+    /// The B+-tree key of `(value, node)`: `value 0x00 be64(node)`.
+    pub fn key(value: &str, node: u64) -> Vec<u8> {
         assert!(
             !value.as_bytes().contains(&0),
             "content index values must not contain NUL"

@@ -44,6 +44,48 @@ fn corrupt_btree_node_is_reported_not_panicked() {
 }
 
 #[test]
+fn corrupt_btree_nodes_fail_every_access_path() {
+    // A one-leaf tree of 100 four-byte keys: a 7-byte header, then
+    // 14-byte entries (klen:u16, key, val:u64).
+    const LAST_ENTRY: usize = 7 + 99 * 14;
+    type Scribble = fn(&mut [u8]);
+    let corruptions: [(&str, Scribble); 3] = [
+        ("bad kind byte", |buf| buf[0] = 7),
+        ("count too large for the page", |buf| {
+            buf[1..3].copy_from_slice(&4_000u16.to_le_bytes())
+        }),
+        ("truncated last entry", |buf| {
+            buf[LAST_ENTRY..LAST_ENTRY + 2].copy_from_slice(&u16::MAX.to_le_bytes())
+        }),
+    ];
+    for (what, corrupt) in corruptions {
+        let p = pool();
+        let mut t = BTree::create(&p).unwrap();
+        for i in 0..100u32 {
+            t.insert(&p, &i.to_be_bytes(), u64::from(i)).unwrap();
+        }
+        p.with_page_mut(PageId(0), corrupt).unwrap();
+        // The probe is the last key, so even a scan that stops at the
+        // first key above it must read the last entry.
+        let got = t.get(&p, &99u32.to_be_bytes());
+        assert!(
+            matches!(got, Err(StorageError::Corrupt(_))),
+            "{what}: get gave {got:?}"
+        );
+        let scanned = t.range_vec(&p, &[], None);
+        assert!(
+            matches!(scanned, Err(StorageError::Corrupt(_))),
+            "{what}: scan_range gave {scanned:?}"
+        );
+        let inserted = t.insert(&p, &500u32.to_be_bytes(), 500);
+        assert!(
+            matches!(inserted, Err(StorageError::Corrupt(_))),
+            "{what}: insert gave {inserted:?}"
+        );
+    }
+}
+
+#[test]
 fn heap_get_on_foreign_page_is_an_error() {
     let p = pool();
     let mut h = HeapFile::new();

@@ -127,38 +127,89 @@ fn xml_pretty_print_reparses() {
 // B+-tree vs std::BTreeMap model
 // ---------------------------------------------------------------------------
 
+/// Half the keys are short, half 200–600 bytes, so a few thousand
+/// entries make a tree of three levels.
+fn gen_btree_key(rng: &mut XorShiftRng) -> Vec<u8> {
+    let len = if rng.gen_range(0..2u8) == 0 {
+        rng.gen_range(1..16usize)
+    } else {
+        rng.gen_range(200..600usize)
+    };
+    (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect()
+}
+
+/// Interleaved insert / delete / get / range scans against a
+/// `BTreeMap`, on trees grown past two levels so that internal-node
+/// reads are compared too. Even cases start from a bulk load of a
+/// random sorted set, odd cases from an empty tree.
 #[test]
 fn btree_matches_model() {
+    use std::ops::Bound;
     for case in 0..32u64 {
         let seed = 1000 + case;
         let mut rng = XorShiftRng::seed_from_u64(seed);
-        let pool = BufferPool::new(MemDisk::new(), 64 * PAGE_SIZE);
-        let mut tree = BTree::create(&pool).unwrap();
+        let pool = BufferPool::new(MemDisk::new(), 256 * PAGE_SIZE);
         let mut model = std::collections::BTreeMap::new();
-        let n_ops = rng.gen_range(1..200usize);
-        for _ in 0..n_ops {
-            let key: Vec<u8> = (0..rng.gen_range(1..12usize))
-                .map(|_| rng.gen_range(0..=255u32) as u8)
-                .collect();
-            let val = rng.next_u64();
-            match rng.gen_range(0..3u8) {
-                0 => {
+        let mut tree = if case % 2 == 0 {
+            for _ in 0..rng.gen_range(1000..3000usize) {
+                model.insert(gen_btree_key(&mut rng), rng.next_u64());
+            }
+            let sorted: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            BTree::bulk_load(&pool, &sorted).unwrap()
+        } else {
+            BTree::create(&pool).unwrap()
+        };
+        let mut seen: Vec<Vec<u8>> = model.keys().cloned().collect();
+        // Half the keys an operation names are ones seen before, so
+        // deletes and gets hit as often as they miss.
+        let pick = |rng: &mut XorShiftRng, seen: &[Vec<u8>]| {
+            if !seen.is_empty() && rng.gen_range(0..2u8) == 0 {
+                seen[rng.gen_range(0..seen.len())].clone()
+            } else {
+                gen_btree_key(rng)
+            }
+        };
+        for _ in 0..6000 {
+            let key = pick(&mut rng, &seen);
+            match rng.gen_range(0..20u8) {
+                0..=9 => {
+                    let val = rng.next_u64();
                     let a = tree.insert(&pool, &key, val).unwrap();
                     let b = model.insert(key.clone(), val);
                     fail_with_seed!(eq seed, a, b, "insert {key:?}");
+                    seen.push(key);
                 }
-                1 => {
+                10..=13 => {
                     let a = tree.delete(&pool, &key).unwrap();
                     let b = model.remove(&key);
                     fail_with_seed!(eq seed, a, b, "delete {key:?}");
                 }
-                _ => {
+                14..=18 => {
                     let a = tree.get(&pool, &key).unwrap();
                     let b = model.get(&key).copied();
                     fail_with_seed!(eq seed, a, b, "get {key:?}");
                 }
+                _ => {
+                    let other = pick(&mut rng, &seen);
+                    let (lo, hi) = if key <= other {
+                        (key, other)
+                    } else {
+                        (other, key)
+                    };
+                    let hi = (rng.gen_range(0..4u8) != 0).then_some(hi);
+                    let upper = hi.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+                    let scanned = tree.range_vec(&pool, &lo, hi.as_deref()).unwrap();
+                    let expected: Vec<(Vec<u8>, u64)> = model
+                        .range::<[u8], _>((Bound::Included(lo.as_slice()), upper))
+                        .map(|(k, v)| (k.clone(), *v))
+                        .collect();
+                    fail_with_seed!(eq seed, scanned, expected, "scan [{lo:?}, {hi:?})");
+                }
             }
         }
+        let height = tree.height(&pool).unwrap();
+        fail_with_seed!(ok seed, height >= 3, "height {height}");
+        fail_with_seed!(eq seed, tree.len(), model.len() as u64);
         // Full scans agree, in order.
         let scanned = tree.range_vec(&pool, &[], None).unwrap();
         let expected: Vec<(Vec<u8>, u64)> = model.into_iter().collect();
