@@ -9,9 +9,9 @@ use mct_bench::microbench::Criterion;
 use mct_bench::{criterion_group, criterion_main};
 use mct_bench::Fixtures;
 use mct_core::{cross_tree_join, cross_tree_join_direct};
+use mct_query::ast::CmpOp;
 use mct_query::ops::{
-    holistic_path_join, index_scan, nl_join_cmp, structural_join, value_join_eq, KeySpec, NumCmp,
-    Rel,
+    holistic_path_join, index_scan, nl_join_cmp, structural_join, value_join_eq, KeySpec, Rel,
 };
 use mct_workloads::SchemaKind;
 
@@ -59,7 +59,7 @@ fn joins(c: &mut Criterion) {
         let totals = index_scan(db, black, "total").unwrap();
         let small: Vec<_> = totals.iter().take(300).cloned().collect();
         c.bench_function("nl_inequality_join/totals-300", |b| {
-            b.iter(|| nl_join_cmp(db, &small, 0, &small, 0, NumCmp::Gt).unwrap().len())
+            b.iter(|| nl_join_cmp(db, &small, 0, &small, 0, CmpOp::Gt).unwrap().len())
         });
     }
 

@@ -154,7 +154,7 @@ fn main() {
 /// The §7.2 scaling note: most queries scale linearly with data size;
 /// the inequality value join (nested loops) is quadratic.
 fn scaling_sweep() {
-    use mct_query::ops::{index_scan, nl_join_cmp, NumCmp};
+    use mct_query::{ast::CmpOp, ops::{index_scan, nl_join_cmp}};
     let seed = mct_bench::parse_seed();
     println!("\nScaling sweep (§7.2): linear structural plan vs quadratic inequality join");
     println!(
@@ -175,7 +175,7 @@ fn scaling_sweep() {
         let cust = db.db.color("cust").unwrap();
         let (quad, _) = time_paper_protocol(|| {
             let totals = index_scan(db, cust, "total").unwrap();
-            nl_join_cmp(db, &totals, 0, &totals.clone(), 0, NumCmp::Gt)
+            nl_join_cmp(db, &totals, 0, &totals.clone(), 0, CmpOp::Gt)
                 .unwrap()
                 .len()
         });

@@ -22,12 +22,15 @@
 //!   bounded ring of per-interval window deltas (counters, histogram
 //!   buckets), the substrate behind `mctd`'s `/stats` endpoint and the
 //!   `mcttop` dashboard.
+//! * [`json`] — the one JSON module: a reader for the observability
+//!   bodies and the string escaper every JSON writer uses.
 //!
 //! Metric names use dotted lowercase paths (`storage.pool.hits`,
 //! `wal.fsyncs`, `query.crosstree.output_rows`); the Prometheus
 //! renderer rewrites the separators. The full name inventory lives in
 //! DESIGN.md's Observability section.
 
+pub mod json;
 pub mod metrics;
 pub mod timeseries;
 pub mod trace;

@@ -466,31 +466,13 @@ fn append_map<V>(
         }
         first = false;
         out.push_str("\n    ");
-        json_string(out, name);
+        crate::json::escape_into(out, name);
         out.push_str(": ");
         render(out, v);
     }
     if !first {
         out.push_str("\n  ");
     }
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn prom_name(name: &str) -> String {
@@ -508,6 +490,7 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -626,11 +609,11 @@ mod tests {
         r.histogram("lat.ns").record(150);
         r.histogram("lat.ns").record(7);
         let json = r.snapshot().to_json();
-        assert_valid_json(&json);
+        Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         assert!(json.contains("\"storage.pool.hits\": 3"), "{json}");
         assert!(json.contains("\"count\": 2"), "{json}");
         // Empty registry renders as empty (still valid) objects.
-        assert_valid_json(&Registry::new().snapshot().to_json());
+        Json::parse(&Registry::new().snapshot().to_json()).unwrap();
     }
 
     #[test]
@@ -720,98 +703,5 @@ mod tests {
         let before = c.get();
         global().counter("obs.test.global").inc();
         assert_eq!(c.get(), before + 1);
-    }
-
-    /// Minimal recursive-descent JSON validator (objects, arrays,
-    /// strings, numbers) — enough to keep the renderer honest without
-    /// an external crate.
-    fn assert_valid_json(s: &str) {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        parse_value(b, &mut i);
-        skip_ws(b, &mut i);
-        assert_eq!(i, b.len(), "trailing garbage in JSON: {s}");
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && (b[*i] as char).is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn parse_value(b: &[u8], i: &mut usize) {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => {
-                *i += 1;
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return;
-                }
-                loop {
-                    skip_ws(b, i);
-                    parse_string(b, i);
-                    skip_ws(b, i);
-                    assert_eq!(b.get(*i), Some(&b':'), "expected ':' at {i}");
-                    *i += 1;
-                    parse_value(b, i);
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return;
-                        }
-                        other => panic!("expected ',' or '}}', got {other:?}"),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return;
-                }
-                loop {
-                    parse_value(b, i);
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return;
-                        }
-                        other => panic!("expected ',' or ']', got {other:?}"),
-                    }
-                }
-            }
-            Some(b'"') => parse_string(b, i),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                while *i < b.len()
-                    && (b[*i].is_ascii_digit() || matches!(b[*i], b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    *i += 1;
-                }
-            }
-            other => panic!("unexpected JSON token {other:?}"),
-        }
-    }
-
-    fn parse_string(b: &[u8], i: &mut usize) {
-        assert_eq!(b.get(*i), Some(&b'"'), "expected string at {i}");
-        *i += 1;
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return;
-                }
-                b'\\' => *i += 2,
-                _ => *i += 1,
-            }
-        }
-        panic!("unterminated string");
     }
 }

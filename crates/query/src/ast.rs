@@ -111,6 +111,35 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// The comparison rule of MCXQuery's general comparisons, applied
+    /// to two atomized values — the one place it is written. When both
+    /// sides are numbers ([`as_number`]) they compare as `f64` (IEEE,
+    /// so a NaN fails every operator but `!=`); otherwise they compare
+    /// as strings, byte by byte.
+    pub fn holds(self, l: &str, r: &str) -> bool {
+        let ord = match (as_number(l), as_number(r)) {
+            (Some(a), Some(b)) => a.partial_cmp(&b),
+            _ => Some(l.cmp(r)),
+        };
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match self {
+            CmpOp::Eq => ord == Some(Equal),
+            CmpOp::Ne => ord != Some(Equal),
+            CmpOp::Lt => ord == Some(Less),
+            CmpOp::Le => matches!(ord, Some(Less | Equal)),
+            CmpOp::Gt => ord == Some(Greater),
+            CmpOp::Ge => matches!(ord, Some(Greater | Equal)),
+        }
+    }
+}
+
+/// The one "is this a number" test: `s`, trimmed, parses as an `f64`
+/// (so `"NaN"` and `"inf"` are numbers, `"7.0"` and `" 07"` both 7).
+pub fn as_number(s: &str) -> Option<f64> {
+    s.trim().parse::<f64>().ok()
+}
+
 /// Literal values.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Literal {
@@ -295,13 +324,7 @@ impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Str(s) => write!(f, "\"{s}\""),
-            Literal::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
+            Literal::Num(n) => f.write_str(&crate::eval::format_num(*n)),
         }
     }
 }
@@ -519,6 +542,22 @@ mod tests {
             test: NodeTest::Name(name.into()),
             predicates: Vec::new(),
         }
+    }
+
+    #[test]
+    fn holds_compares_numbers_numerically_and_the_rest_bytewise() {
+        assert!(CmpOp::Eq.holds("7.0", " 07"));
+        assert!(!CmpOp::Eq.holds("7", "seven"));
+        assert!(CmpOp::Lt.holds("9", "10"), "numbers");
+        assert!(CmpOp::Gt.holds("9", "10x"), "strings");
+        assert!(CmpOp::Gt.holds("apple", "5"));
+        assert!(CmpOp::Eq.holds("-0", "0"));
+        assert!(CmpOp::Ge.holds("inf", "1e308"));
+        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            assert!(!op.holds("NaN", "3") && !op.holds("3", "NaN"), "{op}");
+            assert!(!op.holds("NaN", "NaN"), "{op}");
+        }
+        assert!(CmpOp::Ne.holds("NaN", "NaN"), "IEEE: NaN != NaN");
     }
 
     #[test]

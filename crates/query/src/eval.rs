@@ -364,7 +364,9 @@ pub fn atomize<D: DiskManager>(ctx: &EvalContext<'_, D>, item: &Item) -> String 
     }
 }
 
-fn format_num(n: f64) -> String {
+/// A number's text as [`atomize`] gives it (integral values without a
+/// fraction).
+pub(crate) fn format_num(n: f64) -> String {
     if n.fract() == 0.0 && n.abs() < 1e15 {
         format!("{}", n as i64)
     } else {
@@ -372,7 +374,8 @@ fn format_num(n: f64) -> String {
     }
 }
 
-/// XPath general comparison: existential over both sequences.
+/// XPath general comparison: existential over both sequences, each
+/// pair of atomized values compared by [`CmpOp::holds`].
 pub fn general_compare<D: DiskManager>(ctx: &EvalContext<'_, D>, l: &Sequence, op: CmpOp, r: &Sequence) -> bool {
     for a in l {
         for b in r {
@@ -390,27 +393,7 @@ pub fn general_compare<D: DiskManager>(ctx: &EvalContext<'_, D>, l: &Sequence, o
                 }
                 continue;
             }
-            let sa = atomize(ctx, a);
-            let sb = atomize(ctx, b);
-            let hit = match (sa.trim().parse::<f64>(), sb.trim().parse::<f64>()) {
-                (Ok(na), Ok(nb)) => match op {
-                    CmpOp::Eq => na == nb,
-                    CmpOp::Ne => na != nb,
-                    CmpOp::Lt => na < nb,
-                    CmpOp::Le => na <= nb,
-                    CmpOp::Gt => na > nb,
-                    CmpOp::Ge => na >= nb,
-                },
-                _ => match op {
-                    CmpOp::Eq => sa == sb,
-                    CmpOp::Ne => sa != sb,
-                    CmpOp::Lt => sa < sb,
-                    CmpOp::Le => sa <= sb,
-                    CmpOp::Gt => sa > sb,
-                    CmpOp::Ge => sa >= sb,
-                },
-            };
-            if hit {
+            if op.holds(&atomize(ctx, a), &atomize(ctx, b)) {
                 return true;
             }
         }
@@ -470,8 +453,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             let v = eval(ctx, &args[0])?;
             let n = v
                 .first()
-                .map(|i| atomize(ctx, i))
-                .and_then(|s| s.trim().parse().ok())
+                .and_then(|i| as_number(&atomize(ctx, i)))
                 .unwrap_or(f64::NAN);
             Ok(vec![Item::Num(n)])
         }
@@ -507,7 +489,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             let v = eval(ctx, &args[0])?;
             let nums: Vec<f64> = v
                 .iter()
-                .filter_map(|i| atomize(ctx, i).trim().parse().ok())
+                .filter_map(|i| as_number(&atomize(ctx, i)))
                 .collect();
             if nums.is_empty() {
                 return Ok(if name == "sum" {
@@ -724,12 +706,12 @@ fn eval_flwor<D: DiskManager>(ctx: &mut EvalContext<'_, D>, f: &Flwor) -> EvalRe
     if !f.order_by.is_empty() {
         out.sort_by(|(ka, _), (kb, _)| {
             for (a, b) in ka.iter().zip(kb) {
-                let ord = match (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
+                let ord = match (as_number(a), as_number(b)) {
                     // total_cmp: a total order even for NaN keys
                     // ("NaN" parses as f64), so order-by never sees
                     // an inconsistent comparator and sorts
                     // deterministically (NaN after +inf).
-                    (Ok(na), Ok(nb)) => na.total_cmp(&nb),
+                    (Some(na), Some(nb)) => na.total_cmp(&nb),
                     _ => a.cmp(b),
                 };
                 if ord != std::cmp::Ordering::Equal {
@@ -804,7 +786,7 @@ fn restore<D: DiskManager>(ctx: &mut EvalContext<'_, D>, var: &str, old: Option<
 }
 
 fn invert_key(key: &str) -> String {
-    if let Ok(n) = key.trim().parse::<f64>() {
+    if let Some(n) = as_number(key) {
         return format!("{:020.6}", 1e15 - n);
     }
     // Invert bytes for descending string order.

@@ -18,13 +18,19 @@
 //! * [`cross_tree_op`] — the color-transition operator (§6.2) over
 //!   tuple streams, built on [`mct_core::cross_tree_join`]'s probe,
 //!   sequential or morsel-parallel.
-//! * selections ([`select_contains`], [`select_content_eq`],
-//!   [`select_number_cmp`], [`select_attr_eq`]), [`dup_elim`],
-//!   [`project`], [`sort_by_col`].
+//! * selections ([`select_contains`], [`select_cmp`],
+//!   [`select_attr_eq`]), [`dup_elim`], [`project`], [`sort_by_col`].
+//!
+//! Every value comparison — the selections, both value joins — is the
+//! interpreter's: [`CmpOp::holds`] on the element's content or the
+//! attribute's text (numeric when both sides are numbers, else
+//! strings). An element without content has no value here and never
+//! matches.
 //!
 //! Tuples are just `Vec<StructRef>` with positional columns; joins
 //! concatenate the outer and inner tuples.
 
+use crate::ast::{as_number, CmpOp};
 use crate::exec::{self, CancelToken};
 use mct_core::{ColorId, StoredDb, StructRef};
 use mct_storage::DiskManager;
@@ -74,46 +80,6 @@ pub enum KeySpec {
     Attr(String),
     /// Whitespace-separated tokens of a named attribute (IDREFS).
     AttrTokens(String),
-}
-
-/// Comparison for numeric joins/selections.
-///
-/// Semantics over element content: content that does not parse as a
-/// number makes the predicate **false** (the tuple is dropped, never a
-/// panic), and any comparison involving NaN is **false — including
-/// `!=`**. Note `"NaN"` and `"inf"` do parse as `f64`, so the NaN rule
-/// matters even for plain text content; infinities compare normally.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NumCmp {
-    /// `=`
-    Eq,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `!=`
-    Ne,
-}
-
-impl NumCmp {
-    /// Apply the comparison. NaN operands never match (even `Ne`).
-    pub fn test(self, a: f64, b: f64) -> bool {
-        if a.is_nan() || b.is_nan() {
-            return false;
-        }
-        match self {
-            NumCmp::Eq => a == b,
-            NumCmp::Lt => a < b,
-            NumCmp::Le => a <= b,
-            NumCmp::Gt => a > b,
-            NumCmp::Ge => a >= b,
-            NumCmp::Ne => a != b,
-        }
-    }
 }
 
 /// Scan a tag's posting list in color `c`, producing 1-column tuples
@@ -318,8 +284,29 @@ fn paths_to(
     result
 }
 
-/// Hash equality join on extracted string keys. Builds on the right,
-/// probes with the left; output order follows the left input.
+/// A hash key that is equal exactly when [`CmpOp::Eq`] holds: a
+/// number's bits when the key is a number, else the string.
+#[derive(PartialEq, Eq, Hash)]
+enum JoinKey {
+    Num(u64),
+    Str(String),
+}
+
+impl JoinKey {
+    /// `None` for NaN, which equals nothing. Adding `0.0` folds `-0`
+    /// into `0`, the one pair of equal numbers with different bits.
+    fn of(text: String) -> Option<JoinKey> {
+        match as_number(&text) {
+            Some(v) if v.is_nan() => None,
+            Some(v) => Some(JoinKey::Num((v + 0.0).to_bits())),
+            None => Some(JoinKey::Str(text)),
+        }
+    }
+}
+
+/// Hash equality join on extracted keys, equal as [`CmpOp::Eq`]
+/// decides. Builds on the right, probes with the left; output order
+/// follows the left input.
 pub fn value_join_eq<D: DiskManager>(
     s: &StoredDb<D>,
     left: &[Tuple],
@@ -329,15 +316,15 @@ pub fn value_join_eq<D: DiskManager>(
     rcol: usize,
     rkey: &KeySpec,
 ) -> mct_storage::Result<Vec<Tuple>> {
-    let mut table: HashMap<String, Vec<usize>> = HashMap::with_capacity(right.len());
+    let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::with_capacity(right.len());
     for (i, t) in right.iter().enumerate() {
-        for key in extract_keys(s, t[rcol], rkey)? {
+        for key in extract_keys(s, t[rcol], rkey)?.into_iter().filter_map(JoinKey::of) {
             table.entry(key).or_default().push(i);
         }
     }
     let mut out = Vec::new();
     for lt in left {
-        for key in extract_keys(s, lt[lcol], lkey)? {
+        for key in extract_keys(s, lt[lcol], lkey)?.into_iter().filter_map(JoinKey::of) {
             if let Some(matches) = table.get(&key) {
                 for &ri in matches {
                     let mut t = lt.clone();
@@ -350,7 +337,7 @@ pub fn value_join_eq<D: DiskManager>(
     Ok(out)
 }
 
-/// Nested-loop join on a numeric comparison — quadratic by design
+/// Nested-loop join on a content comparison — quadratic by design
 /// (this is the inequality value join whose scaling the paper calls
 /// out in §7.2).
 pub fn nl_join_cmp<D: DiskManager>(
@@ -359,17 +346,17 @@ pub fn nl_join_cmp<D: DiskManager>(
     lcol: usize,
     right: &[Tuple],
     rcol: usize,
-    cmp: NumCmp,
+    op: CmpOp,
 ) -> mct_storage::Result<Vec<Tuple>> {
-    // Pre-fetch the numeric values once per side (still O(n*m) pairs).
-    let lvals = fetch_numbers(s, left, lcol)?;
-    let rvals = fetch_numbers(s, right, rcol)?;
+    // Pre-fetch the contents once per side (still O(n*m) pairs).
+    let lvals = fetch_contents(s, left, lcol)?;
+    let rvals = fetch_contents(s, right, rcol)?;
     let mut out = Vec::new();
     for (lt, lv) in left.iter().zip(&lvals) {
         let Some(lv) = lv else { continue };
         for (rt, rv) in right.iter().zip(&rvals) {
             let Some(rv) = rv else { continue };
-            if cmp.test(*lv, *rv) {
+            if op.holds(lv, rv) {
                 let mut t = lt.clone();
                 t.extend_from_slice(rt);
                 out.push(t);
@@ -456,38 +443,18 @@ pub fn select_contains<D: DiskManager>(
     Ok(out)
 }
 
-/// Keep tuples whose `col` content equals `value` exactly.
-pub fn select_content_eq<D: DiskManager>(
+/// Keep tuples whose `col` content compares `op` against `value`.
+pub fn select_cmp<D: DiskManager>(
     s: &StoredDb<D>,
     input: Vec<Tuple>,
     col: usize,
+    op: CmpOp,
     value: &str,
 ) -> mct_storage::Result<Vec<Tuple>> {
     let mut out = Vec::new();
     for t in input {
-        if s.fetch_content(t[col].node)?.as_deref() == Some(value) {
+        if s.fetch_content(t[col].node)?.is_some_and(|c| op.holds(&c, value)) {
             out.push(t);
-        }
-    }
-    Ok(out)
-}
-
-/// Keep tuples whose `col` content compares `cmp` against `k`.
-pub fn select_number_cmp<D: DiskManager>(
-    s: &StoredDb<D>,
-    input: Vec<Tuple>,
-    col: usize,
-    cmp: NumCmp,
-    k: f64,
-) -> mct_storage::Result<Vec<Tuple>> {
-    let mut out = Vec::new();
-    for t in input {
-        if let Some(content) = s.fetch_content(t[col].node)? {
-            if let Ok(v) = content.trim().parse::<f64>() {
-                if cmp.test(v, k) {
-                    out.push(t);
-                }
-            }
         }
     }
     Ok(out)
@@ -504,7 +471,7 @@ pub fn select_attr_eq<D: DiskManager>(
     let mut out = Vec::new();
     for t in input {
         let attrs = s.fetch_attrs(t[col].node)?;
-        if attrs.iter().any(|(n, v)| n == name && v == value) {
+        if attrs.iter().any(|(n, v)| n == name && CmpOp::Eq.holds(v, value)) {
             out.push(t);
         }
     }
@@ -571,19 +538,12 @@ fn extract_keys<D: DiskManager>(
     })
 }
 
-fn fetch_numbers<D: DiskManager>(
+fn fetch_contents<D: DiskManager>(
     s: &StoredDb<D>,
     tuples: &[Tuple],
     col: usize,
-) -> mct_storage::Result<Vec<Option<f64>>> {
-    let mut out = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        let v = s
-            .fetch_content(t[col].node)?
-            .and_then(|c| c.trim().parse::<f64>().ok());
-        out.push(v);
-    }
-    Ok(out)
+) -> mct_storage::Result<Vec<Option<String>>> {
+    tuples.iter().map(|t| s.fetch_content(t[col].node)).collect()
 }
 
 #[cfg(test)]
@@ -768,7 +728,7 @@ mod tests {
         let red = s.db.color("red").unwrap();
         let votes = index_scan(&s, red, "votes").unwrap();
         // votes > votes: strict pairs among 0,10,...,70 → 28 pairs.
-        let joined = nl_join_cmp(&s, &votes, 0, &votes, 0, NumCmp::Gt).unwrap();
+        let joined = nl_join_cmp(&s, &votes, 0, &votes, 0, CmpOp::Gt).unwrap();
         assert_eq!(joined.len(), 28);
     }
 
@@ -794,60 +754,77 @@ mod tests {
         let s = stored();
         let red = s.db.color("red").unwrap();
         let names = index_scan(&s, red, "name").unwrap();
-        let eq = select_content_eq(&s, names.clone(), 0, "Movie 3").unwrap();
+        let eq = select_cmp(&s, names.clone(), 0, CmpOp::Eq, "Movie 3").unwrap();
         assert_eq!(eq.len(), 1);
         let has = select_contains(&s, names.clone(), 0, "Movie").unwrap();
         assert_eq!(has.len(), 8);
         let votes = index_scan(&s, red, "votes").unwrap();
-        let big = select_number_cmp(&s, votes, 0, NumCmp::Gt, 45.0).unwrap();
+        let big = select_cmp(&s, votes, 0, CmpOp::Gt, "45").unwrap();
         assert_eq!(big.len(), 3); // 50, 60, 70
         let movies = index_scan(&s, red, "movie").unwrap();
         let m3 = select_attr_eq(&s, movies, 0, "id", "m3").unwrap();
         assert_eq!(m3.len(), 1);
     }
 
-    #[test]
-    fn numcmp_nan_never_matches() {
-        let all = [NumCmp::Eq, NumCmp::Lt, NumCmp::Le, NumCmp::Gt, NumCmp::Ge, NumCmp::Ne];
-        for cmp in all {
-            assert!(!cmp.test(f64::NAN, 1.0), "{cmp:?} NaN lhs");
-            assert!(!cmp.test(1.0, f64::NAN), "{cmp:?} NaN rhs");
-            assert!(!cmp.test(f64::NAN, f64::NAN), "{cmp:?} NaN both");
-        }
-        // Ne on NaN is false too — deliberately not IEEE `!=`.
-        assert!(!NumCmp::Ne.test(f64::NAN, 1.0));
-        // Infinities compare normally.
-        assert!(NumCmp::Gt.test(f64::INFINITY, 1e308));
-        assert!(NumCmp::Lt.test(f64::NEG_INFINITY, 0.0));
-        assert!(NumCmp::Ne.test(1.0, 2.0));
-    }
-
-    #[test]
-    fn select_number_cmp_odd_content() {
-        // "NaN" and "inf" parse as f64; "n/a" does not. None may panic
-        // and none but the real numbers/infinities may match.
+    /// One `v` element per content string under a single-colored root.
+    fn values(contents: &[&str]) -> (StoredDb, Vec<Tuple>) {
         let mut db = MctDatabase::new();
         let c = db.add_color("black");
         let root = db.new_element("root", c);
         db.append_child(McNodeId::DOCUMENT, root, c);
-        for content in ["NaN", "inf", "-inf", "n/a", "5", ""] {
+        for content in contents {
             let v = db.new_element("v", c);
             db.set_content(v, content);
             db.append_child(root, v, c);
         }
         let s = StoredDb::build(db, 1024 * 1024).unwrap();
         let vs = index_scan(&s, c, "v").unwrap();
+        (s, vs)
+    }
+
+    #[test]
+    fn select_cmp_compares_like_the_interpreter() {
+        // "NaN" and "inf" are numbers; "n/a" and "apple" are not, so
+        // they compare as strings.
+        let (s, vs) = values(&["NaN", "inf", "-inf", "n/a", "5", "7.0", "apple"]);
         let fetch = |ts: &[Tuple]| -> Vec<String> {
             ts.iter()
                 .map(|t| s.fetch_content(t[0].node).unwrap().unwrap_or_default())
                 .collect()
         };
-        let gt = select_number_cmp(&s, vs.clone(), 0, NumCmp::Gt, 1.0).unwrap();
-        assert_eq!(fetch(&gt), ["inf", "5"], "NaN and unparsable never match");
-        let ne = select_number_cmp(&s, vs.clone(), 0, NumCmp::Ne, 5.0).unwrap();
-        assert_eq!(fetch(&ne), ["inf", "-inf"], "NaN != k is still false");
-        let le = select_number_cmp(&s, vs, 0, NumCmp::Le, f64::NAN).unwrap();
-        assert!(le.is_empty(), "NaN bound matches nothing");
+        let gt = select_cmp(&s, vs.clone(), 0, CmpOp::Gt, "1").unwrap();
+        assert_eq!(fetch(&gt), ["inf", "n/a", "5", "7.0", "apple"]);
+        let ne = select_cmp(&s, vs.clone(), 0, CmpOp::Ne, "5").unwrap();
+        assert_eq!(fetch(&ne), ["NaN", "inf", "-inf", "n/a", "7.0", "apple"], "NaN != 5");
+        let eq = select_cmp(&s, vs.clone(), 0, CmpOp::Eq, " 07").unwrap();
+        assert_eq!(fetch(&eq), ["7.0"]);
+        let nan = select_cmp(&s, vs, 0, CmpOp::Eq, "NaN").unwrap();
+        assert!(nan.is_empty(), "NaN equals nothing, not even NaN");
+    }
+
+    #[test]
+    fn value_join_matches_exactly_when_eq_holds() {
+        let contents = ["7", "7.0", " 07", "seven", "0", "-0", "NaN", "inf", "x y"];
+        let (s, vs) = values(&contents);
+        let joined = value_join_eq(&s, &vs, 0, &KeySpec::Content, &vs, 0, &KeySpec::Content)
+            .unwrap();
+        let mut got: Vec<(u32, u32)> = joined.iter().map(|t| (t[0].node.0, t[1].node.0)).collect();
+        let mut want = Vec::new();
+        for l in &vs {
+            for r in &vs {
+                let lc = s.fetch_content(l[0].node).unwrap().unwrap();
+                let rc = s.fetch_content(r[0].node).unwrap().unwrap();
+                if CmpOp::Eq.holds(&lc, &rc) {
+                    want.push((l[0].node.0, r[0].node.0));
+                }
+            }
+        }
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        // 3 sevens and 2 zeros pair up, NaN with nothing, the other
+        // three only with themselves.
+        assert_eq!(got.len(), 9 + 4 + 3, "{got:?}");
     }
 
     #[test]

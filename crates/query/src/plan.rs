@@ -14,21 +14,24 @@
 //!    color changes (the paper's "evaluate a single-color query, then
 //!    a cross-tree join, before evaluating the next single-color
 //!    query" strategy), or with parent navigation for reverse steps.
-//! 4. Equality predicates against string literals prefer the
-//!    **content index** over a scan+filter when they bind the first
-//!    step (index-driven entry point).
+//! 4. An equality predicate on a child of the first step prefers the
+//!    **content index** over a scan+filter (index-driven entry point)
+//!    when equality there is string equality: the literal is not a
+//!    number and the child is in the chain's color.
 //!
 //! The planner handles the (large) fragment used by the paper's
 //! queries: absolute paths of forward steps with `parent` reverse
-//! steps, predicates comparing a child/attribute path to a literal,
-//! `contains`, and numeric comparisons. Anything outside the fragment
-//! is reported as [`PlanError::Unsupported`] so callers can fall back
-//! to the interpreter ([`crate::eval()`]).
+//! steps, predicates comparing the context, a child or an attribute
+//! to a literal, and `contains`. Predicates compare the way the
+//! interpreter does, through [`CmpOp::holds`]. Anything outside the
+//! fragment is reported as [`PlanError::Unsupported`] so callers can
+//! fall back to the interpreter ([`crate::eval()`]).
 
-use crate::ast::{Axis, CmpOp, Expr, Literal, NodeTest, PathExpr, PathStart, Step};
+use crate::ast::{as_number, Axis, CmpOp, Expr, Literal, NodeTest, PathExpr, PathStart, Step};
+use crate::eval::format_num;
 use crate::exec::{self, CancelToken};
 use mct_storage::{DiskManager, StorageError};
-use crate::ops::{self, dup_elim, select_attr_eq, NumCmp, Rel, Tuple};
+use crate::ops::{self, dup_elim, select_attr_eq, Rel, Tuple};
 use mct_core::{ColorId, McNodeId, StoredDb, StructRef};
 use mct_storage::PoolStats;
 use std::fmt;
@@ -108,12 +111,15 @@ impl Stage {
     }
 }
 
-/// A predicate compiled to a physical selection.
+/// A child step of a predicate: the color it navigates, and its tag.
+type ChildStep = (ColorId, String);
+
+/// A predicate compiled to a physical selection. `child: None` tests
+/// the element's own value.
 #[derive(Debug, Clone)]
 enum CompiledPred {
-    ContentEq { child: Option<String>, value: String },
-    ContentContains { child: Option<String>, value: String },
-    ContentCmp { child: Option<String>, cmp: NumCmp, value: f64 },
+    Cmp { child: Option<ChildStep>, op: CmpOp, value: String },
+    ContentContains { child: Option<ChildStep>, value: String },
     AttrEq { name: String, value: String },
 }
 
@@ -465,28 +471,24 @@ fn apply_pred<D: DiskManager>(
 ) -> mct_storage::Result<Vec<Tuple>> {
     match p {
         CompiledPred::AttrEq { name, value } => select_attr_eq(s, tuples, col, name, value),
-        CompiledPred::ContentEq { child, value } => {
-            filter_by_value(s, tuples, col, color, child.as_deref(), |v| v == value)
+        CompiledPred::Cmp { child, op, value } => {
+            filter_by_value(s, tuples, col, color, child.as_ref(), |v| op.holds(v, value))
         }
         CompiledPred::ContentContains { child, value } => {
-            filter_by_value(s, tuples, col, color, child.as_deref(), |v| v.contains(value.as_str()))
-        }
-        CompiledPred::ContentCmp { child, cmp, value } => {
-            filter_by_value(s, tuples, col, color, child.as_deref(), |v| {
-                v.trim().parse::<f64>().is_ok_and(|v| cmp.test(v, *value))
-            })
+            filter_by_value(s, tuples, col, color, child.as_ref(), |v| v.contains(value.as_str()))
         }
     }
 }
 
-/// Keep the tuples whose `col` element passes `test` on its value
-/// (`child: None`), or has a `child`-named child in `color` that does.
+/// Keep the tuples whose `col` element passes `test` on its value in
+/// `color` (`child: None`), or has a child of the child step's tag, in
+/// that step's color, that does on its value there.
 fn filter_by_value<D: DiskManager>(
     s: &StoredDb<D>,
     tuples: Vec<Tuple>,
     col: usize,
     color: ColorId,
-    child: Option<&str>,
+    child: Option<&ChildStep>,
     test: impl Fn(&str) -> bool,
 ) -> mct_storage::Result<Vec<Tuple>> {
     let mut out = Vec::new();
@@ -494,10 +496,10 @@ fn filter_by_value<D: DiskManager>(
         let n = t[col].node;
         let hit = match child {
             None => test(&value_of(s, n, color)?),
-            Some(name) => {
+            Some((cc, name)) => {
                 let mut hit = false;
-                for ch in s.db.children(n, color) {
-                    if s.db.name_str(ch) == Some(name) && test(&value_of(s, ch, color)?) {
+                for ch in s.db.children(n, *cc) {
+                    if s.db.name_str(ch) == Some(name) && test(&value_of(s, ch, *cc)?) {
                         hit = true;
                         break;
                     }
@@ -597,7 +599,8 @@ pub fn plan_path<D: DiskManager>(s: &StoredDb<D>, path: &PathExpr, dedup: bool) 
                 return Err(PlanError::Unsupported(format!("node test {other:?}")));
             }
         };
-        let preds = compile_preds(step)?;
+        let preds: Vec<CompiledPred> =
+            step.predicates.iter().map(|e| compile_pred(s, e)).collect::<Result<_, _>>()?;
         match step.axis {
             Axis::Child | Axis::Descendant => {
                 let rel = if step.axis == Axis::Child {
@@ -671,28 +674,34 @@ pub fn plan_path<D: DiskManager>(s: &StoredDb<D>, path: &PathExpr, dedup: bool) 
         stages.push(Stage::DupElim);
     }
     // Index-entry rewrite: a leading chain whose first tag has an
-    // equality predicate on a child becomes a content-index entry.
+    // equality predicate on a child becomes a content-index entry. The
+    // index matches text exactly, so this applies only where equality
+    // is string equality: a literal that is not a number, on a child
+    // in the chain's own color.
     if let Some(Stage::Chain { color, tags, preds, root_only, .. }) = stages.first() {
         // A root-restricted opening (`document/child::x`) keeps the
         // index scan: the content-index entry point has no way to
         // re-impose the root constraint.
         if !tags.is_empty() && tags[0] != "«pipeline»" && !root_only {
-            if let Some(CompiledPred::ContentEq { child: Some(cname), value }) =
-                preds.first().and_then(|ps| ps.first())
-            {
-                let entry = Stage::ContentEntry {
-                    color: *color,
-                    tag: tags[0].clone(),
-                    child_tag: cname.clone(),
-                    value: value.clone(),
-                };
-                // Rebuild the chain with the pipeline placeholder and
-                // the remaining predicates of position 0.
-                if let Some(Stage::Chain { tags, preds, .. }) = stages.first_mut() {
-                    tags[0] = "«pipeline»".into();
-                    preds[0].remove(0);
+            match preds.first().and_then(|ps| ps.first()) {
+                Some(CompiledPred::Cmp { child: Some((ccolor, cname)), op: CmpOp::Eq, value })
+                    if ccolor == color && as_number(value).is_none() =>
+                {
+                    let entry = Stage::ContentEntry {
+                        color: *color,
+                        tag: tags[0].clone(),
+                        child_tag: cname.clone(),
+                        value: value.clone(),
+                    };
+                    // Rebuild the chain with the pipeline placeholder
+                    // and the remaining predicates of position 0.
+                    if let Some(Stage::Chain { tags, preds, .. }) = stages.first_mut() {
+                        tags[0] = "«pipeline»".into();
+                        preds[0].remove(0);
+                    }
+                    stages.insert(0, entry);
                 }
-                stages.insert(0, entry);
+                _ => {}
             }
         }
     }
@@ -718,42 +727,24 @@ fn resolve_color<D: DiskManager>(s: &StoredDb<D>, step: &Step) -> Result<ColorId
     }
 }
 
-/// Compile `[...]` predicates into physical selections.
-fn compile_preds(step: &Step) -> Result<Vec<CompiledPred>, PlanError> {
-    let mut out = Vec::new();
-    for pred in &step.predicates {
-        out.push(compile_pred(pred)?);
-    }
-    Ok(out)
-}
-
-fn compile_pred(e: &Expr) -> Result<CompiledPred, PlanError> {
+/// Compile one `[...]` predicate into a physical selection.
+fn compile_pred<D: DiskManager>(s: &StoredDb<D>, e: &Expr) -> Result<CompiledPred, PlanError> {
     match e {
         Expr::Cmp(l, op, r) => {
-            let (child, attr) = pred_target(l)?;
-            match (&**r, attr) {
-                (Expr::Lit(Literal::Str(v)), Some(attr)) if *op == CmpOp::Eq => {
-                    Ok(CompiledPred::AttrEq { name: attr, value: v.clone() })
-                }
-                (Expr::Lit(Literal::Str(v)), None) if *op == CmpOp::Eq => {
-                    Ok(CompiledPred::ContentEq { child, value: v.clone() })
-                }
-                (Expr::Lit(Literal::Num(n)), None) => Ok(CompiledPred::ContentCmp {
-                    child,
-                    cmp: num_cmp(*op),
-                    value: *n,
-                }),
-                (Expr::Lit(Literal::Str(v)), None) => {
-                    // Non-equality string comparison: only = supported.
-                    Err(PlanError::Unsupported(format!(
-                        "string comparison {op:?} {v:?}"
-                    )))
-                }
-                other => Err(PlanError::Unsupported(format!("predicate rhs {other:?}"))),
+            // The literal's text as the interpreter atomizes it.
+            let value = match &**r {
+                Expr::Lit(Literal::Str(v)) => v.clone(),
+                Expr::Lit(Literal::Num(n)) => format_num(*n),
+                other => return Err(PlanError::Unsupported(format!("predicate rhs {other:?}"))),
+            };
+            match pred_target(s, l)? {
+                (_, Some(name)) if *op == CmpOp::Eq => Ok(CompiledPred::AttrEq { name, value }),
+                (_, Some(_)) => Err(PlanError::Unsupported(format!("attribute comparison {op}"))),
+                (child, None) => Ok(CompiledPred::Cmp { child, op: *op, value }),
             }
         }
         Expr::Call(name, args) if name == "contains" && args.len() == 2 => {
-            let (child, attr) = pred_target(&args[0])?;
+            let (child, attr) = pred_target(s, &args[0])?;
             if attr.is_some() {
                 return Err(PlanError::Unsupported("contains on attribute".into()));
             }
@@ -769,10 +760,13 @@ fn compile_pred(e: &Expr) -> Result<CompiledPred, PlanError> {
     }
 }
 
-/// What a predicate's left side targets: `(child element, attribute)`.
-/// `.` → (None, None); `child::name` → (Some(name), None);
+/// What a predicate's left side targets: `(child step, attribute)`.
+/// `.` → (None, None); `{c}child::name` → (Some((c, name)), None);
 /// `@attr` → (None, Some(attr)).
-fn pred_target(e: &Expr) -> Result<(Option<String>, Option<String>), PlanError> {
+fn pred_target<D: DiskManager>(
+    s: &StoredDb<D>,
+    e: &Expr,
+) -> Result<(Option<ChildStep>, Option<String>), PlanError> {
     let Expr::Path(p) = e else {
         return Err(PlanError::Unsupported(format!("predicate lhs {e:?}")));
     };
@@ -783,7 +777,13 @@ fn pred_target(e: &Expr) -> Result<(Option<String>, Option<String>), PlanError> 
         [] => Ok((None, None)),
         [one] => match (&one.axis, &one.test) {
             (Axis::SelfAxis, _) => Ok((None, None)),
-            (Axis::Child, NodeTest::Name(n)) => Ok((Some(n.clone()), None)),
+            (Axis::Child, NodeTest::Name(n)) => {
+                // An unknown color is the interpreter's to report: it
+                // raises it only when some element reaches the step.
+                let c = resolve_color(s, one)
+                    .map_err(|e| PlanError::Unsupported(e.to_string()))?;
+                Ok((Some((c, n.clone())), None))
+            }
             (Axis::Attribute, NodeTest::Name(n)) => Ok((None, Some(n.clone()))),
             other => Err(PlanError::Unsupported(format!("predicate step {other:?}"))),
         },
@@ -791,17 +791,6 @@ fn pred_target(e: &Expr) -> Result<(Option<String>, Option<String>), PlanError> 
             "deep predicate path ({} steps)",
             more.len()
         ))),
-    }
-}
-
-fn num_cmp(op: CmpOp) -> NumCmp {
-    match op {
-        CmpOp::Eq => NumCmp::Eq,
-        CmpOp::Ne => NumCmp::Ne,
-        CmpOp::Lt => NumCmp::Lt,
-        CmpOp::Le => NumCmp::Le,
-        CmpOp::Gt => NumCmp::Gt,
-        CmpOp::Ge => NumCmp::Ge,
     }
 }
 
@@ -924,6 +913,24 @@ mod tests {
         assert!(text.contains("content-index entry"), "{text}");
         let out = exec(&plan, &mut s, 1);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn content_entry_only_where_equality_is_string_equality() {
+        let mut s = stored();
+        for (q, entry) in [
+            (r#"document("m")/{red}descendant::movie[{red}child::name = "Movie 3 Eve"]"#, true),
+            (r#"document("m")/{green}descendant::movie[{green}child::votes = "8"]"#, false),
+            (r#"document("m")/{green}descendant::movie[{green}child::votes = 8]"#, false),
+            (r#"document("m")/{green}descendant::movie[{red}child::name = "Movie 4 Day"]"#, false),
+        ] {
+            let Expr::Path(p) = parse_query(q).unwrap() else { panic!("{q}") };
+            let text = plan_path(&s, &p, true).unwrap().explain(&s);
+            assert_eq!(text.contains("content-index entry"), entry, "{q}\n{text}");
+            let want = interp_nodes(&mut s, q);
+            assert_eq!(want.len(), 1, "{q}");
+            assert_eq!(plan_nodes(&mut s, q), want, "{q}");
+        }
     }
 
     #[test]

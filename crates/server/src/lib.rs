@@ -27,8 +27,9 @@
 //! * [`stats`] — windowed time-series derivation for `GET /stats`
 //!   (qps, error rate, latency quantiles, pool hit ratio per sampler
 //!   interval), fed by the [`mct_obs::Sampler`] ring.
-//! * [`json`] — minimal JSON reader used by `mcttop`, `loadgen`, and
-//!   the tests to consume the observability endpoints.
+//! * [`json`] — `mct_obs::json`, re-exported: the JSON reader `mcttop`,
+//!   `loadgen` and the tests use to consume the observability
+//!   endpoints, and the escaper behind every JSON body.
 //!
 //! Replication (`mct-repl`) plugs in beside the server: `mctd
 //! --repl-listen` streams the WAL to replicas, `mctd --replica-of`
@@ -47,7 +48,6 @@
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod load;
 pub mod obslog;
 pub mod render;
@@ -57,6 +57,7 @@ pub mod stats;
 pub use cache::{PlanCache, Prepared};
 pub use client::{split_endpoint, Client, MultiClient, Reply};
 pub use http::{Request, Response};
+pub use mct_obs::json;
 pub use json::Json;
 pub use load::{prom_value, LoadReport, LoadSpec};
 pub use obslog::{ExecKind, RequestLog, RequestRecord, SlowLog};

@@ -8,6 +8,7 @@
 //! render with these functions, and compare against server responses
 //! byte for byte.
 
+use crate::json::escape_into;
 use mct_core::{McNodeId, StoredDb};
 use mct_query::{Item, Tuple};
 use mct_storage::DiskManager;
@@ -78,22 +79,6 @@ fn xml_escape(s: &str, out: &mut String) {
     }
 }
 
-fn json_escape(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Render rows as the `/query` XML body.
 pub fn render_xml(rows: &[Row]) -> String {
     let mut out = format!("<results count=\"{}\">\n", rows.len());
@@ -139,21 +124,21 @@ pub fn render_json(rows: &[Row]) -> String {
                 colors,
             } => {
                 out.push_str("{\"name\":");
-                json_escape(name, &mut out);
+                escape_into(&mut out, name);
                 out.push_str(",\"content\":");
-                json_escape(content, &mut out);
+                escape_into(&mut out, content);
                 out.push_str(",\"colors\":[");
                 for (j, c) in colors.iter().enumerate() {
                     if j > 0 {
                         out.push(',');
                     }
-                    json_escape(c, &mut out);
+                    escape_into(&mut out, c);
                 }
                 out.push_str("]}");
             }
             Row::Str(v) => {
                 out.push_str("{\"value\":");
-                json_escape(v, &mut out);
+                escape_into(&mut out, v);
                 out.push('}');
             }
             Row::Num(v) => {

@@ -17,7 +17,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use mct_core::MctDatabase;
+use mct_core::{ColorId, McNodeId, MctDatabase};
 use mct_query::{parse_query, parse_update};
 use mct_serialize::{emit_naive, reconstruct_naive};
 use mct_xml::{parse, write_document, WriteOptions};
@@ -181,8 +181,8 @@ pub fn planted() -> Vec<(String, MctDatabase, Vec<CaseOp>)> {
         ));
     }
 
-    // 3. NaN content under numeric comparison: `NaN` parses as f64 but
-    //    must match nothing, not even `!=`.
+    // 3. NaN content under numeric comparison: `NaN` parses as f64, so
+    //    it compares as a number and fails every operator but `!=`.
     {
         let mut db = MctDatabase::new();
         let red = db.add_color("red");
@@ -299,5 +299,91 @@ pub fn planted() -> Vec<(String, MctDatabase, Vec<CaseOp>)> {
         ));
     }
 
+    // 8. A predicate step in another color: `{green}child::b` under a
+    //    red step navigates the green tree, on the filter path and
+    //    where the content-index entry (which walks the chain's color)
+    //    must not stand in for it.
+    {
+        let mut db = MctDatabase::new();
+        let red = db.add_color("red");
+        let green = db.add_color("green");
+        let root = db.new_element("root", red);
+        db.append_child(McNodeId::DOCUMENT, root, red);
+        let a = db.new_element("a", red);
+        db.append_child(root, a, red);
+        db.add_node_color(a, green);
+        db.append_child(McNodeId::DOCUMENT, a, green);
+        let b = db.new_element("b", red);
+        db.set_content(b, "y");
+        db.append_child(a, b, red);
+        for v in ["1", "x"] {
+            let b = db.new_element("b", green);
+            db.set_content(b, v);
+            db.append_child(a, b, green);
+        }
+        out.push((
+            "planted-predicate-color".to_string(),
+            db,
+            vec![
+                q("document(\"d\")/{red}descendant::a[{green}child::b = \"1\"]"),
+                q("document(\"d\")/{red}descendant::a[{green}child::b = \"x\"]"),
+                q("document(\"d\")/{red}child::root/{red}child::a[{green}child::b = \"x\"]"),
+                q("document(\"d\")/{red}descendant::a[contains({green}child::b, \"x\")]"),
+                q("document(\"d\")/{red}descendant::a[{red}child::b = \"y\"]"),
+            ],
+        ));
+    }
+
+    // 9–12. Comparisons decide as the interpreter does: numerically
+    //    when both sides are numbers, else as strings — through the
+    //    content-index rewrite, the child filter, `!=` on NaN, `>` on
+    //    a word, and an attribute.
+    let child_b = |db: &mut MctDatabase, a, red, v: &str| {
+        let b = db.new_element("b", red);
+        db.set_content(b, v);
+        db.append_child(a, b, red);
+    };
+    out.push((
+        "planted-numeric-equality".to_string(),
+        red_root_of_as(&["7.0", " 07", "seven"], child_b),
+        vec![
+            q("document(\"d\")/{red}descendant::a[{red}child::b = \"7\"]"),
+            q("document(\"d\")/{red}child::root/{red}child::a[{red}child::b = \"7\"]"),
+        ],
+    ));
+    out.push((
+        "planted-nan-not-equal".to_string(),
+        red_root_of_as(&["NaN", "3"], child_b),
+        vec![q("document(\"d\")/{red}descendant::a[{red}child::b != 3]")],
+    ));
+    out.push((
+        "planted-word-greater".to_string(),
+        red_root_of_as(&["apple", "3"], child_b),
+        vec![q("document(\"d\")/{red}descendant::a[{red}child::b > 5]")],
+    ));
+    out.push((
+        "planted-attr-numeric".to_string(),
+        red_root_of_as(&["7.0", "8"], |db, a, _, v| db.set_attr(a, "k", v)),
+        vec![q("document(\"d\")/{red}descendant::a[@k = \"7\"]")],
+    ));
+
     out
+}
+
+/// `root` with one `a` child per value, all red; `set` gives each `a`
+/// its value.
+fn red_root_of_as(
+    values: &[&str],
+    set: impl Fn(&mut MctDatabase, McNodeId, ColorId, &str),
+) -> MctDatabase {
+    let mut db = MctDatabase::new();
+    let red = db.add_color("red");
+    let root = db.new_element("root", red);
+    db.append_child(McNodeId::DOCUMENT, root, red);
+    for v in values {
+        let a = db.new_element("a", red);
+        db.append_child(root, a, red);
+        set(&mut db, a, red, v);
+    }
+    db
 }

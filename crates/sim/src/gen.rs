@@ -27,10 +27,11 @@ use mct_workloads::rng::XorShiftRng;
 pub const COLOR_NAMES: [&str; 3] = ["red", "green", "blue"];
 /// Tag alphabet, shared across colors so cross-color twigs match.
 const TAGS: [&str; 8] = ["a", "b", "item", "name", "movie", "rating", "order", "note"];
-/// Content vocabulary: words, numbers, and the awkward numerics
-/// (`NaN` parses as `f64`, so the never-matches rule is exercised).
-const WORDS: [&str; 10] = [
-    "alpha", "beta", "gamma", "eve", "x y", "10", "7", "3.5", "-2", "NaN",
+/// Content vocabulary: words, numbers, and the awkward numerics:
+/// `NaN` parses as `f64`, so it compares as a number and fails every
+/// operator but `!=`; `7.0` and ` 07` equal `7` as numbers, not as text.
+const WORDS: [&str; 12] = [
+    "alpha", "beta", "gamma", "eve", "x y", "10", "7", "3.5", "-2", "NaN", "7.0", " 07",
 ];
 const ATTR_NAMES: [&str; 3] = ["id", "k", "ref"];
 
@@ -281,7 +282,8 @@ fn gen_pred(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
         // Numeric comparison.
         2 => Expr::Cmp(
             Box::new(rel(rng, doc)),
-            [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][rng.gen_range(0..4usize)],
+            [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
+                [rng.gen_range(0..6usize)],
             Box::new(Expr::Lit(Literal::Num(rng.gen_range(0..=12u32) as f64))),
         ),
         // contains().

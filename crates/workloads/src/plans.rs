@@ -16,9 +16,10 @@
 use crate::queries::{Params, SchemaKind};
 use mct_storage::DiskManager;
 use mct_core::{ColorId, McNodeId, StoredDb, StructRef};
+use mct_query::ast::CmpOp;
 use mct_query::ops::{
-    cross_tree_op, dup_elim, index_scan, select_attr_eq, select_contains, select_content_eq,
-    select_number_cmp, structural_join, value_join_eq, KeySpec, NumCmp, Rel, Tuple,
+    cross_tree_op, dup_elim, index_scan, select_attr_eq, select_cmp, select_contains,
+    structural_join, value_join_eq, KeySpec, Rel, Tuple,
 };
 
 type R<T> = mct_storage::Result<T>;
@@ -231,7 +232,7 @@ fn tq2<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
         _ => color(s, "black"),
     };
     let totals = index_scan(s, c, "total")?;
-    let hot = select_number_cmp(s, totals, 0, NumCmp::Gt, f64::from(p.total_hi))?;
+    let hot = select_cmp(s, totals, 0, CmpOp::Gt, &p.total_hi.to_string())?;
     Ok(parents(s, hot, 0, c).len())
 }
 
@@ -304,7 +305,7 @@ fn tq4<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
         _ => color(s, "black"),
     };
     let qtys = index_scan(s, c, "qty")?;
-    let hit = select_number_cmp(s, qtys, 0, NumCmp::Eq, f64::from(p.qty))?;
+    let hit = select_cmp(s, qtys, 0, CmpOp::Eq, &p.qty.to_string())?;
     Ok(parents(s, hit, 0, c).len())
 }
 
@@ -329,7 +330,7 @@ fn tq6<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
         _ => color(s, "black"),
     };
     let statuses = index_scan(s, c, "status")?;
-    let hit = select_content_eq(s, statuses, 0, &p.status)?;
+    let hit = select_cmp(s, statuses, 0, CmpOp::Eq, &p.status)?;
     Ok(parents(s, hit, 0, c).len())
 }
 
@@ -377,7 +378,7 @@ fn tq9<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
         SchemaKind::Mct => {
             let auth = color(s, "auth");
             let costs = index_scan(s, auth, "cost")?;
-            let hot = select_number_cmp(s, costs, 0, NumCmp::Gt, f64::from(p.cost_hi))?;
+            let hot = select_cmp(s, costs, 0, CmpOp::Gt, &p.cost_hi.to_string())?;
             let items = parents(s, hot, 0, auth);
             let lines = last_col(children_named(s, items, 0, auth, "orderline"));
             Ok(lines.len())
@@ -385,7 +386,7 @@ fn tq9<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
         SchemaKind::Shallow => {
             let c = color(s, "black");
             let costs = index_scan(s, c, "cost")?;
-            let hot = select_number_cmp(s, costs, 0, NumCmp::Gt, f64::from(p.cost_hi))?;
+            let hot = select_cmp(s, costs, 0, CmpOp::Gt, &p.cost_hi.to_string())?;
             let items = parents(s, hot, 0, c);
             let lines = index_scan(s, c, "orderline")?;
             let j = value_join_eq(
@@ -397,7 +398,7 @@ fn tq9<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
         SchemaKind::Deep => {
             let c = color(s, "black");
             let costs = index_scan(s, c, "cost")?;
-            let hot = select_number_cmp(s, costs, 0, NumCmp::Gt, f64::from(p.cost_hi))?;
+            let hot = select_cmp(s, costs, 0, CmpOp::Gt, &p.cost_hi.to_string())?;
             let items = parents(s, hot, 0, c);
             let lines = parents(s, items, 0, c); // item's parent is the orderline
             Ok(lines.len())
@@ -693,7 +694,7 @@ fn tq16<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> 
         SchemaKind::Mct => {
             let auth = color(s, "auth");
             let costs = index_scan(s, auth, "cost")?;
-            let hot = select_number_cmp(s, costs, 0, NumCmp::Gt, f64::from(p.cost_very_hi))?;
+            let hot = select_cmp(s, costs, 0, CmpOp::Gt, &p.cost_very_hi.to_string())?;
             let items = parents(s, hot, 0, auth);
             // Group: one result row per qualifying item.
             let mut groups = 0;
@@ -706,7 +707,7 @@ fn tq16<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> 
         SchemaKind::Shallow => {
             let c = color(s, "black");
             let costs = index_scan(s, c, "cost")?;
-            let hot = select_number_cmp(s, costs, 0, NumCmp::Gt, f64::from(p.cost_very_hi))?;
+            let hot = select_cmp(s, costs, 0, CmpOp::Gt, &p.cost_very_hi.to_string())?;
             let items = parents(s, hot, 0, c);
             let lines = index_scan(s, c, "orderline")?;
             let _joined = value_join_eq(
@@ -724,7 +725,7 @@ fn tq16<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> 
             let c = color(s, "black");
             // Duplicate intermediates: every qualifying item REPLICA.
             let costs = index_scan(s, c, "cost")?;
-            let hot = select_number_cmp(s, costs, 0, NumCmp::Gt, f64::from(p.cost_very_hi))?;
+            let hot = select_cmp(s, costs, 0, CmpOp::Gt, &p.cost_very_hi.to_string())?;
             let replicas = parents(s, hot, 0, c);
             let replicas: Vec<Tuple> = replicas
                 .into_iter()
