@@ -20,8 +20,6 @@ fn scaling(c: &mut Criterion) {
     let db = fx.db(mct_workloads::Dataset::Tpcw, SchemaKind::Mct);
     let cust = db.db.color("cust").unwrap();
     let auth = db.db.color("auth").unwrap();
-    db.db.ensure_annotated(cust);
-    db.db.ensure_annotated(auth);
     let db = &*db;
 
     // --- cross-tree: cust orderlines -> auth items --------------------

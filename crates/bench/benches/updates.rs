@@ -51,7 +51,6 @@ fn updates(c: &mut Criterion) {
                 let e = s.db.new_element("remark", red);
                 s.db.set_content(e, "fresh");
                 s.db.append_child(target, e, red);
-                s.db.annotate(red);
                 s.reindex_color(red).unwrap();
                 s.persist_new_element(e).unwrap();
             },

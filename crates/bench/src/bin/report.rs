@@ -49,7 +49,6 @@ fn main() {
         let db = fx.db(mct_workloads::Dataset::Tpcw, SchemaKind::Mct);
         let cust = db.db.color("cust").unwrap();
         let auth = db.db.color("auth").unwrap();
-        db.db.ensure_annotated(auth);
         let db = &*db;
         let lines = db.postings_named(cust, "orderline").expect("postings");
         let tuples: Vec<mct_query::Tuple> = lines.iter().map(|r| vec![*r]).collect();

@@ -139,16 +139,25 @@ impl<D: DiskManager> StoredDb<D> {
 
         // Attached node set per color, in per-color document order,
         // from the logical trees — the ground truth the physical
-        // structures are checked against.
-        let mut attached: Vec<Vec<McNodeId>> = Vec::with_capacity(ncolors);
+        // structures are checked against. `None` for a color whose
+        // codes or storage are unusable (flagged here, skipped below).
+        let mut attached: Vec<Option<Vec<McNodeId>>> = Vec::with_capacity(ncolors);
         for ci in 0..ncolors {
             let c = ColorId(ci as u8);
+            if self.storage_of(c).is_err() {
+                rep.flag(
+                    "color-without-storage",
+                    format!("color {ci} has no structural heap or indexes"),
+                );
+                attached.push(None);
+                continue;
+            }
             if self.db.is_dirty(c) {
                 rep.flag(
                     "dirty-color",
                     format!("color {ci} has stale interval codes (annotate pending)"),
                 );
-                attached.push(Vec::new());
+                attached.push(None);
                 continue;
             }
             let nodes: Vec<McNodeId> = self
@@ -157,14 +166,12 @@ impl<D: DiskManager> StoredDb<D> {
                 .skip(1)
                 .collect();
             self.check_codes(c, &nodes, &mut rep);
-            attached.push(nodes);
+            attached.push(Some(nodes));
         }
 
         for (ci, nodes) in attached.iter().enumerate() {
+            let Some(nodes) = nodes else { continue };
             let c = ColorId(ci as u8);
-            if self.db.is_dirty(c) {
-                continue; // codes unusable; already flagged
-            }
             self.check_struct_heap(c, nodes, &mut rep)?;
             self.check_tag_index(c, nodes, &mut rep)?;
             self.check_link_index(c, nodes, &mut rep)?;
@@ -468,10 +475,10 @@ impl<D: DiskManager> StoredDb<D> {
     /// `dm:colors` bits ↔ tree attachment (color-link symmetry at the
     /// logical level: a node claims exactly the colors whose trees
     /// contain it).
-    fn check_color_bits(&self, attached: &[Vec<McNodeId>], rep: &mut CheckReport) {
-        let mut in_tree: Vec<HashSet<u32>> = attached
+    fn check_color_bits(&self, attached: &[Option<Vec<McNodeId>>], rep: &mut CheckReport) {
+        let in_tree: Vec<Option<HashSet<u32>>> = attached
             .iter()
-            .map(|v| v.iter().map(|n| n.0).collect())
+            .map(|v| v.as_ref().map(|v| v.iter().map(|n| n.0).collect()))
             .collect();
         for i in 0..self.db.len() {
             let n = McNodeId(i as u32);
@@ -479,10 +486,8 @@ impl<D: DiskManager> StoredDb<D> {
                 continue;
             }
             let colors = self.db.colors(n);
-            for (ci, tree) in in_tree.iter_mut().enumerate() {
-                if self.db.is_dirty(ColorId(ci as u8)) {
-                    continue;
-                }
+            for (ci, tree) in in_tree.iter().enumerate() {
+                let Some(tree) = tree else { continue };
                 let claimed = colors.contains(ColorId(ci as u8));
                 let present = tree.contains(&n.0);
                 if claimed != present {
@@ -710,12 +715,30 @@ mod tests {
         let victim = s.postings_named(green, "movie").unwrap()[0].node;
         s.unindex_node(victim, green).unwrap();
         s.db.remove_color(victim, green);
-        if s.db.is_dirty(green) {
-            s.db.annotate(green);
-            s.reindex_color(green).unwrap();
-        }
+        s.ensure_all_annotated().unwrap();
         let rep = s.check().unwrap();
         assert!(rep.is_ok(), "maintained store must verify: {rep}");
+    }
+
+    #[test]
+    fn colors_changed_behind_the_store_are_flagged_then_restored() {
+        use mct_storage::StorageError::NotAnnotated;
+        let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
+        let red = s.db.color("red").unwrap();
+        let genre = s.postings_named(red, "movie-genre").unwrap()[0].node;
+        let m = s.db.new_element("movie", red);
+        s.db.append_child(genre, m, red);
+        let blue = s.db.add_color("blue");
+        s.db.annotate(blue);
+        let rep = s.check().unwrap();
+        let flagged: Vec<_> = rep.violations.iter().map(|v| v.category).collect();
+        assert_eq!(flagged, ["dirty-color", "color-without-storage"], "{rep}");
+        assert!(matches!(s.postings_named(blue, "movie"), Err(NotAnnotated)));
+        assert!(matches!(s.link_probe(McNodeId(1), blue), Err(NotAnnotated)));
+        s.ensure_all_annotated().unwrap();
+        assert!(s.check().unwrap().is_ok());
+        assert_eq!(s.postings_named(red, "movie").unwrap().len(), 11);
+        assert!(s.postings_named(blue, "movie").unwrap().is_empty());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!    inner list covered by its own roots' window.
 //!
 //! All probes go through `&StoredDb`: the buffer pool is internally
-//! synchronized, and callers hoist color annotation before fanning
-//! out (see [`crate::plan`]), leaving the fan-out phase read-only.
+//! synchronized and the store is always annotated, so the fan-out
+//! phase is read-only.
 
 use crate::ops::{self, Rel, Tuple};
 use mct_core::StructRef;

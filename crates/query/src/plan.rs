@@ -248,24 +248,11 @@ impl PathPlan {
         render_tree(&self.labels(s))
     }
 
-    /// Hoist the one `&mut` prerequisite of execution: annotate every
-    /// color the plan touches. After this (and until a mutation dirties
-    /// a color again), the plan can run over `&StoredDb` via
-    /// [`PathPlan::execute_shared`].
-    pub fn prepare<D: DiskManager>(&self, s: &mut StoredDb<D>) {
-        for c in self.stages.iter().filter_map(Stage::color) {
-            s.db.ensure_annotated(c);
-        }
-    }
-
     /// Execute the plan, returning the final single-column tuples —
     /// the one way to run a plan. Worker threads of the serving layer
     /// run cached plans this way against one `StoredDb` behind a read
-    /// lock. Every color the plan touches must be annotated and clean
-    /// (guaranteed after [`PathPlan::prepare`], and restored by
-    /// [`StoredDb::ensure_all_annotated`] after updates); a dirty color
-    /// is reported as [`StorageError::NotAnnotated`] rather than the
-    /// panic the in-memory accessors would raise.
+    /// lock. A color that breaks the store's annotation invariant is
+    /// reported as [`StorageError::NotAnnotated`].
     ///
     /// With `threads > 1`, Chain and CrossTree stages and predicate
     /// filters fan their inputs out over [`exec::run_morsels`] workers;
@@ -322,8 +309,7 @@ impl PathPlan {
         Ok(())
     }
 
-    /// The pipeline driver: every color already annotated (see
-    /// [`PathPlan::prepare`]), so `&StoredDb` suffices and the serving
+    /// The pipeline driver: `&StoredDb` suffices, so the serving
     /// layer can run many plans concurrently under a read lock. With
     /// `labels: Some(..)`, each stage is timed and its pool delta
     /// captured; without, only the (cheap) spans and row counters run.
@@ -459,9 +445,8 @@ fn apply_pred_par<D: DiskManager>(
     Ok(chunks.into_iter().flatten().collect())
 }
 
-/// Apply one compiled predicate. Callers must have annotated `color`
-/// already (see [`PathPlan::prepare`]) — this is a pure read and safe
-/// to fan across threads.
+/// Apply one compiled predicate — a pure read, safe to fan across
+/// threads.
 fn apply_pred<D: DiskManager>(
     s: &StoredDb<D>,
     tuples: Vec<Tuple>,
@@ -834,8 +819,7 @@ mod tests {
         StoredDb::build(db, 16 * 1024 * 1024).unwrap()
     }
 
-    fn exec(plan: &PathPlan, s: &mut StoredDb, threads: usize) -> Vec<Tuple> {
-        plan.prepare(s);
+    fn exec(plan: &PathPlan, s: &StoredDb, threads: usize) -> Vec<Tuple> {
         plan.execute_shared(s, threads, None).unwrap()
     }
 
@@ -901,7 +885,7 @@ mod tests {
 
     #[test]
     fn content_entry_rewrite_fires() {
-        let mut s = stored();
+        let s = stored();
         let Expr::Path(p) = parse_query(
             r#"document("m")/{red}descendant::movie[{red}child::name = "Movie 3 Eve"]"#,
         )
@@ -911,7 +895,7 @@ mod tests {
         let plan = plan_path(&s, &p, true).unwrap();
         let text = plan.explain(&s);
         assert!(text.contains("content-index entry"), "{text}");
-        let out = exec(&plan, &mut s, 1);
+        let out = exec(&plan, &s, 1);
         assert_eq!(out.len(), 1);
     }
 
@@ -979,7 +963,7 @@ mod tests {
 
     #[test]
     fn parallel_execution_is_byte_identical() {
-        let mut s = stored();
+        let s = stored();
         for q in [
             r#"document("m")/{red}descendant::movie/{red}child::name"#,
             r#"document("m")/{red}descendant::movie[contains({red}child::name, "Eve")]"#,
@@ -988,7 +972,7 @@ mod tests {
         ] {
             let Expr::Path(p) = parse_query(q).unwrap() else { panic!("{q}") };
             let plan = plan_path(&s, &p, true).unwrap();
-            let seq = exec(&plan, &mut s, 1);
+            let seq = exec(&plan, &s, 1);
             for threads in [2, 4] {
                 let par = plan.execute_shared(&s, threads, None).unwrap();
                 assert_eq!(par, seq, "{q} threads={threads}");
@@ -1001,11 +985,11 @@ mod tests {
 
     #[test]
     fn execute_shared_analyze_matches_and_reports_stages() {
-        let mut s = stored();
+        let s = stored();
         let q = r#"document("m")/{green}descendant::movie[{green}child::votes > 8]/{red}child::name"#;
         let Expr::Path(p) = parse_query(q).unwrap() else { panic!("{q}") };
         let plan = plan_path(&s, &p, true).unwrap();
-        let seq = exec(&plan, &mut s, 1);
+        let seq = exec(&plan, &s, 1);
         let (shared, report) = plan.execute_shared_analyze(&s, 2, None).unwrap();
         assert_eq!(shared, seq, "analyze must not change the result");
         assert_eq!(report.rows as usize, seq.len());
@@ -1027,7 +1011,6 @@ mod tests {
             panic!()
         };
         let plan = plan_path(&s, &p, true).unwrap();
-        plan.prepare(&mut s);
         // Dirty the red tree behind the plan's back.
         let red = s.db.color("red").unwrap();
         let m = s.db.new_element("movie", red);
@@ -1036,20 +1019,19 @@ mod tests {
         assert!(s.db.is_dirty(red));
         let r = plan.execute_shared(&s, 1, None);
         assert!(matches!(r, Err(StorageError::NotAnnotated)), "{r:?}");
-        s.ensure_all_annotated().unwrap();
+        s.reindex_color(red).unwrap();
         assert!(plan.execute_shared(&s, 1, None).is_ok());
     }
 
     #[test]
     fn cancelled_execution_returns_cancelled() {
-        let mut s = stored();
+        let s = stored();
         let Expr::Path(p) =
             parse_query(r#"document("m")/{red}descendant::movie/{red}child::name"#).unwrap()
         else {
             panic!()
         };
         let plan = plan_path(&s, &p, true).unwrap();
-        plan.prepare(&mut s);
         let token = CancelToken::new();
         token.cancel();
         let r = plan.execute_shared(&s, 2, Some(&token));

@@ -88,7 +88,6 @@ fn apply_update<D: DiskManager>(
     }
     let elements = pending.len();
     // Phase 2: apply.
-    let mut dirty_colors: Vec<ColorId> = Vec::new();
     for p in pending {
         match p {
             Pending::Replace(n, v) => {
@@ -100,22 +99,13 @@ fn apply_update<D: DiskManager>(
                 // entries, so re-annotate (and rebuild the indexes,
                 // which are keyed by the renumbered codes) first.
                 if stored.db.is_dirty(c) {
-                    stored.db.annotate(c);
                     stored.reindex_color(c)?;
-                    dirty_colors.retain(|&x| x != c);
                 }
                 let subtree: Vec<McNodeId> = stored.db.descendants_or_self(n, c).collect();
                 for &d in &subtree {
                     stored.unindex_node(d, c)?;
                 }
                 stored.db.remove_color(n, c);
-                // Deletion never invalidates other nodes' codes.
-                if !dirty_colors.contains(&c) && stored.db.is_dirty(c) {
-                    // Structure changed but codes of remaining nodes
-                    // are still valid; clear by re-annotating lazily at
-                    // next insert. Mark for safety.
-                    dirty_colors.push(c);
-                }
             }
             Pending::Insert {
                 target,
@@ -130,12 +120,8 @@ fn apply_update<D: DiskManager>(
                 // Codes: single leaf goes in the gap; bigger fragments
                 // renumber the color.
                 let single = new_nodes.len() == 1;
-                if single && stored.db.try_assign_gap_codes(root, color) {
-                    // fast path
-                } else {
-                    stored.db.annotate(color);
+                if !(single && stored.db.try_assign_gap_codes(root, color)) {
                     stored.reindex_color(color)?;
-                    dirty_colors.retain(|&c| c != color);
                 }
                 for n in new_nodes {
                     stored.persist_new_element(n)?;
@@ -143,14 +129,9 @@ fn apply_update<D: DiskManager>(
             }
         }
     }
-    // Re-annotate anything still marked dirty so subsequent queries
-    // see clean codes.
-    for c in dirty_colors {
-        if stored.db.is_dirty(c) {
-            stored.db.annotate(c);
-            stored.reindex_color(c)?;
-        }
-    }
+    // Deletes leave their colors dirty; restore the store's invariant
+    // inside the transaction.
+    stored.ensure_all_annotated()?;
     Ok(UpdateOutcome { tuples, elements })
 }
 

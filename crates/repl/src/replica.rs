@@ -360,7 +360,6 @@ fn pump(engine: &Engine, stream: &mut TcpStream) -> io::Result<()> {
                         db.apply_repl_image(page, &image).map_err(sio)?;
                     }
                     db.apply_repl_commit(num_pages, &catalog).map_err(sio)?;
-                    db.ensure_all_annotated().map_err(sio)?;
                 }
                 engine.applied.store(lsn, Ordering::SeqCst);
                 engine.applied_gauge.set(lsn);

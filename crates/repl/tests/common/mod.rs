@@ -56,8 +56,7 @@ pub fn commit_edit<D: DiskManager>(s: &mut StoredDb<D>, text: &str) -> u64 {
 }
 
 /// Everything a query can observe, as one comparable value.
-pub fn fingerprint<D: DiskManager>(s: &mut StoredDb<D>) -> Vec<String> {
-    s.ensure_all_annotated().unwrap();
+pub fn fingerprint<D: DiskManager>(s: &StoredDb<D>) -> Vec<String> {
     let mut out = Vec::new();
     let palette: Vec<_> = s
         .db

@@ -50,8 +50,8 @@ fn commit_on(db: &SharedDb, text: &str) -> u64 {
 
 fn replica_fingerprint(r: &ReplicaHandle) -> Vec<String> {
     let db = r.db();
-    let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
-    fingerprint(&mut w)
+    let w = db.read().unwrap_or_else(PoisonError::into_inner);
+    fingerprint(&w)
 }
 
 /// Serializes the tests of this binary over the global registry.
@@ -85,8 +85,8 @@ fn snapshot_bootstrap_then_streaming_catchup() {
 
     // Bootstrap state matches the primary exactly.
     let primary_fp = {
-        let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&mut w)
+        let w = db.read().unwrap_or_else(PoisonError::into_inner);
+        fingerprint(&w)
     };
     assert_eq!(replica_fingerprint(&replica), primary_fp);
 
@@ -99,8 +99,8 @@ fn snapshot_bootstrap_then_streaming_catchup() {
         );
     }
     let primary_fp = {
-        let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&mut w)
+        let w = db.read().unwrap_or_else(PoisonError::into_inner);
+        fingerprint(&w)
     };
     assert_eq!(replica_fingerprint(&replica), primary_fp);
 
@@ -167,8 +167,8 @@ fn reconnect_resumes_from_applied_lsn_without_snapshot() {
         "replica never caught up after reconnect"
     );
     let primary_fp = {
-        let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&mut w)
+        let w = db.read().unwrap_or_else(PoisonError::into_inner);
+        fingerprint(&w)
     };
     assert_eq!(replica_fingerprint(&replica), primary_fp);
     assert!(
@@ -226,8 +226,8 @@ fn checkpoint_truncation_outruns_replica_and_forces_rebootstrap() {
         "replica never re-bootstrapped"
     );
     let primary_fp = {
-        let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&mut w)
+        let w = db.read().unwrap_or_else(PoisonError::into_inner);
+        fingerprint(&w)
     };
     assert_eq!(replica_fingerprint(&replica), primary_fp);
     assert!(
@@ -260,8 +260,8 @@ fn two_replicas_converge_independently() {
     assert!(r2.wait_applied(lsn, Duration::from_secs(10)));
 
     let primary_fp = {
-        let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&mut w)
+        let w = db.read().unwrap_or_else(PoisonError::into_inner);
+        fingerprint(&w)
     };
     assert_eq!(replica_fingerprint(&r1), primary_fp);
     assert_eq!(replica_fingerprint(&r2), primary_fp);

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 type SharedDb = Arc<RwLock<mct_core::StoredDb<MemDisk>>>;
 
 fn fp_of(db: &SharedDb) -> Vec<String> {
-    let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
-    fingerprint(&mut w)
+    let w = db.read().unwrap_or_else(PoisonError::into_inner);
+    fingerprint(&w)
 }
 
 /// Number of edits committed while the replica is (maybe) streaming.
@@ -99,8 +99,8 @@ fn kill_at_every_frame_boundary_leaves_a_committed_prefix() {
 
         let replica_db = replica.db();
         let replica_fp = {
-            let mut w = replica_db.write().unwrap_or_else(PoisonError::into_inner);
-            fingerprint(&mut w)
+            let w = replica_db.read().unwrap_or_else(PoisonError::into_inner);
+            fingerprint(&w)
         };
         assert!(
             prefixes.contains(&replica_fp),

@@ -20,10 +20,7 @@
 //!   [`PathPlan::execute_shared`], so cached plans run concurrently on
 //!   all workers;
 //! * interpreter queries and updates take the **write** lock
-//!   (`EvalContext` needs `&mut` for construction and updates);
-//! * every write-lock section ends with
-//!   [`StoredDb::ensure_all_annotated`], restoring the invariant that
-//!   read-lock execution never sees a dirty color tree.
+//!   (`EvalContext` needs `&mut` for construction and updates).
 //!
 //! ## Cancellation
 //!
@@ -337,8 +334,7 @@ impl<D: DiskManager> ServerHandle<D> {
     }
 }
 
-/// Start serving `stored` with `cfg`. Annotates every color tree up
-/// front so read-lock execution starts from a clean store.
+/// Start serving `stored` with `cfg`.
 pub fn serve<D>(stored: StoredDb<D>, cfg: ServerConfig) -> std::io::Result<ServerHandle<D>>
 where
     D: DiskManager + Sync + 'static,
@@ -357,10 +353,6 @@ pub fn serve_shared<D>(
 where
     D: DiskManager + Sync + 'static,
 {
-    db.write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .ensure_all_annotated()
-        .map_err(|e| std::io::Error::other(format!("annotating store: {e}")))?;
     let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
     let addr = listener.local_addr()?;
 
@@ -698,99 +690,80 @@ fn handle_query<D: DiskManager>(
     let json = wants_json(req);
     let cancel = request_cancel(state, req);
 
-    // One annotate-and-retry round covers the (invariant-violating)
-    // case of a dirty color tree slipping past a write-lock section.
-    for attempt in 0..2 {
-        let db = state.db.read().unwrap_or_else(PoisonError::into_inner);
-        let generation = db.generation();
-        let prepared = match state.cache.lookup(text, generation) {
-            Some(p) => {
-                ctx.record.cache_hit = Some(true);
-                p
-            }
-            None => {
-                ctx.record.cache_hit = Some(false);
-                let expr = match parse_query(text) {
-                    Ok(e) => e,
-                    Err(e) => return Response::text(400, format!("parse error: {e}\n")),
-                };
-                let plan = match &expr {
-                    Expr::Path(p) => match plan_path(&db, p, true) {
-                        Ok(plan) => Some(plan),
-                        Err(PlanError::Unsupported(_)) => None,
-                        Err(e @ PlanError::UnknownColor(_)) => {
-                            return Response::text(400, format!("plan error: {e}\n"))
-                        }
-                    },
-                    _ => None,
-                };
-                let prepared = Arc::new(Prepared { expr, plan });
-                state.cache.insert(text, generation, Arc::clone(&prepared));
-                prepared
-            }
-        };
-
-        if let Some(plan) = &prepared.plan {
-            // The analyze variant instruments every stage (two clock
-            // reads and a pool-stats delta per stage) so a slow run is
-            // captured with its own per-operator tree — no re-run.
-            ctx.record.exec = ExecKind::Plan;
-            match plan.execute_shared_analyze(&db, state.cfg.exec_threads, cancel.as_ref()) {
-                Ok((tuples, report)) => {
-                    ctx.record.rows = report.rows;
-                    ctx.analyze = report.render();
-                    let rows = render::rows_from_tuples(&db, &tuples);
-                    return respond_rows(&rows, json);
-                }
-                Err(StorageError::Cancelled) => {
-                    state.metrics.timeouts.inc();
-                    return Response::text(408, "deadline exceeded\n");
-                }
-                Err(StorageError::NotAnnotated) if attempt == 0 => {
-                    drop(db);
-                    let mut w = state.db.write().unwrap_or_else(PoisonError::into_inner);
-                    if let Err(e) = w.ensure_all_annotated() {
-                        return Response::text(500, format!("annotation failed: {e}\n"));
+    let db = state.db.read().unwrap_or_else(PoisonError::into_inner);
+    let generation = db.generation();
+    let prepared = match state.cache.lookup(text, generation) {
+        Some(p) => {
+            ctx.record.cache_hit = Some(true);
+            p
+        }
+        None => {
+            ctx.record.cache_hit = Some(false);
+            let expr = match parse_query(text) {
+                Ok(e) => e,
+                Err(e) => return Response::text(400, format!("parse error: {e}\n")),
+            };
+            let plan = match &expr {
+                Expr::Path(p) => match plan_path(&db, p, true) {
+                    Ok(plan) => Some(plan),
+                    Err(PlanError::Unsupported(_)) => None,
+                    Err(e @ PlanError::UnknownColor(_)) => {
+                        return Response::text(400, format!("plan error: {e}\n"))
                     }
-                    continue;
-                }
-                Err(e) => return Response::text(500, format!("execution failed: {e}\n")),
-            }
+                },
+                _ => None,
+            };
+            let prepared = Arc::new(Prepared { expr, plan });
+            state.cache.insert(text, generation, Arc::clone(&prepared));
+            prepared
         }
+    };
 
-        // Interpreter path: FLWOR, constructors, predicates outside the
-        // planner fragment. Needs `&mut` (construction mutates the
-        // store), so it serializes on the write lock.
-        drop(db);
-        let mut db = state.db.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = &cancel {
-            if c.is_cancelled() {
+    if let Some(plan) = &prepared.plan {
+        // The analyze variant instruments every stage (two clock
+        // reads and a pool-stats delta per stage) so a slow run is
+        // captured with its own per-operator tree — no re-run.
+        ctx.record.exec = ExecKind::Plan;
+        return match plan.execute_shared_analyze(&db, state.cfg.exec_threads, cancel.as_ref()) {
+            Ok((tuples, report)) => {
+                ctx.record.rows = report.rows;
+                ctx.analyze = report.render();
+                let rows = render::rows_from_tuples(&db, &tuples);
+                respond_rows(&rows, json)
+            }
+            Err(StorageError::Cancelled) => {
                 state.metrics.timeouts.inc();
-                return Response::text(408, "deadline exceeded\n");
+                Response::text(408, "deadline exceeded\n")
             }
-        }
-        ctx.record.exec = ExecKind::Interp;
-        let items = {
-            let mut ectx = EvalContext::new(&mut db);
-            match eval(&mut ectx, &prepared.expr) {
-                Ok(items) => items,
-                Err(EvalError::Storage(e)) => {
-                    return Response::text(500, format!("execution failed: {e}\n"))
-                }
-                Err(e) => return Response::text(400, format!("query error: {e}\n")),
-            }
+            Err(e) => Response::text(500, format!("execution failed: {e}\n")),
         };
-        // Constructors may have created nodes (dirtying colors and
-        // bumping the generation); restore the all-annotated invariant
-        // before the write lock drops.
-        if let Err(e) = db.ensure_all_annotated() {
-            return Response::text(500, format!("annotation failed: {e}\n"));
-        }
-        ctx.record.rows = items.len() as u64;
-        let rows = render::rows_from_items(&db, &items);
-        return respond_rows(&rows, json);
     }
-    Response::text(500, "retry limit reached\n")
+
+    // Interpreter path: FLWOR, constructors, predicates outside the
+    // planner fragment. Needs `&mut` (construction mutates the
+    // store), so it serializes on the write lock.
+    drop(db);
+    let mut db = state.db.write().unwrap_or_else(PoisonError::into_inner);
+    if let Some(c) = &cancel {
+        if c.is_cancelled() {
+            state.metrics.timeouts.inc();
+            return Response::text(408, "deadline exceeded\n");
+        }
+    }
+    ctx.record.exec = ExecKind::Interp;
+    let items = {
+        let mut ectx = EvalContext::new(&mut db);
+        match eval(&mut ectx, &prepared.expr) {
+            Ok(items) => items,
+            Err(EvalError::Storage(e)) => {
+                return Response::text(500, format!("execution failed: {e}\n"))
+            }
+            Err(e) => return Response::text(400, format!("query error: {e}\n")),
+        }
+    };
+    ctx.record.rows = items.len() as u64;
+    let rows = render::rows_from_items(&db, &items);
+    respond_rows(&rows, json)
 }
 
 fn handle_update<D: DiskManager>(
@@ -840,9 +813,6 @@ fn handle_update<D: DiskManager>(
         }
         Err(e) => return Response::text(400, format!("update error (rolled back): {e}\n")),
     };
-    if let Err(e) = db.ensure_all_annotated() {
-        return Response::text(500, format!("annotation failed: {e}\n"));
-    }
     ctx.record.rows = out.tuples as u64;
     Response::text(
         200,

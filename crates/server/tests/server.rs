@@ -6,8 +6,10 @@
 //! counters/gauges serialize through [`test_lock`].
 
 use mct_core::StoredDb;
-use mct_query::{parse_query, plan_path, Expr};
-use mct_server::{render_xml, rows_from_tuples, serve, Client, Json, ServerConfig, ServerHandle};
+use mct_query::{eval, parse_query, plan_path, EvalContext, Expr};
+use mct_server::{
+    render_xml, rows_from_items, rows_from_tuples, serve, Client, Json, ServerConfig, ServerHandle,
+};
 use mct_workloads::movies;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -31,13 +33,12 @@ fn start(cfg: ServerConfig) -> ServerHandle {
 
 /// Expected `/query` XML body, computed by executing the plan directly
 /// (no server) and rendering through the same shared renderer.
-fn direct_xml(stored: &mut StoredDb, query: &str) -> String {
+fn direct_xml(stored: &StoredDb, query: &str) -> String {
     let expr = parse_query(query).expect("parse");
     let Expr::Path(p) = &expr else {
         panic!("test queries must be bare paths")
     };
     let plan = plan_path(stored, p, true).expect("plannable");
-    plan.prepare(stored);
     let tuples = plan.execute_shared(stored, 1, None).expect("direct execution");
     render_xml(&rows_from_tuples(stored, &tuples))
 }
@@ -50,11 +51,11 @@ const Q_GENRES: &str = "document(\"m\")/{red}child::movie-genre";
 fn sixteen_concurrent_clients_get_byte_identical_results() {
     let _guard = test_lock();
     // Reference copy executed directly, server copy behind TCP.
-    let mut reference = movies_store();
+    let reference = movies_store();
     let queries = [Q_MOVIES, Q_NAMES, Q_GENRES];
     let expected: Vec<String> = queries
         .iter()
-        .map(|q| direct_xml(&mut reference, q))
+        .map(|q| direct_xml(&reference, q))
         .collect();
 
     let handle = start(ServerConfig {
@@ -235,6 +236,36 @@ fn cached_plans_never_serve_stale_results_after_updates() {
     );
     assert!(after.body_str().contains("fresh-movie"));
     assert!(state.cache.invalidations.get() > invalidations_before);
+    handle.shutdown();
+}
+
+/// §4.3's `createColor` into a color the store has never seen.
+const CREATE_BYV: &str =
+    r#"createColor("byv", <byvotes>{ document("m")/{green}descendant::movie }</byvotes>)"#;
+
+#[test]
+fn create_color_over_http_keeps_the_store_checkable_and_queryable() {
+    let _guard = test_lock();
+    let handle = start(ServerConfig::default());
+    let client = Client::new("127.0.0.1", handle.port());
+    let created = client.query(CREATE_BYV).expect("createColor");
+    assert_eq!(created.status, 200, "{}", created.body_str());
+    let check = client.request("GET", "/check", None, &[]).expect("check");
+    assert_eq!(check.status, 200, "zero violations: {}", check.body_str());
+    // The new color is planned on the server; the interpreter on a
+    // reference store that ran the same statement is the oracle.
+    let q = r#"document("m")/{byv}descendant::movie"#;
+    let served = client.query(q).expect("query the new color");
+    assert_eq!(served.status, 200, "{}", served.body_str());
+    let mut reference = movies_store();
+    let mut ctx = EvalContext::new(&mut reference);
+    eval(&mut ctx, &parse_query(CREATE_BYV).unwrap()).unwrap();
+    let items = eval(&mut ctx, &parse_query(q).unwrap()).unwrap();
+    assert_eq!(items.len(), 3, "every green movie sits in the new color");
+    assert_eq!(
+        served.body_str(),
+        render_xml(&rows_from_items(&reference, &items))
+    );
     handle.shutdown();
 }
 

@@ -559,7 +559,6 @@ fn run_query(
 
                     // One thread: compared with the interpreter on
                     // "planned", with N threads on "parallel".
-                    plan.prepare(pl);
                     let surface = if cfg.surfaces.planned { "planned" } else { "parallel" };
                     let one = plan.execute_shared(pl, 1, None).map_err(|err| {
                         div(surface, at, format!("plan execute failed on {text:?}: {err}"))
@@ -623,7 +622,6 @@ fn run_query(
                 };
                 let body = match plan {
                     Some(plan) => {
-                        plan.prepare(oracle);
                         let tuples = plan.execute_shared(oracle, 1, None).map_err(|err| {
                             div("served", at, format!("oracle-side plan failed: {err}"))
                         })?;

@@ -41,9 +41,8 @@ pub enum StorageError {
     /// The operation was cancelled cooperatively (deadline exceeded or
     /// an explicit cancel) before it completed.
     Cancelled,
-    /// A read-only query plan met a color tree whose interval codes are
-    /// stale since an update; annotate it (`prepare` /
-    /// `ensure_all_annotated`) and retry.
+    /// A read met a color tree whose interval codes are stale, or a
+    /// color without its structural heap and indexes.
     NotAnnotated,
 }
 

@@ -109,7 +109,6 @@ fn color<D: DiskManager>(s: &StoredDb<D>, name: &str) -> ColorId {
 
 /// Single-column tuples for a node set, coded in `c`, start-sorted.
 fn to_tuples<D: DiskManager>(s: &mut StoredDb<D>, nodes: Vec<McNodeId>, c: ColorId) -> Vec<Tuple> {
-    s.db.ensure_annotated(c);
     let mut out: Vec<Tuple> = nodes
         .into_iter()
         .filter_map(|n| s.db.code(n, c).map(|code| vec![StructRef { node: n, code }]))
@@ -130,7 +129,6 @@ fn by_content<D: DiskManager>(s: &mut StoredDb<D>, value: &str, elem: &str, c: C
 
 /// Replace `col` with its parent in `c`; drop tuples without one.
 fn parents<D: DiskManager>(s: &mut StoredDb<D>, input: Vec<Tuple>, col: usize, c: ColorId) -> Vec<Tuple> {
-    s.db.ensure_annotated(c);
     let mut out = Vec::with_capacity(input.len());
     for mut t in input {
         if let Some(p) = s.db.parent(t[col].node, c) {
@@ -149,7 +147,6 @@ fn parents<D: DiskManager>(s: &mut StoredDb<D>, input: Vec<Tuple>, col: usize, c
 /// Expand each tuple once per `name`-child (in `c`) of column `col`;
 /// the child is appended as a new column.
 fn children_named<D: DiskManager>(s: &mut StoredDb<D>, input: Vec<Tuple>, col: usize, c: ColorId, name: &str) -> Vec<Tuple> {
-    s.db.ensure_annotated(c);
     let mut out = Vec::new();
     for t in input {
         let kids: Vec<McNodeId> = s
@@ -175,7 +172,6 @@ fn descendants_named<D: DiskManager>(
     c: ColorId,
     name: &str,
 ) -> Vec<Tuple> {
-    s.db.ensure_annotated(c);
     let mut out = Vec::new();
     for t in input {
         let descs: Vec<McNodeId> = s

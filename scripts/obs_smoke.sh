@@ -27,6 +27,12 @@ for _ in 1 2 3; do
     MCTC query 'document("m")/{red}descendant::movie' >/dev/null \
         || { echo "FAIL: smoke query"; exit 1; }
 done
+# createColor into a new color (§4.3) must leave the store consistent.
+MCTC query 'createColor("byv", <byvotes>{ document("m")/{green}descendant::movie }</byvotes>)' \
+    >/dev/null || { echo "FAIL: createColor query"; exit 1; }
+check_out=$(MCTC check) || { echo "FAIL: /check after createColor"; exit 1; }
+echo "$check_out" | grep -q "zero violations" \
+    || { echo "FAIL: /check after createColor: $check_out"; exit 1; }
 # Let the sampler take at least two ticks over the traffic.
 sleep 0.4
 

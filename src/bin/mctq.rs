@@ -223,7 +223,6 @@ fn main() {
                         eprint!("{}", plan.explain(&stored));
                         eprintln!("-------------------");
                     }
-                    plan.prepare(&mut stored);
                     if opts.analyze {
                         let (out, report) = plan
                             .execute_shared_analyze(&stored, opts.threads, None)

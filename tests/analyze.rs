@@ -17,13 +17,12 @@ fn stored() -> StoredDb {
     StoredDb::build(data.build_mct(), 64 * 1024 * 1024).unwrap()
 }
 
-/// The plan for `text`, prepared to run over `&StoredDb`.
-fn planned(s: &mut StoredDb, text: &str) -> PathPlan {
+/// The plan for `text`.
+fn planned(s: &StoredDb, text: &str) -> PathPlan {
     let Expr::Path(p) = parse_query(text).unwrap() else {
         panic!("not a path: {text}")
     };
     let plan = plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"));
-    plan.prepare(s);
     plan
 }
 
@@ -34,8 +33,8 @@ const TWIG: &str = r#"document("t")/{cust}descendant::order[{cust}child::status 
 
 #[test]
 fn analyze_row_counts_match_actual_cardinality() {
-    let mut s = stored();
-    let plan = planned(&mut s, TWIG);
+    let s = stored();
+    let plan = planned(&s, TWIG);
     let expected: Vec<Tuple> = plan.execute_shared(&s, 1, None).unwrap();
     assert!(!expected.is_empty(), "query should match something");
     for threads in [1, 2, 4] {
@@ -63,8 +62,8 @@ fn assert_cardinalities(report: &AnalyzeReport, rows: u64) {
 
 #[test]
 fn analyze_warm_rerun_has_zero_buffer_misses() {
-    let mut s = stored();
-    let plan = planned(&mut s, TWIG);
+    let s = stored();
+    let plan = planned(&s, TWIG);
     // Cold-ish first run primes the pool (the pool is large enough to
     // hold the working set).
     let _ = plan.execute_shared_analyze(&s, 1, None).unwrap();
@@ -78,8 +77,8 @@ fn analyze_warm_rerun_has_zero_buffer_misses() {
 
 #[test]
 fn analyze_render_shares_the_explain_tree_shape() {
-    let mut s = stored();
-    let plan = planned(&mut s, TWIG);
+    let s = stored();
+    let plan = planned(&s, TWIG);
     let explain = plan.explain(&s);
     let (_, report) = plan.execute_shared_analyze(&s, 1, None).unwrap();
     let rendered = report.render();

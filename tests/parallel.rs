@@ -18,13 +18,12 @@ fn tpcw() -> StoredDb {
     StoredDb::build(data.build_mct(), 64 * 1024 * 1024).unwrap()
 }
 
-/// The plan for `text`, prepared to run over `&StoredDb`.
-fn planned(s: &mut StoredDb, text: &str) -> PathPlan {
+/// The plan for `text`.
+fn planned(s: &StoredDb, text: &str) -> PathPlan {
     let Expr::Path(p) = parse_query(text).unwrap() else {
         panic!("not a path: {text}")
     };
     let plan = plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"));
-    plan.prepare(s);
     plan
 }
 

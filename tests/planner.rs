@@ -15,12 +15,11 @@ fn stored() -> StoredDb {
     StoredDb::build(data.build_mct(), 64 * 1024 * 1024).unwrap()
 }
 
-fn via_planner(s: &mut StoredDb, text: &str) -> Vec<u32> {
+fn via_planner(s: &StoredDb, text: &str) -> Vec<u32> {
     let Expr::Path(p) = parse_query(text).unwrap() else {
         panic!("not a path: {text}")
     };
     let plan = plan_path(s, &p, true).unwrap_or_else(|e| panic!("{text}: {e}"));
-    plan.prepare(s);
     let out = plan.execute_shared(s, 1, None).unwrap();
     let mut v: Vec<u32> = out.iter().map(|t| t[0].node.0).collect();
     v.sort_unstable();
@@ -62,7 +61,7 @@ fn planner_agrees_with_interpreter_on_tpcw_paths() {
         r#"document("t")/{cust}descendant::orderline/{auth}parent::item/{auth}child::title"#,
     ];
     for q in queries {
-        let a = via_planner(&mut s, q);
+        let a = via_planner(&s, q);
         let b = via_interpreter(&mut s, q);
         assert_eq!(a, b, "planner disagrees on: {q}");
         assert!(!a.is_empty(), "query should match something: {q}");
@@ -105,8 +104,7 @@ fn planner_uses_content_index_entry_for_point_queries() {
         "{}",
         plan.explain(&s)
     );
-    plan.prepare(&mut s);
     let out = plan.execute_shared(&s, 1, None).unwrap();
     assert_eq!(out.len(), 1);
-    assert_eq!(via_planner(&mut s, &q), via_interpreter(&mut s, &q));
+    assert_eq!(via_planner(&s, &q), via_interpreter(&mut s, &q));
 }

@@ -415,7 +415,6 @@ fn planner_equals_interpreter() {
                 unreachable!()
             };
             let plan = plan_path(&stored, &p, true).unwrap();
-            plan.prepare(&mut stored);
             let via_plan: std::collections::BTreeSet<u32> = plan
                 .execute_shared(&stored, 1, None)
                 .unwrap()

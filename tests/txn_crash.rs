@@ -60,11 +60,8 @@ fn digest<D: DiskManager>(s: &StoredDb<D>) -> String {
         )
         .unwrap();
         for ci in 0..s.db.palette.len() {
-            let c = ColorId(ci as u8);
-            if !s.db.is_dirty(c) {
-                if let Some(code) = s.db.code(n, c) {
-                    write!(out, " c{ci}:[{},{}]@{}", code.start, code.end, code.level).unwrap();
-                }
+            if let Some(code) = s.db.code(n, ColorId(ci as u8)) {
+                write!(out, " c{ci}:[{},{}]@{}", code.start, code.end, code.level).unwrap();
             }
         }
         out.push('\n');
