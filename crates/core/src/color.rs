@@ -140,6 +140,11 @@ impl Palette {
         ColorId((self.names.len() - 1) as u8)
     }
 
+    /// Forget every color registered after the first `len` (a rollback).
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.names.truncate(len);
+    }
+
     /// Look up a color by name without registering.
     pub fn get(&self, name: &str) -> Option<ColorId> {
         self.names.iter().position(|n| n == name).map(|i| ColorId(i as u8))

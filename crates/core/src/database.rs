@@ -19,6 +19,7 @@
 use crate::color::{ColorId, ColorSet, Palette};
 use mct_storage::IntervalCode;
 use mct_xml::{Interner, Sym};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a node in the MCT arena. `McNodeId(0)` is the
@@ -148,6 +149,54 @@ pub struct McNode {
     pub colors: ColorSet,
 }
 
+/// First-touch change journal of an [`MctDatabase`]: what the
+/// database looked like when the journal started, kept only for what
+/// has changed since. The arena, interner and palette only grow, so
+/// their base lengths cover every push; a node record and a
+/// `(color, node)` link + code are saved the first time a mutation
+/// touches them, and [`MctDatabase::annotate`] saves a whole color's
+/// codes once. Rolling back restores exactly these; a delta commit
+/// record (see the snapshot module) carries the new values at the same
+/// keys. Colors registered since the start are not journaled: they are
+/// dropped on rollback and shipped whole.
+#[derive(Clone, Debug)]
+pub(crate) struct Journal {
+    /// Arena length at the start.
+    pub nodes_len: usize,
+    /// Interner length at the start.
+    pub names_len: usize,
+    /// Per color at the start: `(slots, node_count, dirty)`.
+    pub trees: Vec<(usize, u64, bool)>,
+    /// Start-time record of each touched node below `nodes_len`.
+    pub nodes: BTreeMap<u32, McNode>,
+    /// Start-time links + code of each touched `(color, node)` slot.
+    pub links: BTreeMap<(u8, u32), (Links, IntervalCode)>,
+    /// Start-time codes of each color renumbered since.
+    pub codes: BTreeMap<u8, Vec<IntervalCode>>,
+}
+
+impl Journal {
+    fn start(db: &MctDatabase) -> Journal {
+        Journal {
+            nodes_len: db.nodes.len(),
+            names_len: db.names.len(),
+            trees: db
+                .trees
+                .iter()
+                .map(|t| (t.links.len(), t.node_count, t.dirty))
+                .collect(),
+            nodes: BTreeMap::new(),
+            links: BTreeMap::new(),
+            codes: BTreeMap::new(),
+        }
+    }
+
+    /// Number of colors at the start.
+    pub fn colors(&self) -> usize {
+        self.trees.len()
+    }
+}
+
 /// The MCT database: shared nodes, a palette, and one tree per color.
 /// `Clone` duplicates the full logical state — node ids included —
 /// which differential tests rely on to build independent stores that
@@ -160,6 +209,9 @@ pub struct MctDatabase {
     /// Registered colors.
     pub palette: Palette,
     pub(crate) trees: Vec<ColorTree>,
+    /// Change journal; `None` (off) unless a [`crate::StoredDb`] that
+    /// owns this database has a WAL attached or a transaction open.
+    pub(crate) journal: Option<Box<Journal>>,
 }
 
 impl Default for MctDatabase {
@@ -182,6 +234,7 @@ impl MctDatabase {
             names: Interner::new(),
             palette: Palette::new(),
             trees: Vec::new(),
+            journal: None,
         }
     }
 
@@ -209,6 +262,92 @@ impl MctDatabase {
         &mut self.trees[c.index()]
     }
 
+    // ----- change journal -----------------------------------------------------
+
+    /// Start (or restart) the change journal at the current state.
+    pub(crate) fn start_journal(&mut self) {
+        self.journal = Some(Box::new(Journal::start(self)));
+    }
+
+    /// Turn the change journal off.
+    pub(crate) fn stop_journal(&mut self) {
+        self.journal = None;
+    }
+
+    /// True when the journal is on and nothing changed since it started.
+    pub(crate) fn journal_is_clean(&self) -> bool {
+        self.journal.as_deref().is_some_and(|j| {
+            j.nodes.is_empty()
+                && j.links.is_empty()
+                && j.codes.is_empty()
+                && j.nodes_len == self.nodes.len()
+                && j.names_len == self.names.len()
+                && j.colors() == self.trees.len()
+        })
+    }
+
+    /// Put back every value the journal saved, so the database is
+    /// exactly what it was when the journal started, and turn the
+    /// journal off. No-op when it is off.
+    pub(crate) fn roll_back(&mut self) {
+        let Some(j) = self.journal.take() else {
+            return;
+        };
+        let j = *j;
+        let colors = j.colors();
+        self.nodes.truncate(j.nodes_len);
+        for (n, node) in j.nodes {
+            self.nodes[n as usize] = node;
+        }
+        self.names.truncate(j.names_len);
+        self.palette.truncate(colors);
+        self.trees.truncate(colors);
+        for (t, &(len, node_count, dirty)) in self.trees.iter_mut().zip(&j.trees) {
+            t.links.truncate(len);
+            t.codes.truncate(len);
+            t.node_count = node_count;
+            t.dirty = dirty;
+        }
+        for ((c, n), (links, code)) in j.links {
+            let t = &mut self.trees[c as usize];
+            if (n as usize) < t.links.len() {
+                t.links[n as usize] = links;
+                t.codes[n as usize] = code;
+            }
+        }
+        for (c, mut codes) in j.codes {
+            let t = &mut self.trees[c as usize];
+            codes.truncate(t.links.len());
+            t.codes = codes;
+        }
+    }
+
+    /// Journal node `n`'s record before its first change.
+    #[inline]
+    fn touch_node(&mut self, n: McNodeId) {
+        if let Some(j) = &mut self.journal {
+            if n.index() < j.nodes_len {
+                j.nodes
+                    .entry(n.0)
+                    .or_insert_with(|| self.nodes[n.index()].clone());
+            }
+        }
+    }
+
+    /// Journal the links + code of `n` (a node id or `NONE`) in tree
+    /// `c` before their first change.
+    #[inline]
+    fn touch_link(&mut self, c: ColorId, n: u32) {
+        if let Some(j) = &mut self.journal {
+            if n != NONE && c.index() < j.colors() {
+                let t = &self.trees[c.index()];
+                j.links
+                    .entry((c.0, n))
+                    .or_insert_with(|| (t.links[n as usize], t.codes[n as usize]));
+            }
+        }
+    }
+
     // ----- colors -----------------------------------------------------------
 
     /// Register a color. The document node becomes the root of the new
@@ -225,6 +364,7 @@ impl MctDatabase {
         t.link_mut(McNodeId::DOCUMENT).attached = true;
         t.node_count = 1;
         self.trees.push(t);
+        self.touch_node(McNodeId::DOCUMENT);
         self.nodes[0].colors = self.nodes[0].colors.with(c);
         c
     }
@@ -296,12 +436,14 @@ impl MctDatabase {
             self.node(n).kind == McNodeKind::Element,
             "only elements take extra colors explicitly"
         );
+        self.touch_node(n);
         self.nodes[n.index()].colors = self.nodes[n.index()].colors.with(c);
     }
 
     /// Set (replace) the element's text content.
     pub fn set_content(&mut self, n: McNodeId, content: &str) {
         assert_eq!(self.node(n).kind, McNodeKind::Element);
+        self.touch_node(n);
         self.nodes[n.index()].content = Some(content.into());
     }
 
@@ -314,6 +456,7 @@ impl MctDatabase {
     pub fn set_attr(&mut self, n: McNodeId, name: &str, value: &str) {
         assert_eq!(self.node(n).kind, McNodeKind::Element);
         let sym = self.names.intern(name);
+        self.touch_node(n);
         let node = &mut self.nodes[n.index()];
         if let Some(slot) = node.attrs.iter_mut().find(|(s, _)| *s == sym) {
             slot.1 = value.into();
@@ -346,8 +489,11 @@ impl MctDatabase {
     /// once per colored tree.
     pub fn append_child(&mut self, parent: McNodeId, child: McNodeId, c: ColorId) {
         self.attach_checks(parent, child, c);
+        let old_last = self.tree(c).link(parent).last_child;
+        self.touch_link(c, parent.0);
+        self.touch_link(c, child.0);
+        self.touch_link(c, old_last);
         let t = self.tree_mut(c);
-        let old_last = t.link(parent).last_child;
         {
             let l = t.link_mut(child);
             l.parent = parent.0;
@@ -371,8 +517,11 @@ impl MctDatabase {
         assert!(parent_raw != NONE, "insert_before: anchor detached in {c:?}");
         let parent = McNodeId(parent_raw);
         self.attach_checks(parent, child, c);
+        let prev = self.tree(c).link(anchor).prev;
+        for n in [parent.0, child.0, anchor.0, prev] {
+            self.touch_link(c, n);
+        }
         let t = self.tree_mut(c);
-        let prev = t.link(anchor).prev;
         {
             let l = t.link_mut(child);
             l.parent = parent.0;
@@ -411,11 +560,14 @@ impl MctDatabase {
     /// Detach `n` (with its color-`c` subtree) from tree `c`. The node
     /// keeps the color; use [`Self::remove_color`] to drop it.
     pub fn detach(&mut self, n: McNodeId, c: ColorId) {
-        let t = self.tree_mut(c);
-        let l = *t.link(n);
+        let l = *self.tree(c).link(n);
         if !l.attached || l.parent == NONE {
             return;
         }
+        for m in [n.0, l.parent, l.prev, l.next] {
+            self.touch_link(c, m);
+        }
+        let t = self.tree_mut(c);
         if l.prev == NONE {
             t.links[l.parent as usize].first_child = l.next;
         } else {
@@ -443,6 +595,7 @@ impl MctDatabase {
         let subtree: Vec<McNodeId> = self.descendants_or_self(n, c).collect();
         for &d in subtree.iter().rev() {
             self.detach(d, c);
+            self.touch_node(d);
             self.nodes[d.index()].colors = self.nodes[d.index()].colors.without(c);
         }
     }
@@ -537,6 +690,19 @@ impl MctDatabase {
     /// pre-order traversal (the *local order* of §3.1). Iterative, so
     /// arbitrarily deep trees are fine.
     pub fn annotate(&mut self, c: ColorId) {
+        if let Some(j) = &mut self.journal {
+            if c.index() < j.colors() && !j.codes.contains_key(&c.0) {
+                // The start-time codes: today's, except where a slot
+                // was journaled with an older one.
+                let mut codes = self.trees[c.index()].codes.clone();
+                for (&(_, n), &(_, code)) in j.links.range((c.0, 0)..=(c.0, u32::MAX)) {
+                    if let Some(slot) = codes.get_mut(n as usize) {
+                        *slot = code;
+                    }
+                }
+                j.codes.insert(c.0, codes);
+            }
+        }
         // Take the tree out to satisfy the borrow checker cheaply.
         let mut t = std::mem::replace(self.tree_mut(c), ColorTree::new());
         t.grow(self.nodes.len());
@@ -635,6 +801,7 @@ impl MctDatabase {
         if start <= lower || end <= start || end >= upper {
             return false;
         }
+        self.touch_link(c, n.0);
         let t = self.tree_mut(c);
         t.codes[n.index()] = IntervalCode {
             start,
@@ -1004,6 +1171,48 @@ mod tests {
         assert_eq!(via_red, via_green);
         db.set_attr(movie, "id", "RG999");
         assert_eq!(db.attr(movie, "id"), Some("RG999"));
+    }
+
+    /// Everything the journal covers, as one comparable value.
+    fn state(db: &MctDatabase) -> String {
+        let names: Vec<_> = db.names.iter().collect();
+        let colors: Vec<_> = db.palette.iter().collect();
+        format!("{names:?} {colors:?} {:?} {:?}", db.nodes, db.trees)
+    }
+
+    #[test]
+    fn roll_back_restores_every_journaled_change() {
+        let (mut db, red, green, movie, name) = figure2();
+        db.annotate(red);
+        db.annotate(green);
+        db.start_journal();
+        let before = state(&db);
+        assert!(db.journal_is_clean());
+
+        db.set_content(name, "Changed");
+        db.set_attr(movie, "fresh-attr", "1");
+        let extra = db.new_element("scene", red);
+        db.append_child(movie, extra, red);
+        assert!(db.try_assign_gap_codes(extra, red));
+        let first = db.new_element("first", red);
+        db.insert_before(extra, first, red);
+        db.annotate(red);
+        db.remove_color(movie, green);
+        db.add_node_color(extra, green);
+        let blue = db.add_color("blue");
+        let b = db.new_element("b", blue);
+        db.append_child(McNodeId::DOCUMENT, b, blue);
+        db.annotate(blue);
+        db.new_element_uncolored("loose");
+        assert!(!db.journal_is_clean());
+        assert_ne!(state(&db), before);
+
+        db.roll_back();
+        assert_eq!(state(&db), before);
+        assert!(db.journal.is_none());
+        db.check_invariants();
+        assert_eq!(db.color("blue"), None);
+        assert_eq!(db.names.get("loose"), None);
     }
 
     #[test]

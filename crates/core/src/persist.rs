@@ -18,15 +18,26 @@
 //!
 //! All query-time access goes through the shared buffer pool, so page
 //! hits/misses and the warm/cold cache distinction behave as in §7.
+//!
+//! **Durability.** With a WAL attached, [`StoredDb::sync`] commits the
+//! dirty pages with a catalog record (see the snapshot module): the
+//! full catalog for the first commit after a build, a checkpoint, or
+//! a failed commit; otherwise a delta of what the change journal saw
+//! change, so a commit costs O(change), not O(document). Recovery
+//! ([`StoredDb::open_with`]) decodes the last full catalog in the live
+//! log and applies the deltas after it; a replica applies each delta
+//! in place onto its base ([`StoredDb::apply_repl_commit`]), and
+//! transactions roll back from the same journal.
 
 use crate::color::ColorId;
 use crate::database::{McNodeId, McNodeKind, MctDatabase};
-use crate::snapshot::{self, PhysCatalog};
+use crate::snapshot::{self, Directory, PhysCatalog, Record};
 use mct_storage::{
     BTree, BufferPool, ContentIndex, DiskManager, FileDisk, HeapFile, IntervalCode, KeyEncoder,
     MemDisk, RecordId, StorageError, StorageStats, TagIndex, Wal, PAGE_SIZE,
 };
 use mct_xml::Sym;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,14 +46,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static NEXT_TXN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Handle for an open transaction on a [`StoredDb`] (see
-/// [`StoredDb::begin_txn`]). Carries the begin-time catalog snapshot
-/// that an abort restores; dropping the handle without committing or
-/// aborting leaves the transaction open, so prefer the scoped
-/// [`StoredDb::with_txn`].
+/// [`StoredDb::begin_txn`]). It holds only the id: what an abort
+/// restores is in the store's change journal, which has recorded the
+/// begin-time value of everything the transaction touched. Dropping
+/// the handle without committing or aborting leaves the transaction
+/// open, so prefer the scoped [`StoredDb::with_txn`].
 #[must_use = "a transaction must be committed or aborted"]
 pub struct Txn {
     id: u64,
-    snapshot: Vec<u8>,
 }
 
 impl Txn {
@@ -50,6 +61,17 @@ impl Txn {
     pub fn id(&self) -> u64 {
         self.id
     }
+}
+
+/// Physical half of the change journal (the logical half lives in the
+/// [`MctDatabase`]): the heap/index directory when the journal started
+/// and the start-time value of each record-id slot set since.
+struct PhysJournal {
+    dir: Directory,
+    content_len: usize,
+    attr_len: usize,
+    content_rid: BTreeMap<u32, Option<RecordId>>,
+    attr_rid: BTreeMap<u32, Option<RecordId>>,
 }
 
 /// One entry of a posting list: a structural node reference.
@@ -77,6 +99,13 @@ pub struct StructRef {
 /// it and never re-annotate; code that mutates `db` directly must call
 /// `ensure_all_annotated` itself. A read that meets a violation gets
 /// [`StorageError::NotAnnotated`], never a panic.
+///
+/// **Change journal.** While a WAL is attached or a transaction is
+/// open, the store and its logical database journal the first change
+/// of every node, `(color, node)` slot and record-id slot. A commit
+/// writes only those (a *delta* catalog, see the snapshot module), an
+/// abort puts the journaled values back in place. Without a WAL or a
+/// transaction the journal is off and costs one branch per mutation.
 pub struct StoredDb<D: DiskManager = MemDisk> {
     /// The logical database (kept for construction & exact navigation).
     pub db: MctDatabase,
@@ -102,6 +131,14 @@ pub struct StoredDb<D: DiskManager = MemDisk> {
     /// [`StoredDb::commit_txn`] takes a checkpoint. `None` (the
     /// default) disables the policy.
     checkpoint_bytes: Option<u64>,
+    /// Version of the catalog the current state extends: the version
+    /// of the last catalog record written, recovered or applied.
+    catalog_version: u64,
+    /// Physical half of the change journal; `None` when off.
+    journal: Option<PhysJournal>,
+    /// The next commit must carry a full catalog: nothing durable is
+    /// known to describe the state the journal started at.
+    full_due: bool,
 }
 
 impl StoredDb<MemDisk> {
@@ -159,6 +196,7 @@ impl<D: DiskManager> StoredDb<D> {
         if let Some(wal) = pool.wal_mut() {
             wal.reset()?;
         }
+        db.stop_journal();
         let ncolors = db.palette.len();
         for i in 0..ncolors {
             db.ensure_annotated(ColorId(i as u8));
@@ -224,18 +262,54 @@ impl<D: DiskManager> StoredDb<D> {
             attr_rid,
             generation: 0,
             checkpoint_bytes: None,
+            catalog_version: 0,
+            journal: None,
+            full_due: true,
         })
     }
 
     // ----- durability ---------------------------------------------------------
 
-    /// Make the current state durable: snapshot the catalog (logical
-    /// database + physical directory) and commit it with every page
-    /// written since the last sync through the attached WAL. Returns
-    /// the commit LSN. Errors if the pool has no WAL.
+    /// Make the current state durable: commit every page written since
+    /// the last sync through the attached WAL, with a catalog record
+    /// that advances the catalog version by one. The record is a delta
+    /// of what the change journal saw since the last commit, or the
+    /// full catalog (logical database + physical directory) when there
+    /// is no journal to go by: the first commit after a build, or after
+    /// a commit that failed. Returns the commit LSN. Errors if the pool
+    /// has no WAL.
     pub fn sync(&mut self) -> mct_storage::Result<u64> {
-        let catalog = snapshot::encode(&self.db, &self.phys_catalog());
-        self.pool.commit(&catalog)
+        if !self.pool.has_wal() {
+            return Err(StorageError::Corrupt("commit without an attached WAL"));
+        }
+        let base = self.catalog_version;
+        let record = match (&self.journal, self.db.journal.as_deref()) {
+            (Some(pj), Some(j)) if !self.full_due => snapshot::encode_delta(
+                &self.db,
+                j,
+                &self.directory(),
+                [
+                    (&self.content_rid, &pj.content_rid),
+                    (&self.attr_rid, &pj.attr_rid),
+                ],
+                base,
+            ),
+            _ => snapshot::encode(&self.db, &self.phys_catalog(), base + 1),
+        };
+        match self.pool.commit(&record) {
+            Ok(lsn) => {
+                self.catalog_version = base + 1;
+                self.full_due = false;
+                self.start_journal();
+                Ok(lsn)
+            }
+            Err(e) => {
+                // The record may have reached the log all the same; a
+                // full catalog next time makes the chain unambiguous.
+                self.full_due = true;
+                Err(e)
+            }
+        }
     }
 
     /// Checkpoint the WAL: flush every committed page, fsync the data
@@ -245,8 +319,26 @@ impl<D: DiskManager> StoredDb<D> {
     /// inside an open transaction or with uncommitted dirty pages.
     /// Returns the checkpoint record's LSN.
     pub fn checkpoint(&mut self) -> mct_storage::Result<u64> {
-        let catalog = snapshot::encode(&self.db, &self.phys_catalog());
-        self.pool.checkpoint(&catalog)
+        let version = self.catalog_version + 1;
+        let catalog = snapshot::encode(&self.db, &self.phys_catalog(), version);
+        match self.pool.checkpoint(&catalog) {
+            Ok(lsn) => {
+                self.catalog_version = version;
+                self.full_due = false;
+                self.start_journal();
+                Ok(lsn)
+            }
+            Err(e) => {
+                self.full_due = true;
+                Err(e)
+            }
+        }
+    }
+
+    /// True when a WAL is attached and the current state is exactly the
+    /// last commit's: no page dirtied and no catalog change since.
+    pub fn is_synced(&self) -> bool {
+        self.pool.has_wal() && self.pool.dirty_since_commit_count() == 0 && self.journal_is_clean()
     }
 
     /// Set (or clear) the auto-checkpoint threshold in live WAL bytes.
@@ -279,8 +371,10 @@ impl<D: DiskManager> StoredDb<D> {
 
     /// Recover a database from its data disk and WAL: replay every
     /// page image up to the last durable commit, truncate any torn
-    /// tail, and rebuild the `StoredDb` from the committed catalog.
-    /// Returns `Ok(None)` when the WAL holds no commit.
+    /// tail, and rebuild the `StoredDb` from the committed catalog —
+    /// the last full catalog in the live log with every delta after it
+    /// applied in order. Returns `Ok(None)` when the WAL holds no
+    /// commit.
     pub fn open_with(
         mut data: D,
         wal_disk: Box<dyn DiskManager + Send>,
@@ -290,58 +384,42 @@ impl<D: DiskManager> StoredDb<D> {
         let Some(state) = wal.replay_into(&mut data)? else {
             return Ok(None);
         };
-        let (db, phys) = snapshot::decode(&state.catalog)?;
+        let (db, phys, version) = snapshot::decode_chain(&state.catalogs)?;
         let mut pool = BufferPool::new(data, pool_bytes);
         pool.attach_wal(wal);
-        Self::assemble(db, phys, pool).map(Some)
+        Self::assemble(db, phys, version, pool).map(Some)
     }
 
-    /// Construct a `StoredDb` from a decoded catalog over a pool whose
-    /// page file already holds the state the catalog describes.
+    /// Construct a `StoredDb` from a decoded catalog at `version` over
+    /// a pool whose page file already holds the state it describes.
     fn assemble(
         db: MctDatabase,
         phys: PhysCatalog,
+        version: u64,
         pool: BufferPool<D>,
     ) -> mct_storage::Result<StoredDb<D>> {
         let mut s = StoredDb {
             db,
             pool,
-            content_heap: HeapFile::from_parts(
-                phys.content_heap.0,
-                phys.content_heap.1,
-                phys.content_heap.2,
-            ),
-            attr_heap: HeapFile::from_parts(phys.attr_heap.0, phys.attr_heap.1, phys.attr_heap.2),
-            struct_heaps: phys
-                .struct_heaps
-                .into_iter()
-                .map(|(p, r, b)| HeapFile::from_parts(p, r, b))
-                .collect(),
-            tag_indexes: phys
-                .tag_indexes
-                .into_iter()
-                .map(|(r, e, p)| TagIndex::from_btree(BTree::from_parts(r, e, p)))
-                .collect(),
-            link_indexes: phys
-                .link_indexes
-                .into_iter()
-                .map(|(r, e, p)| BTree::from_parts(r, e, p))
-                .collect(),
-            content_index: ContentIndex::from_btree(BTree::from_parts(
-                phys.content_index.0,
-                phys.content_index.1,
-                phys.content_index.2,
-            )),
-            attr_index: ContentIndex::from_btree(BTree::from_parts(
-                phys.attr_index.0,
-                phys.attr_index.1,
-                phys.attr_index.2,
-            )),
+            content_heap: HeapFile::new(),
+            attr_heap: HeapFile::new(),
+            struct_heaps: Vec::new(),
+            tag_indexes: Vec::new(),
+            link_indexes: Vec::new(),
+            content_index: ContentIndex::from_btree(BTree::from_parts(mct_storage::PageId(0), 0, 0)),
+            attr_index: ContentIndex::from_btree(BTree::from_parts(mct_storage::PageId(0), 0, 0)),
             content_rid: phys.content_rid,
             attr_rid: phys.attr_rid,
             generation: 0,
             checkpoint_bytes: None,
+            catalog_version: version,
+            journal: None,
+            full_due: false,
         };
+        s.install_directory(phys.dir);
+        if s.pool.has_wal() {
+            s.start_journal();
+        }
         s.ensure_all_annotated()?;
         Ok(s)
     }
@@ -349,10 +427,11 @@ impl<D: DiskManager> StoredDb<D> {
     // ----- replication ----------------------------------------------------------
 
     /// Serialize the current catalog (logical database + physical
-    /// directory) — the same blob [`StoredDb::sync`] hands to the WAL
-    /// commit record. Replication ships it in snapshot frames.
+    /// directory) in full, stamped with the store's catalog version —
+    /// the blob a full commit or a checkpoint record carries.
+    /// Replication ships it in snapshot frames.
     pub fn snapshot_catalog(&self) -> Vec<u8> {
-        snapshot::encode(&self.db, &self.phys_catalog())
+        snapshot::encode(&self.db, &self.phys_catalog(), self.catalog_version)
     }
 
     /// Rebuild a `StoredDb` over `data`, a page file whose raw
@@ -364,8 +443,8 @@ impl<D: DiskManager> StoredDb<D> {
         catalog: &[u8],
         pool_bytes: usize,
     ) -> mct_storage::Result<StoredDb<D>> {
-        let (db, phys) = snapshot::decode(catalog)?;
-        Self::assemble(db, phys, BufferPool::new(data, pool_bytes))
+        let (db, phys, version) = snapshot::decode(catalog)?;
+        Self::assemble(db, phys, version, BufferPool::new(data, pool_bytes))
     }
 
     /// Apply one replicated page image (the replica's redo path).
@@ -379,14 +458,44 @@ impl<D: DiskManager> StoredDb<D> {
         self.pool.install_image(page, image)
     }
 
+    /// Check that a shipped catalog record fits this store: a full
+    /// catalog always does, a delta only when its base is this store's
+    /// catalog version — otherwise [`StorageError::CatalogBase`] (a
+    /// commit went missing on the way; the replica must re-bootstrap).
+    /// Changes nothing, so a replica can check before it installs the
+    /// commit's page images.
+    pub fn check_catalog_base(&self, catalog: &[u8]) -> mct_storage::Result<()> {
+        match snapshot::base_of(catalog)? {
+            Some(base) => snapshot::check_base(base, self.catalog_version),
+            None => Ok(()),
+        }
+    }
+
     /// Apply a replicated commit: truncate the page file to the
-    /// committed count, install the shipped catalog, and bump the
-    /// generation so plan caches and other derived state go stale.
-    /// Idempotent for checkpoint records (same catalog re-applied).
+    /// committed count, install the shipped catalog — a full one
+    /// wholesale, a delta in place — and bump the generation so plan
+    /// caches and other derived state go stale. A delta whose base is
+    /// not this store's catalog version is refused with
+    /// [`StorageError::CatalogBase`] before anything changes. Idempotent
+    /// for checkpoint records (same full catalog re-applied).
     pub fn apply_repl_commit(&mut self, num_pages: u32, catalog: &[u8]) -> mct_storage::Result<()> {
-        self.pool.truncate_pages(num_pages)?;
-        let (db, phys) = snapshot::decode(catalog)?;
-        self.install_catalog(db, phys);
+        match snapshot::Record::decode(catalog)? {
+            Record::Full(db, phys, version) => {
+                self.pool.truncate_pages(num_pages)?;
+                self.db = db;
+                self.content_rid = phys.content_rid;
+                self.attr_rid = phys.attr_rid;
+                self.install_directory(phys.dir);
+                self.catalog_version = version;
+            }
+            Record::Delta(delta) => {
+                snapshot::check_base(delta.base, self.catalog_version)?;
+                self.pool.truncate_pages(num_pages)?;
+                let dir = delta.apply(&mut self.db, &mut self.content_rid, &mut self.attr_rid)?;
+                self.install_directory(dir);
+                self.catalog_version += 1;
+            }
+        }
         self.generation += 1;
         self.ensure_all_annotated()
     }
@@ -395,25 +504,30 @@ impl<D: DiskManager> StoredDb<D> {
 
     /// Open a transaction covering both the physical pages (pool-level
     /// before-images, WAL begin/undo framing) and the logical catalog
-    /// (an in-memory snapshot held by the returned handle). Until
-    /// [`StoredDb::commit_txn`], any error, panic, or crash rolls the
-    /// whole update back:
+    /// (the change journal, which from here records the begin-time
+    /// value of everything the transaction touches; nothing is copied
+    /// up front). Until [`StoredDb::commit_txn`], any error, panic, or
+    /// crash rolls the whole update back:
     ///
     /// * [`StoredDb::abort_txn`] restores pages and catalog in place;
     /// * a crash leaves the transaction a loser for WAL recovery.
     ///
-    /// With a WAL attached, any work dirtied outside a transaction is
-    /// committed first ("clean baseline"), so the captured undo images
-    /// equal committed page contents — the precondition for recovery's
-    /// redo-then-undo to land exactly on the committed state.
+    /// With a WAL attached, any work done outside a transaction — dirty
+    /// pages or journaled catalog changes — is committed first ("clean
+    /// baseline"), so the captured undo images equal committed page
+    /// contents (the precondition for recovery's redo-then-undo to land
+    /// exactly on the committed state) and the journal starts empty.
     pub fn begin_txn(&mut self) -> mct_storage::Result<Txn> {
-        if self.pool.has_wal() && self.pool.dirty_since_commit_count() > 0 {
+        let wal = self.pool.has_wal();
+        if wal && !self.is_synced() {
             self.sync()?;
         }
         let id = NEXT_TXN_ID.fetch_add(1, Ordering::Relaxed);
-        let snapshot = snapshot::encode(&self.db, &self.phys_catalog());
         self.pool.begin_txn(id)?;
-        Ok(Txn { id, snapshot })
+        if !wal {
+            self.start_journal();
+        }
+        Ok(Txn { id })
     }
 
     /// Commit the transaction. With a WAL this is a durability point
@@ -423,10 +537,11 @@ impl<D: DiskManager> StoredDb<D> {
     /// the caller still observes all-or-nothing; if it fails after
     /// (flush error past the WAL fsync), the commit stands and the
     /// error is a plain I/O failure for recovery to repair.
-    pub fn commit_txn(&mut self, txn: Txn) -> mct_storage::Result<u64> {
+    pub fn commit_txn(&mut self, _txn: Txn) -> mct_storage::Result<u64> {
         if !self.pool.has_wal() {
-            self.pool.end_txn()?;
-            return Ok(0);
+            let ended = self.pool.end_txn();
+            self.stop_journal();
+            return ended.map(|_| 0);
         }
         match self.sync() {
             Ok(lsn) => {
@@ -438,10 +553,9 @@ impl<D: DiskManager> StoredDb<D> {
                     // The commit record never became durable: abort so
                     // a failed update leaves the store untouched.
                     let _ = self.pool.abort_txn();
-                    if let Ok((db, phys)) = snapshot::decode(&txn.snapshot) {
-                        self.install_catalog(db, phys);
-                        self.generation += 1;
-                    }
+                    self.roll_back_journal();
+                    self.start_journal();
+                    self.generation += 1;
                 }
                 Err(e)
             }
@@ -449,14 +563,16 @@ impl<D: DiskManager> StoredDb<D> {
     }
 
     /// Roll the transaction back: restore every page the transaction
-    /// touched (pool before-images), truncate its allocations, and
-    /// reinstate the begin-time logical database + physical catalog.
-    /// The generation still advances — derived state stamped mid-
-    /// transaction must read as stale.
-    pub fn abort_txn(&mut self, txn: Txn) -> mct_storage::Result<()> {
+    /// touched (pool before-images), truncate its allocations, and put
+    /// the begin-time logical database + physical catalog back in place
+    /// from the change journal. The generation still advances — derived
+    /// state stamped mid-transaction must read as stale.
+    pub fn abort_txn(&mut self, _txn: Txn) -> mct_storage::Result<()> {
         let pool_res = self.pool.abort_txn();
-        let (db, phys) = snapshot::decode(&txn.snapshot)?;
-        self.install_catalog(db, phys);
+        self.roll_back_journal();
+        if self.pool.has_wal() {
+            self.start_journal();
+        }
         self.generation += 1;
         pool_res.map(|_| ())
     }
@@ -486,48 +602,79 @@ impl<D: DiskManager> StoredDb<D> {
         }
     }
 
-    /// Reinstate a decoded catalog snapshot over the current pool (the
-    /// abort path's logical half; the pool's pages were restored by
-    /// [`BufferPool::abort_txn`]).
-    fn install_catalog(&mut self, db: MctDatabase, phys: PhysCatalog) {
-        self.db = db;
-        self.content_heap = HeapFile::from_parts(
-            phys.content_heap.0,
-            phys.content_heap.1,
-            phys.content_heap.2,
-        );
-        self.attr_heap = HeapFile::from_parts(phys.attr_heap.0, phys.attr_heap.1, phys.attr_heap.2);
-        self.struct_heaps = phys
-            .struct_heaps
-            .into_iter()
-            .map(|(p, r, b)| HeapFile::from_parts(p, r, b))
-            .collect();
-        self.tag_indexes = phys
-            .tag_indexes
-            .into_iter()
-            .map(|(r, e, p)| TagIndex::from_btree(BTree::from_parts(r, e, p)))
-            .collect();
-        self.link_indexes = phys
-            .link_indexes
-            .into_iter()
-            .map(|(r, e, p)| BTree::from_parts(r, e, p))
-            .collect();
-        self.content_index = ContentIndex::from_btree(BTree::from_parts(
-            phys.content_index.0,
-            phys.content_index.1,
-            phys.content_index.2,
-        ));
-        self.attr_index = ContentIndex::from_btree(BTree::from_parts(
-            phys.attr_index.0,
-            phys.attr_index.1,
-            phys.attr_index.2,
-        ));
-        self.content_rid = phys.content_rid;
-        self.attr_rid = phys.attr_rid;
+    // ----- change journal ---------------------------------------------------------
+
+    /// Start (or restart) both halves of the change journal at the
+    /// current state.
+    fn start_journal(&mut self) {
+        self.db.start_journal();
+        self.journal = Some(PhysJournal {
+            dir: self.directory(),
+            content_len: self.content_rid.len(),
+            attr_len: self.attr_rid.len(),
+            content_rid: BTreeMap::new(),
+            attr_rid: BTreeMap::new(),
+        });
     }
 
-    fn phys_catalog(&self) -> PhysCatalog {
-        PhysCatalog {
+    fn stop_journal(&mut self) {
+        self.db.stop_journal();
+        self.journal = None;
+    }
+
+    /// True when the journal is on and has seen no change. (The
+    /// directory only changes with pages, which the pool tracks.)
+    fn journal_is_clean(&self) -> bool {
+        self.db.journal_is_clean()
+            && self.journal.as_ref().is_some_and(|j| {
+                j.content_rid.is_empty()
+                    && j.attr_rid.is_empty()
+                    && j.content_len == self.content_rid.len()
+                    && j.attr_len == self.attr_rid.len()
+            })
+    }
+
+    /// Put everything the journal saw change back to its start-time
+    /// value and turn the journal off. No-op when it is off.
+    fn roll_back_journal(&mut self) {
+        self.db.roll_back();
+        let Some(j) = self.journal.take() else {
+            return;
+        };
+        for (rids, len, saved) in [
+            (&mut self.content_rid, j.content_len, j.content_rid),
+            (&mut self.attr_rid, j.attr_len, j.attr_rid),
+        ] {
+            rids.truncate(len);
+            for (n, rid) in saved {
+                if let Some(slot) = rids.get_mut(n as usize) {
+                    *slot = rid;
+                }
+            }
+        }
+        self.install_directory(j.dir);
+    }
+
+    /// Set node `n`'s content or attribute record id, journaling the
+    /// slot's old value first.
+    fn set_rid(&mut self, attr: bool, n: McNodeId, rid: RecordId) {
+        let (rids, saved) = if attr {
+            (&mut self.attr_rid, self.journal.as_mut().map(|j| &mut j.attr_rid))
+        } else {
+            (&mut self.content_rid, self.journal.as_mut().map(|j| &mut j.content_rid))
+        };
+        if rids.len() <= n.index() {
+            rids.resize(n.index() + 1, None);
+        }
+        if let Some(saved) = saved {
+            saved.entry(n.0).or_insert(rids[n.index()]);
+        }
+        rids[n.index()] = Some(rid);
+    }
+
+    /// The heap/index directory.
+    fn directory(&self) -> Directory {
+        Directory {
             content_heap: self.content_heap.parts(),
             attr_heap: self.attr_heap.parts(),
             struct_heaps: self.struct_heaps.iter().map(HeapFile::parts).collect(),
@@ -535,6 +682,29 @@ impl<D: DiskManager> StoredDb<D> {
             link_indexes: self.link_indexes.iter().map(BTree::parts).collect(),
             content_index: self.content_index.btree().parts(),
             attr_index: self.attr_index.btree().parts(),
+        }
+    }
+
+    /// Put a directory in place over the current pool.
+    fn install_directory(&mut self, dir: Directory) {
+        let heap = |(p, r, b): (Vec<mct_storage::PageId>, u64, u64)| HeapFile::from_parts(p, r, b);
+        let tree = |(r, e, p)| BTree::from_parts(r, e, p);
+        self.content_heap = heap(dir.content_heap);
+        self.attr_heap = heap(dir.attr_heap);
+        self.struct_heaps = dir.struct_heaps.into_iter().map(heap).collect();
+        self.tag_indexes = dir
+            .tag_indexes
+            .into_iter()
+            .map(|t| TagIndex::from_btree(tree(t)))
+            .collect();
+        self.link_indexes = dir.link_indexes.into_iter().map(tree).collect();
+        self.content_index = ContentIndex::from_btree(tree(dir.content_index));
+        self.attr_index = ContentIndex::from_btree(tree(dir.attr_index));
+    }
+
+    fn phys_catalog(&self) -> PhysCatalog {
+        PhysCatalog {
+            dir: self.directory(),
             content_rid: self.content_rid.clone(),
             attr_rid: self.attr_rid.clone(),
         }
@@ -693,13 +863,15 @@ impl<D: DiskManager> StoredDb<D> {
         let name = node.name.expect("element named");
         if let Some(content) = &node.content {
             let rec = encode_content(n, content);
-            self.content_rid[n.index()] = Some(self.content_heap.insert(&self.pool, &rec)?);
+            let rid = self.content_heap.insert(&self.pool, &rec)?;
+            self.set_rid(false, n, rid);
             self.content_index
                 .insert(&self.pool, content, u64::from(n.0))?;
         }
         if !node.attrs.is_empty() {
             let rec = encode_attrs(n, &node.attrs);
-            self.attr_rid[n.index()] = Some(self.attr_heap.insert(&self.pool, &rec)?);
+            let rid = self.attr_heap.insert(&self.pool, &rec)?;
+            self.set_rid(true, n, rid);
             for (s, v) in &node.attrs {
                 let key = format!("{}={}", self.db.names.resolve(*s), v);
                 self.attr_index.insert(&self.pool, &key, u64::from(n.0))?;
@@ -734,19 +906,18 @@ impl<D: DiskManager> StoredDb<D> {
             self.content_index.remove(&self.pool, old, u64::from(n.0))?;
         }
         let rec = encode_content(n, new);
-        match self.content_rid.get(n.index()).copied().flatten() {
-            Some(rid) => {
-                // The record may relocate when it grows past its page.
-                let new_rid = self.content_heap.update(&self.pool, rid, &rec)?;
-                self.content_rid[n.index()] = Some(new_rid);
-            }
+        let rid = match self.content_rid.get(n.index()).copied().flatten() {
+            // The record may relocate when it grows past its page.
+            Some(rid) => self.content_heap.update(&self.pool, rid, &rec)?,
             None => {
                 if self.content_rid.len() < self.db.len() {
                     self.content_rid.resize(self.db.len(), None);
                 }
-                self.content_rid[n.index()] =
-                    Some(self.content_heap.insert(&self.pool, &rec)?);
+                self.content_heap.insert(&self.pool, &rec)?
             }
+        };
+        if self.content_rid[n.index()] != Some(rid) {
+            self.set_rid(false, n, rid);
         }
         self.content_index.insert(&self.pool, new, u64::from(n.0))?;
         Ok(())
@@ -1350,6 +1521,97 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(fingerprint(&mut r), before);
+    }
+
+    /// An abort puts back the begin-time catalog byte for byte, with a
+    /// WAL and without, after value, structure and color changes.
+    #[test]
+    fn txn_abort_restores_the_catalog_bytes() {
+        for wal in [false, true] {
+            let mut s = if wal {
+                StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap()
+            } else {
+                StoredDb::build_on(BufferPool::new(MemDisk::new(), 4 * 1024 * 1024), small_db())
+                    .unwrap()
+            };
+            if wal {
+                s.sync().unwrap();
+            }
+            let txn = s.begin_txn().unwrap();
+            let at_begin = s.snapshot_catalog();
+            mutate_everything(&mut s).unwrap();
+            let blue = s.db.add_color("blue");
+            let b = s.db.new_element("blue-root", blue);
+            s.db.append_child(McNodeId::DOCUMENT, b, blue);
+            s.ensure_all_annotated().unwrap();
+            assert_ne!(s.snapshot_catalog(), at_begin);
+            s.abort_txn(txn).unwrap();
+            assert!(s.snapshot_catalog() == at_begin, "wal={wal}: abort left another catalog");
+            assert!(s.check().unwrap().is_ok());
+        }
+    }
+
+    /// Commits after the first are deltas; recovery rebuilds the same
+    /// catalog from the full one and the chain, also across a
+    /// checkpoint; a delta that does not extend a store's catalog is
+    /// refused before anything changes.
+    #[test]
+    fn delta_chain_recovers_byte_exact_and_refuses_a_foreign_base() {
+        let mut s = StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap();
+        s.sync().unwrap();
+        let reopen = |s: &mut StoredDb| {
+            let mut data = MemDisk::new();
+            let mut buf = [0u8; PAGE_SIZE];
+            for p in 0..s.pool.num_pages() {
+                s.pool.read_page_raw(mct_storage::PageId(p), &mut buf).unwrap();
+                data.allocate().unwrap();
+                data.write(mct_storage::PageId(p), &buf).unwrap();
+            }
+            let records = s
+                .pool
+                .with_wal(|w| w.read_committed_after(&mut mct_storage::TailCursor::new(), 0, u64::MAX))
+                .unwrap()
+                .0;
+            let mut fresh = Wal::create(Box::new(MemDisk::new())).unwrap();
+            for r in records {
+                if let mct_storage::ReplRecord::Commit { num_pages, catalog, .. } = r {
+                    fresh.append_commit(num_pages, &catalog).unwrap();
+                }
+            }
+            StoredDb::open_with(data, fresh.into_disk(), 4 * 1024 * 1024)
+                .unwrap()
+                .unwrap()
+                .snapshot_catalog()
+        };
+        let txn = s.begin_txn().unwrap();
+        mutate_everything(&mut s).unwrap();
+        s.commit_txn(txn).unwrap();
+        let stale = s.snapshot_catalog();
+        assert_eq!(reopen(&mut s), s.snapshot_catalog());
+        s.checkpoint().unwrap();
+        let n = s.content_lookup("Movie 1").unwrap()[0];
+        s.update_content(n, "After the checkpoint").unwrap();
+        s.sync().unwrap();
+        assert_eq!(reopen(&mut s), s.snapshot_catalog());
+
+        // A delta on another base: refused, nothing changed.
+        let mut other = StoredDb::from_snapshot(MemDisk::new(), &stale, 4 * 1024 * 1024).unwrap();
+        let mut cursor = mct_storage::TailCursor::new();
+        let (records, _) = s
+            .pool
+            .with_wal(|w| w.read_committed_after(&mut cursor, 0, u64::MAX))
+            .unwrap();
+        let delta = records
+            .into_iter()
+            .rev()
+            .find_map(|r| match r {
+                mct_storage::ReplRecord::Commit { catalog, checkpoint: false, .. } => Some(catalog),
+                _ => None,
+            })
+            .unwrap();
+        let err = other.apply_repl_commit(0, &delta).unwrap_err();
+        assert!(matches!(err, StorageError::CatalogBase { .. }), "{err}");
+        assert!(other.snapshot_catalog() == stale);
     }
 
     #[test]

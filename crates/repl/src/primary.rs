@@ -5,9 +5,11 @@
 //! ## Snapshot cut
 //!
 //! A snapshot must capture *exactly* the committed state at one LSN.
-//! The cut runs under the database **write** lock: `sync()` if any
-//! page is dirty (so the pages equal the committed state), then copy
-//! every raw page and the catalog into memory. The frames stream
+//! The cut runs under the database **write** lock: `sync()` unless the
+//! store is exactly its last commit (so the pages and the catalog
+//! equal the committed state at the snapshot's LSN, and the next
+//! catalog delta extends the snapshot's version), then copy every raw
+//! page and the catalog into memory. The frames stream
 //! *after* the lock drops — a bootstrap never blocks the primary for
 //! longer than one memory-speed page copy.
 //!
@@ -350,8 +352,7 @@ where
         // the write lock, stream it after the lock drops.
         let (snap_lsn, num_pages, pages, catalog) = {
             let mut dbw = db.write().unwrap_or_else(PoisonError::into_inner);
-            let committed = dbw.pool.with_wal(|w| Ok(w.committed_lsn())).map_err(sio)?;
-            if dbw.pool.dirty_since_commit_count() > 0 || committed == 0 {
+            if !dbw.is_synced() {
                 dbw.sync().map_err(sio)?;
             }
             let snap_lsn = dbw.pool.with_wal(|w| Ok(w.committed_lsn())).map_err(sio)?;

@@ -11,6 +11,12 @@
 //! side therefore only ever observe committed prefixes — the same
 //! atomicity the primary's own readers get from its commit path.
 //!
+//! Most commits carry a catalog *delta* against the previous one.
+//! Before installing a batch the replica checks that the delta's base
+//! is its own catalog version ([`StoredDb::check_catalog_base`]); if
+//! not, a commit went missing, nothing of the batch is applied, and
+//! the replica re-bootstraps from a snapshot.
+//!
 //! ## Reconnect
 //!
 //! On any stream error the replica reconnects with capped exponential
@@ -18,12 +24,13 @@
 //! `RESUME` when that LSN is still inside its live log; otherwise
 //! (checkpoint truncation outran us) it sends a fresh snapshot and the
 //! replica swaps in a whole new store, lifting the generation past the
-//! old one so plan caches cannot serve stale plans.
+//! old one so plan caches cannot serve stale plans. After a refused
+//! delta the replica presents LSN 0, which always gets a snapshot.
 
 use crate::proto::{self, Frame};
 use mct_core::StoredDb;
 use mct_obs::{Counter, Gauge};
-use mct_storage::{DiskManager, MemDisk, PageId};
+use mct_storage::{DiskManager, MemDisk, PageId, StorageError};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -140,8 +147,21 @@ fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-fn sio(e: mct_storage::StorageError) -> io::Error {
+fn sio(e: StorageError) -> io::Error {
     io::Error::other(format!("storage: {e}"))
+}
+
+/// Carry a refused catalog delta through `io::Error` so the applier
+/// can tell it from a broken connection.
+fn stale_base(e: StorageError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+fn is_stale_base(e: &io::Error) -> bool {
+    matches!(
+        e.get_ref().and_then(|inner| inner.downcast_ref::<StorageError>()),
+        Some(StorageError::CatalogBase { .. })
+    )
 }
 
 /// Read a full snapshot (after its `SnapBegin`) into a fresh store.
@@ -290,7 +310,10 @@ fn applier_loop(engine: &Engine, mut stream: TcpStream) {
     loop {
         match pump(engine, &mut stream) {
             Ok(()) => return, // clean shutdown
-            Err(_) => {
+            Err(e) => {
+                // A refused delta means our catalog is not the one the
+                // stream extends: only a snapshot can repair that.
+                let rebootstrap = is_stale_base(&e);
                 if engine.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
@@ -302,7 +325,11 @@ fn applier_loop(engine: &Engine, mut stream: TcpStream) {
                     if engine.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    let applied = engine.applied.load(Ordering::SeqCst);
+                    let applied = if rebootstrap {
+                        0
+                    } else {
+                        engine.applied.load(Ordering::SeqCst)
+                    };
                     match handshake(&engine.cfg, &engine.shutdown, applied) {
                         Ok((s, http, snap)) => {
                             *engine
@@ -356,6 +383,7 @@ fn pump(engine: &Engine, stream: &mut TcpStream) -> io::Result<()> {
             } => {
                 {
                     let mut db = engine.db.write().unwrap_or_else(PoisonError::into_inner);
+                    db.check_catalog_base(&catalog).map_err(stale_base)?;
                     for (page, image) in pending.drain(..) {
                         db.apply_repl_image(page, &image).map_err(sio)?;
                     }

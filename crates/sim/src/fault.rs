@@ -8,7 +8,10 @@
 //! failure the store must sit at exactly the pre- or post-image of the
 //! op (commit-point atomicity), pass `mctck`, and — when rolled back —
 //! accept a clean re-execution that lands on the oracle's committed
-//! state.
+//! state. At the end of the case the store is dropped without a
+//! checkpoint and recovered from its own (faulted) disks: recovery —
+//! the last full catalog in the log plus the chain of catalog deltas
+//! after it — must land on the last committed state and pass `mctck`.
 
 use mct_core::{McNodeId, MctDatabase, StoredDb};
 use mct_query::ast::UpdateStmt;
@@ -100,10 +103,30 @@ pub fn run_fault_case(
 
     injector.disarm();
     check_clean(&faulted, None, "at end of case")?;
-    if digest(&faulted.db) != digest(&oracle.db) {
+    let committed = digest(&faulted.db);
+    if committed != digest(&oracle.db) {
         return Err(div(
             None,
             "final faulted-store state differs from oracle".to_string(),
+        ));
+    }
+    recover_and_compare(faulted, &committed)
+}
+
+/// Drop the store and recover it from its own disks: the result must
+/// be the last committed state, `committed`, and check clean.
+fn recover_and_compare(faulted: Faulted, committed: &str) -> Result<(), Divergence> {
+    let recovery = |e: String| div(None, format!("recovery: {e}"));
+    let (data, wal) = faulted.pool.into_parts();
+    let wal = wal.ok_or_else(|| recovery("the store lost its WAL".to_string()))?;
+    let recovered = StoredDb::open_with(data, wal.into_disk(), POOL_BYTES)
+        .map_err(|e| recovery(e.to_string()))?
+        .ok_or_else(|| recovery("no durable commit".to_string()))?;
+    check_clean(&recovered, None, "after recovery")?;
+    if digest(&recovered.db) != committed {
+        return Err(div(
+            None,
+            "recovered store differs from the last committed state".to_string(),
         ));
     }
     Ok(())

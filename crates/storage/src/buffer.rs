@@ -1227,7 +1227,7 @@ mod tests {
         let (mut data, wal) = p.into_parts();
         let mut wal = wal.unwrap();
         let state = wal.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(state.catalog, b"cat");
+        assert_eq!(state.catalog(), b"cat");
         assert_eq!(state.num_pages, 30);
         let rp = BufferPool::new(data, 8 * PAGE_SIZE);
         for (i, &id) in ids.iter().enumerate() {
@@ -1359,7 +1359,7 @@ mod tests {
         let (mut data, wal) = p.into_parts();
         let mut wal = wal.unwrap();
         let st = wal.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"base");
+        assert_eq!(st.catalog(), b"base");
         assert_eq!(st.losers, vec![9]);
         assert!(st.undos_applied > 0);
         assert_eq!(data.num_pages(), ids.len() as u32, "loser allocation gone");

@@ -44,6 +44,14 @@ pub enum StorageError {
     /// A read met a color tree whose interval codes are stale, or a
     /// color without its structural heap and indexes.
     NotAnnotated,
+    /// A delta catalog record applies to another catalog version than
+    /// the store holds (a replica missed a commit): nothing was applied.
+    CatalogBase {
+        /// The version the delta applies to.
+        base: u64,
+        /// The version the store holds.
+        version: u64,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -66,6 +74,10 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt(what) => write!(f, "corrupt page: {what}"),
             StorageError::Cancelled => write!(f, "operation cancelled"),
             StorageError::NotAnnotated => write!(f, "color tree not annotated"),
+            StorageError::CatalogBase { base, version } => write!(
+                f,
+                "catalog delta applies to version {base}, the store holds version {version}"
+            ),
         }
     }
 }

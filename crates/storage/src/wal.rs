@@ -7,7 +7,8 @@
 //! * **page image** — the full post-write contents of one data page;
 //! * **commit** — marks every preceding image as durable, and carries
 //!   the committed data-file page count plus an opaque catalog blob
-//!   (the database's logical + physical metadata snapshot);
+//!   (the database's logical + physical metadata: in `mct-core`, the
+//!   full catalog or a delta against the previous commit's);
 //! * **txn begin** — opens a transaction (txn id);
 //! * **undo** — the full *before*-image of a page about to be dirtied
 //!   by an open transaction (txn id + page + image);
@@ -23,9 +24,11 @@
 //! ([`Wal::replay_into`]) redoes every page image written before the
 //! *last* commit record, in log order, truncates the data file to the
 //! committed page count — dropping both torn data-page writes and
-//! pages allocated by an uncommitted build — and then **undoes
-//! losers**: any transaction whose begin record sits after the last
-//! commit never committed, so its undo images (captured against the
+//! pages allocated by an uncommitted build — returns the catalog blob
+//! of every commit in the live log (oldest first: the caller may chain
+//! deltas onto the last full catalog), and then **undoes losers**: any
+//! transaction whose begin record sits after the last commit never
+//! committed, so its undo images (captured against the
 //! committed baseline) are applied in reverse log order, wiping
 //! whatever the losing transaction managed to evict to the data file.
 //!
@@ -129,11 +132,14 @@ const HDR_BODY: usize = 4 + 8 + 8;
 /// Outcome of scanning the log: the state the last commit captured.
 #[derive(Debug)]
 pub struct CommittedState {
-    /// Data-file page count at the commit.
+    /// Data-file page count at the last commit.
     pub num_pages: u32,
-    /// Catalog blob stored with the commit.
-    pub catalog: Vec<u8>,
-    /// LSN of the commit record.
+    /// The catalog blob of every commit and checkpoint record in the
+    /// live log, oldest first (so never empty). The log does not read
+    /// them: a database that writes full catalogs and deltas rebuilds
+    /// its catalog from the last full one and the deltas after it.
+    pub catalogs: Vec<Vec<u8>>,
+    /// LSN of the last commit record.
     pub lsn: u64,
     /// Ids of loser transactions (begun after the last commit and
     /// never committed) whose undo images were applied.
@@ -164,6 +170,13 @@ pub enum ReplRecord {
         /// catalog re-describes already-applied state).
         checkpoint: bool,
     },
+}
+
+impl CommittedState {
+    /// The catalog blob of the last commit.
+    pub fn catalog(&self) -> &[u8] {
+        self.catalogs.last().map_or(&[], Vec::as_slice)
+    }
 }
 
 impl ReplRecord {
@@ -359,6 +372,11 @@ impl Wal {
                 self.parse_record_at(cursor.offset)?,
                 Some((_, lsn, _)) if lsn > cursor.last_lsn
             );
+        } else if valid {
+            // At the committed end the cursor must have consumed the
+            // last commit itself: a relocation can end its fresh copy
+            // exactly where the stale cursor points.
+            valid = cursor.last_lsn >= self.last_commit_lsn;
         }
         if !valid {
             cursor.offset = self.start;
@@ -620,14 +638,17 @@ impl Wal {
     /// before-images in reverse log order (skipping pages past the
     /// committed count, which the truncate already dropped), so pages
     /// the loser evicted to the data file return to their committed
-    /// contents. Finally sync `target`. Returns the committed state,
-    /// or `None` when the log holds no commit (nothing durable).
+    /// contents. Finally sync `target`. Returns the committed state —
+    /// with the catalog blob of every commit in the live log, so a
+    /// caller that logs catalog deltas can rebuild from them — or
+    /// `None` when the log holds no commit (nothing durable).
     pub fn replay_into(&mut self, target: &mut dyn DiskManager) -> Result<Option<CommittedState>> {
         let Some(commit_end) = self.last_commit_end else {
             return Ok(None);
         };
         let mut off = self.start;
-        let mut committed: Option<(u32, Vec<u8>, u64)> = None;
+        let mut committed: Option<(u32, u64)> = None;
+        let mut catalogs = Vec::new();
         while off < commit_end {
             let (kind, lsn, total) = self
                 .parse_record_at(off)?
@@ -653,7 +674,8 @@ impl Wal {
                     if payload.len() < 8 + cat_len {
                         return Err(StorageError::Corrupt("WAL commit payload truncated"));
                     }
-                    committed = Some((num_pages, payload[8..8 + cat_len].to_vec(), lsn));
+                    committed = Some((num_pages, lsn));
+                    catalogs.push(payload[8..8 + cat_len].to_vec());
                     wal_counters().replay_commits_seen.inc();
                 }
                 // Txn framing before the last commit belongs to
@@ -664,7 +686,7 @@ impl Wal {
             }
             off += total;
         }
-        let (num_pages, catalog, lsn) =
+        let (num_pages, lsn) =
             committed.ok_or(StorageError::Corrupt("WAL commit marker unreadable"))?;
         target.truncate(num_pages)?;
 
@@ -718,7 +740,7 @@ impl Wal {
         target.sync_data()?;
         Ok(Some(CommittedState {
             num_pages,
-            catalog,
+            catalogs,
             lsn,
             losers,
             undos_applied,
@@ -838,11 +860,31 @@ mod tests {
         let mut data = MemDisk::new();
         let state = wal.replay_into(&mut data).unwrap().unwrap();
         assert_eq!(state.num_pages, 2);
-        assert_eq!(state.catalog, b"catalog-v1");
+        assert_eq!(state.catalog(), b"catalog-v1");
         assert_eq!(data.num_pages(), 2);
         let mut buf = [0u8; PAGE_SIZE];
         data.read(PageId(1), &mut buf).unwrap();
         assert_eq!(buf[100], 2);
+    }
+
+    #[test]
+    fn replay_returns_every_live_catalog_oldest_first() {
+        let mut wal = Wal::create(Box::new(MemDisk::new())).unwrap();
+        for (i, cat) in [b"c1", b"c2", b"c3"].iter().enumerate() {
+            wal.append_image(PageId(0), &image(i as u8)).unwrap();
+            wal.append_commit(1, *cat).unwrap();
+        }
+        wal.append_image(PageId(0), &image(9)).unwrap(); // uncommitted
+        let mut data = MemDisk::new();
+        let st = wal.replay_into(&mut data).unwrap().unwrap();
+        assert_eq!(st.catalogs, vec![b"c1".to_vec(), b"c2".to_vec(), b"c3".to_vec()]);
+        // A checkpoint ends the chain before it: the live log starts there.
+        wal.checkpoint(1, b"k").unwrap();
+        wal.append_commit(1, b"d1").unwrap();
+        let mut reopened = Wal::open(Box::new(clone_pages(&mut wal))).unwrap();
+        let st = reopened.replay_into(&mut data).unwrap().unwrap();
+        assert_eq!(st.catalogs, vec![b"k".to_vec(), b"d1".to_vec()]);
+        assert_eq!(st.catalog(), b"d1");
     }
 
     #[test]
@@ -857,7 +899,7 @@ mod tests {
 
         let mut data = MemDisk::new();
         let state = wal.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(state.catalog, b"c2");
+        assert_eq!(state.catalog(), b"c2");
         let mut buf = [0u8; PAGE_SIZE];
         data.read(PageId(0), &mut buf).unwrap();
         assert_eq!(buf[0], 9, "replay stops at the last commit");
@@ -967,7 +1009,7 @@ mod tests {
             wal.sync().unwrap();
             let mut data = MemDisk::new();
             let st = wal.replay_into(&mut data).unwrap().unwrap();
-            assert_eq!(st.catalog, b"first");
+            assert_eq!(st.catalog(), b"first");
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -1003,7 +1045,7 @@ mod tests {
         assert_eq!(reopened.end, keep, "log ends exactly at the commit");
         let mut data = MemDisk::new();
         let st = reopened.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"c2", "the commit at the torn tail survives");
+        assert_eq!(st.catalog(), b"c2", "the commit at the torn tail survives");
         let mut buf = [0u8; PAGE_SIZE];
         data.read(PageId(0), &mut buf).unwrap();
         assert_eq!(buf[0], 2);
@@ -1029,7 +1071,7 @@ mod tests {
         assert!(reopened.end >= keep);
         let mut data = MemDisk::new();
         let st = reopened.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"c1", "torn commit must not win");
+        assert_eq!(st.catalog(), b"c1", "torn commit must not win");
         let mut buf = [0u8; PAGE_SIZE];
         data.read(PageId(0), &mut buf).unwrap();
         assert_eq!(buf[0], 1, "image past the surviving commit is not redone");
@@ -1128,7 +1170,7 @@ mod tests {
         assert_eq!(reopened.end, wal.end, "stale tail bytes are fenced");
         let mut data = MemDisk::new();
         let st = reopened.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"ckpt");
+        assert_eq!(st.catalog(), b"ckpt");
         assert_eq!(st.num_pages, 1);
     }
 
@@ -1152,7 +1194,7 @@ mod tests {
         data.allocate().unwrap();
         data.write(PageId(0), &image(1)).unwrap();
         let st = reopened.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"after");
+        assert_eq!(st.catalog(), b"after");
         assert_eq!(st.num_pages, 2);
         let mut buf = [0u8; PAGE_SIZE];
         data.read(PageId(0), &mut buf).unwrap();
@@ -1176,7 +1218,7 @@ mod tests {
         assert_eq!(reopened.start_offset(), wal.start_offset());
         let mut data = MemDisk::new();
         let st = reopened.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, big_catalog);
+        assert_eq!(st.catalog(), big_catalog);
 
         // Push the end far enough out and checkpoint again: now the
         // front is free and the log snaps back.
@@ -1191,7 +1233,7 @@ mod tests {
         data2.allocate().unwrap();
         data2.write(PageId(0), &image(2)).unwrap();
         let st2 = reopened2.replay_into(&mut data2).unwrap().unwrap();
-        assert_eq!(st2.catalog, b"k2");
+        assert_eq!(st2.catalog(), b"k2");
     }
 
     #[test]
@@ -1252,7 +1294,7 @@ mod tests {
             .replay_into(&mut MemDisk::new())
             .unwrap()
             .expect("old prefix + new record both intact");
-        assert_eq!(st.catalog, b"kk", "checkpoint is the last commit-like record");
+        assert_eq!(st.catalog(), b"kk", "checkpoint is the last commit-like record");
 
         // Step 2: publish start = X.
         wal.publish_start(x).unwrap();
@@ -1264,7 +1306,7 @@ mod tests {
         data.allocate().unwrap();
         data.write(PageId(0), &image(6)).unwrap();
         let st = snap.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"kk");
+        assert_eq!(st.catalog(), b"kk");
 
         // Step 3: relocated record at FRONT, before its header.
         wal.end = FRONT;
@@ -1275,7 +1317,7 @@ mod tests {
         data.allocate().unwrap();
         data.write(PageId(0), &image(6)).unwrap();
         let st = snap.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"kk", "record at X is still intact");
+        assert_eq!(st.catalog(), b"kk", "record at X is still intact");
 
         // Step 4: publish start = FRONT (truncate not yet run).
         wal.publish_start(FRONT).unwrap();
@@ -1288,7 +1330,7 @@ mod tests {
         data.allocate().unwrap();
         data.write(PageId(0), &image(6)).unwrap();
         let st = snap.replay_into(&mut data).unwrap().unwrap();
-        assert_eq!(st.catalog, b"kk");
+        assert_eq!(st.catalog(), b"kk");
     }
 
     #[test]
@@ -1310,7 +1352,7 @@ mod tests {
             let mut data = MemDisk::new();
             data.allocate().unwrap();
             let st = reopened.replay_into(&mut data).unwrap().unwrap();
-            assert_eq!(st.catalog, b"new");
+            assert_eq!(st.catalog(), b"new");
             let mut buf = [0u8; PAGE_SIZE];
             data.read(PageId(0), &mut buf).unwrap();
             assert_eq!(buf[0], 10 + i);
@@ -1404,6 +1446,31 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         data.read(PageId(0), &mut buf).unwrap();
         assert_eq!(buf[0], 42);
+    }
+
+    /// Two checkpoints of the same size in a row: the second relocates
+    /// its record to end exactly at the offset a drained cursor holds.
+    /// The cursor must still see the new record, not "caught up".
+    #[test]
+    fn tail_sees_a_relocation_that_ends_at_its_offset() {
+        let mut wal = Wal::create(Box::new(MemDisk::new())).unwrap();
+        let mut cursor = TailCursor::new();
+        let (mut data, mut applied, mut catalog) = (MemDisk::new(), 0u64, Vec::new());
+        wal.append_image(PageId(0), &image(1)).unwrap();
+        wal.append_commit(1, b"c").unwrap();
+        wal.checkpoint(1, b"k1").unwrap();
+        assert_eq!(wal.start_offset(), FRONT, "relocated");
+        let (recs, _) = wal.read_committed_after(&mut cursor, applied, u64::MAX).unwrap();
+        apply_tail(&recs, &mut data, &mut applied, &mut catalog);
+        assert_eq!(catalog, b"k1");
+
+        wal.checkpoint(1, b"k2").unwrap();
+        assert_eq!(wal.start_offset(), FRONT, "relocated onto the same span");
+        let (recs, remaining) = wal.read_committed_after(&mut cursor, applied, u64::MAX).unwrap();
+        apply_tail(&recs, &mut data, &mut applied, &mut catalog);
+        assert_eq!(remaining, 0);
+        assert_eq!(catalog, b"k2", "the second checkpoint reached the reader");
+        assert_eq!(applied, wal.committed_lsn());
     }
 
     /// A fresh cursor (new replica) over a relocated log starts from

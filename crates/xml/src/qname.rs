@@ -82,6 +82,16 @@ impl Interner {
         self.strings.is_empty()
     }
 
+    /// Forget every string interned after the first `len`, so the
+    /// interner is what it was when [`Self::len`] returned `len`
+    /// (a rollback). No-op when `len >= self.len()`.
+    pub fn truncate(&mut self, len: usize) {
+        let from = len.min(self.strings.len());
+        for s in self.strings.drain(from..) {
+            self.map.remove(&s);
+        }
+    }
+
     /// Iterate over `(Sym, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
         self.strings
@@ -120,6 +130,21 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(i.resolve(a), "movie");
         assert_eq!(i.resolve(b), "actor");
+    }
+
+    #[test]
+    fn truncate_forgets_later_strings_and_reinterns_them_in_order() {
+        let mut i = Interner::new();
+        let a = i.intern("a");
+        i.intern("b");
+        i.intern("c");
+        i.truncate(1);
+        assert_eq!(i.len(), 1);
+        assert_eq!(i.get("b"), None);
+        assert_eq!(i.get("a"), Some(a));
+        assert_eq!(i.intern("c"), Sym(1), "symbols are handed out again from the cut");
+        i.truncate(9);
+        assert_eq!(i.len(), 2);
     }
 
     #[test]

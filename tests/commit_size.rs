@@ -1,0 +1,98 @@
+//! Commits are O(change): a one-value update on a WAL-attached TPC-W
+//! store appends the same few page images and a small catalog delta to
+//! its log whatever the document's size, and opening the transaction
+//! encodes nothing.
+//!
+//! The catalog counters (`catalog.encodes.*`) are process-global, so
+//! this binary holds a single `#[test]`.
+
+use mct_core::{McNodeId, StoredDb};
+use mct_storage::{BufferPool, MemDisk, ReplRecord, TailCursor, Wal};
+use mct_workloads::{TpcwConfig, TpcwData};
+
+const POOL: usize = 64 << 20;
+/// What one replace-value commit may append to the log: a handful of
+/// 8 KiB page images and their before-images, plus the catalog delta.
+const COMMIT_BUDGET: u64 = 64 * 1024;
+/// What its catalog record may take: the touched node and record-id
+/// slots plus the heap/index directory.
+const CATALOG_BUDGET: usize = 8 * 1024;
+
+fn wal_len(s: &StoredDb) -> u64 {
+    s.pool.with_wal(|w| Ok(w.len_bytes())).unwrap()
+}
+
+fn encodes(kind: &str) -> u64 {
+    mct_obs::counter(&format!("catalog.encodes.{kind}")).get()
+}
+
+/// One same-length replace-value commit at `scale`: the log bytes it
+/// appended, the bytes `begin_txn` alone appended, the size of the
+/// commit's catalog record, and the store's node count.
+fn one_update(scale: f64) -> (u64, u64, usize, usize) {
+    let tpcw = TpcwData::generate(&TpcwConfig { scale, seed: 42 });
+    let mut pool = BufferPool::new(MemDisk::new(), POOL);
+    pool.attach_wal(Wal::create(Box::new(MemDisk::new())).unwrap());
+    let mut s = StoredDb::build_on(pool, tpcw.build_mct()).unwrap();
+    s.sync().unwrap();
+    let elements = s.db.len();
+    let cost = (0..s.db.len() as u32)
+        .map(McNodeId)
+        .find(|&n| s.db.name_str(n) == Some("cost"))
+        .expect("TPC-W has item costs");
+    // Bump the last digit: the new content-index key sorts next to the
+    // old one, so the update rewrites the pages it found the old value
+    // in (a key that lands in another, full leaf splits it and adds
+    // two page images — pages, not catalog).
+    let mut new = s.db.content(cost).unwrap().to_string();
+    let last = new.pop().expect("costs are not empty");
+    new.push(if last == '9' { '8' } else { (last as u8 + 1) as char });
+
+    let (full, delta) = (encodes("full"), encodes("delta"));
+    let before = wal_len(&s);
+    let lsn = s.pool.with_wal(|w| Ok(w.committed_lsn())).unwrap();
+    let txn = s.begin_txn().unwrap();
+    let begun = wal_len(&s) - before;
+    s.update_content(cost, &new).unwrap();
+    s.commit_txn(txn).unwrap();
+    let committed = wal_len(&s) - before;
+    assert_eq!(encodes("full"), full, "begin + commit encoded a full catalog");
+    assert_eq!(encodes("delta"), delta + 1, "the commit carries one delta");
+    assert_eq!(s.fetch_content(cost).unwrap().as_deref(), Some(new.as_str()));
+    let (records, _) = s
+        .pool
+        .with_wal(|w| w.read_committed_after(&mut TailCursor::new(), lsn, u64::MAX))
+        .unwrap();
+    let catalog = records
+        .iter()
+        .find_map(|r| match r {
+            ReplRecord::Commit { catalog, .. } => Some(catalog.len()),
+            ReplRecord::Image { .. } => None,
+        })
+        .expect("the commit record");
+    (committed, begun, catalog, elements)
+}
+
+#[test]
+fn one_value_commit_appends_o_change_to_the_log_at_any_scale() {
+    for scale in [0.05, 0.5] {
+        let (committed, begun, catalog, elements) = one_update(scale);
+        eprintln!(
+            "scale {scale}: {elements} nodes, begin {begun} B, commit {committed} B \
+             (catalog {catalog} B)"
+        );
+        assert!(
+            begun <= 64,
+            "scale {scale}: begin_txn appended {begun} bytes (one txn-begin record is 28)"
+        );
+        assert!(
+            committed <= COMMIT_BUDGET,
+            "scale {scale}: one replace-value commit appended {committed} bytes \
+             (> {COMMIT_BUDGET}) to the log of a {elements}-node store"
+        );
+        assert!(
+            catalog <= CATALOG_BUDGET,
+            "scale {scale}: the commit's catalog record is {catalog} bytes"
+        );
+    }
+}

@@ -15,10 +15,16 @@ use colorful_xml::query::ops::{naive_structural_join, structural_join, Rel, Tupl
 use colorful_xml::query::plan::plan_path;
 use colorful_xml::query::{eval, parse_query, EvalContext, Expr, Item};
 use colorful_xml::serialize::{emit_exchange, reconstruct, SerializationScheme};
-use colorful_xml::storage::{BTree, BufferPool, IntervalCode, MemDisk, PAGE_SIZE};
+use colorful_xml::storage::{
+    BTree, BufferPool, DiskManager, IntervalCode, MemDisk, PageId, ReplRecord, TailCursor, Wal,
+    PAGE_SIZE,
+};
 use colorful_xml::xml::{parse, write_document, Document, NodeId, WriteOptions};
 use mct_core::StructRef;
+use mct_query::execute_update_with;
+use mct_sim::{gen_doc, gen_update, DocSpec};
 use mct_workloads::rng::XorShiftRng;
+use std::sync::{Arc, Mutex};
 
 /// One failure-reporting path for every generator in this suite.
 ///
@@ -433,5 +439,208 @@ fn planner_equals_interpreter() {
                 .collect();
             fail_with_seed!(eq seed, via_plan, via_interp, "query {q}");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Catalog records: the live store, recovery and a replica agree byte for byte
+// ---------------------------------------------------------------------------
+
+/// A MemDisk the test can copy while a store owns it.
+#[derive(Clone, Default)]
+struct SharedDisk(Arc<Mutex<MemDisk>>);
+
+impl SharedDisk {
+    fn copy(&self) -> MemDisk {
+        let mut d = self.0.lock().unwrap();
+        let mut out = MemDisk::new();
+        let mut buf = [0u8; PAGE_SIZE];
+        for p in 0..d.num_pages() {
+            d.read(PageId(p), &mut buf).unwrap();
+            out.allocate().unwrap();
+            out.write(PageId(p), &buf).unwrap();
+        }
+        out
+    }
+}
+
+impl DiskManager for SharedDisk {
+    fn allocate(&mut self) -> colorful_xml::storage::Result<PageId> {
+        self.0.lock().unwrap().allocate()
+    }
+    fn read(&mut self, id: PageId, buf: &mut [u8]) -> colorful_xml::storage::Result<()> {
+        self.0.lock().unwrap().read(id, buf)
+    }
+    fn write(&mut self, id: PageId, buf: &[u8]) -> colorful_xml::storage::Result<()> {
+        self.0.lock().unwrap().write(id, buf)
+    }
+    fn num_pages(&self) -> u32 {
+        self.0.lock().unwrap().num_pages()
+    }
+    fn truncate(&mut self, num_pages: u32) -> colorful_xml::storage::Result<()> {
+        self.0.lock().unwrap().truncate(num_pages)
+    }
+}
+
+const CATALOG_POOL: usize = 1 << 20;
+
+/// Where two catalogs first differ, or `None` when they are equal.
+fn first_difference(a: &[u8], b: &[u8]) -> Option<String> {
+    (a != b).then(|| {
+        let at = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        format!("{} vs {} bytes, first difference at byte {at}", a.len(), b.len())
+    })
+}
+
+/// Ship every committed record past `applied` to `replica` the way the
+/// replication stream does: images wait for their commit, whose
+/// catalog base is checked before any of them is installed.
+fn ship(
+    live: &StoredDb<SharedDisk>,
+    replica: &mut StoredDb<MemDisk>,
+    cursor: &mut TailCursor,
+    applied: &mut u64,
+) {
+    let (records, _) = live
+        .pool
+        .with_wal(|w| w.read_committed_after(cursor, *applied, u64::MAX))
+        .unwrap();
+    let mut pending = Vec::new();
+    for rec in records {
+        match rec {
+            ReplRecord::Image { page, image, .. } => pending.push((page, image)),
+            ReplRecord::Commit {
+                lsn,
+                num_pages,
+                catalog,
+                ..
+            } => {
+                replica.check_catalog_base(&catalog).unwrap();
+                for (page, image) in pending.drain(..) {
+                    replica.apply_repl_image(page, &image).unwrap();
+                }
+                replica.apply_repl_commit(num_pages, &catalog).unwrap();
+                *applied = lsn;
+            }
+        }
+    }
+}
+
+/// `createColor` over the nodes of a random path, wrapped in a fresh
+/// element (new nodes, new names, a new colored tree).
+fn create_color(s: &mut StoredDb<SharedDisk>, rng: &mut XorShiftRng, doc: &DocSpec, k: usize) {
+    let path = Expr::Path(mct_sim::gen::gen_abs_path(rng, doc, 2));
+    let q = format!("createColor(\"k{k}\", <grp{k}> {{ {path} }} </grp{k}>)");
+    let _ = eval(&mut EvalContext::new(s), &parse_query(&q).unwrap());
+}
+
+/// A random element carrying `c`, other than the document node.
+fn pick(s: &StoredDb<SharedDisk>, rng: &mut XorShiftRng, c: ColorId) -> Option<McNodeId> {
+    let members: Vec<McNodeId> = s.db.descendants(McNodeId::DOCUMENT, c).collect();
+    (!members.is_empty()).then(|| members[rng.gen_range(0..members.len())])
+}
+
+/// Everything an update does, through the store's write-through
+/// methods, inside an open transaction: a value replaced, an element
+/// inserted (renumbering when its gap is full), an element deleted,
+/// and a color created. Errors just end the batch early.
+fn mutate_in_txn(s: &mut StoredDb<SharedDisk>, rng: &mut XorShiftRng, doc: &DocSpec, k: usize) {
+    let batch = |s: &mut StoredDb<SharedDisk>, rng: &mut XorShiftRng| {
+        let c = ColorId(rng.gen_range(0..s.db.palette.len()) as u8);
+        if let Some(n) = pick(s, rng, c) {
+            s.update_content(n, &format!("aborted-{k}"))?;
+        }
+        if let Some(parent) = pick(s, rng, c) {
+            let e = s.db.new_element(&format!("ghost{k}"), c);
+            s.db.set_content(e, "ghost");
+            s.db.set_attr(e, "k", "ghost");
+            s.db.append_child(parent, e, c);
+            if !s.db.try_assign_gap_codes(e, c) {
+                s.reindex_color(c)?;
+            }
+            s.persist_new_element(e)?;
+        }
+        if let Some(victim) = pick(s, rng, c) {
+            for d in s.db.descendants_or_self(victim, c).collect::<Vec<_>>() {
+                s.unindex_node(d, c)?;
+            }
+            s.db.remove_color(victim, c);
+            s.ensure_all_annotated()?;
+        }
+        Ok::<(), colorful_xml::storage::StorageError>(())
+    };
+    let _ = batch(s, rng);
+    create_color(s, rng, doc, k);
+}
+
+/// Random update, `createColor`, abort, sync and checkpoint steps on a
+/// WAL-attached store: after every step its full catalog equals, byte
+/// for byte, that of a store recovered from copies of its disks and
+/// that of a replica fed its committed records; and an abort puts back
+/// exactly the catalog the transaction began with.
+#[test]
+fn catalog_records_agree_across_live_recovered_and_replica() {
+    for case in 0..32u64 {
+        let seed = 9000 + case;
+        let mut rng = XorShiftRng::seed_from_u64(seed);
+        let doc = gen_doc(&mut rng);
+        let (db, _) = doc.build();
+        let (data, wal) = (SharedDisk::default(), SharedDisk::default());
+        let mut pool = BufferPool::new(data.clone(), CATALOG_POOL);
+        pool.attach_wal(Wal::create(Box::new(wal.clone())).unwrap());
+        let mut live = StoredDb::build_on(pool, db).unwrap();
+        live.sync().unwrap();
+        let mut replica =
+            StoredDb::from_snapshot(data.copy(), &live.snapshot_catalog(), CATALOG_POOL).unwrap();
+        let mut cursor = TailCursor::new();
+        let mut applied = live.pool.with_wal(|w| Ok(w.committed_lsn())).unwrap();
+        for step in 0..12 {
+            let what = match rng.gen_range(0..10u8) {
+                0..=4 => {
+                    let u = gen_update(&mut rng, &doc);
+                    let _ = execute_update_with(&mut live, &u, None);
+                    "update"
+                }
+                5 => {
+                    create_color(&mut live, &mut rng, &doc, step);
+                    live.sync().unwrap();
+                    "createColor"
+                }
+                6 => {
+                    let txn = live.begin_txn().unwrap();
+                    let at_begin = live.snapshot_catalog();
+                    mutate_in_txn(&mut live, &mut rng, &doc, step);
+                    live.abort_txn(txn).unwrap();
+                    if let Some(d) = first_difference(&live.snapshot_catalog(), &at_begin) {
+                        fail_with_seed!(seed, "abort at step {step} left another catalog: {d}");
+                    }
+                    "abort"
+                }
+                7 => {
+                    live.sync().unwrap();
+                    "sync"
+                }
+                _ => {
+                    if live.pool.dirty_since_commit_count() > 0 {
+                        live.sync().unwrap();
+                    }
+                    live.checkpoint().unwrap();
+                    "checkpoint"
+                }
+            };
+            let bytes = live.snapshot_catalog();
+            let recovered = StoredDb::open_with(data.copy(), Box::new(wal.copy()), CATALOG_POOL)
+                .unwrap()
+                .unwrap();
+            if let Some(d) = first_difference(&recovered.snapshot_catalog(), &bytes) {
+                fail_with_seed!(seed, "recovered store after step {step} ({what}): {d}");
+            }
+            ship(&live, &mut replica, &mut cursor, &mut applied);
+            if let Some(d) = first_difference(&replica.snapshot_catalog(), &bytes) {
+                fail_with_seed!(seed, "replica after step {step} ({what}): {d}");
+            }
+        }
+        fail_with_seed!(ok seed, live.check().unwrap().is_ok());
+        fail_with_seed!(ok seed, replica.check().unwrap().is_ok());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A few hundred committed updates run against a durable store with a
 //! small `checkpoint_bytes` threshold. Without checkpointing the WAL
-//! grows linearly (every commit appends its page images plus the full
-//! catalog snapshot); with it the file must stay bounded by a small
+//! grows linearly (every commit appends its page images plus a catalog
+//! delta); with it the file must stay bounded by a small
 //! multiple of one checkpoint cycle. A restart afterwards must replay
 //! only the post-checkpoint suffix — observed through the
 //! `wal.replay.*` counters, which this test binary owns exclusively
@@ -20,11 +20,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 const POOL: usize = 256 * PAGE_SIZE;
-/// Checkpoint once the live WAL exceeds half a MiB. Each commit
-/// carries the catalog snapshot (~140 KiB at this scale), so a
-/// checkpoint fires every few commits — exercising both the bounded
-/// growth and the replay-a-short-suffix paths.
-const THRESHOLD: u64 = 512 * 1024;
+/// Checkpoint once the live WAL exceeds a quarter MiB. A checkpoint
+/// record carries the full catalog (~140 KiB at this scale) and each
+/// commit its page images plus a catalog delta (~10 KiB), so a
+/// checkpoint fires every dozen or so commits — exercising both the
+/// bounded growth and the replay-a-short-suffix paths.
+const THRESHOLD: u64 = 256 * 1024;
 /// Committed transactions to push through the store.
 const UPDATES: usize = 300;
 
