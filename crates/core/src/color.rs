@@ -122,6 +122,9 @@ pub struct Palette {
 }
 
 impl Palette {
+    /// Most colors a palette holds (a [`ColorSet`] is a `u32`).
+    pub const CAPACITY: usize = 32;
+
     /// Empty palette.
     pub fn new() -> Self {
         Self::default()
@@ -135,7 +138,10 @@ impl Palette {
         if let Some(i) = self.names.iter().position(|n| n == name) {
             return ColorId(i as u8);
         }
-        assert!(self.names.len() < 32, "palette limited to 32 colors");
+        assert!(
+            self.names.len() < Self::CAPACITY,
+            "palette limited to 32 colors"
+        );
         self.names.push(name.to_string());
         ColorId((self.names.len() - 1) as u8)
     }

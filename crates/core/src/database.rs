@@ -97,7 +97,7 @@ pub(crate) struct ColorTree {
 }
 
 impl ColorTree {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ColorTree {
             links: Vec::new(),
             codes: Vec::new(),
@@ -155,11 +155,12 @@ pub struct McNode {
 /// their base lengths cover every push; a node record and a
 /// `(color, node)` link + code are saved the first time a mutation
 /// touches them, and [`MctDatabase::annotate`] saves a whole color's
-/// codes once. Rolling back restores exactly these; a delta commit
-/// record (see the snapshot module) carries the new values at the same
-/// keys. Colors registered since the start are not journaled: they are
-/// dropped on rollback and shipped whole.
-#[derive(Clone, Debug)]
+/// codes once. Rolling back restores exactly these; a catalog record
+/// (see the snapshot module) carries the new values at the same keys. Colors registered since the start are not journaled: they are
+/// dropped on rollback and shipped whole. The zero journal (the
+/// default: every base length 0) describes the empty database; a
+/// record against it is rooted.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Journal {
     /// Arena length at the start.
     pub nodes_len: usize,

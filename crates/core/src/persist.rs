@@ -20,18 +20,22 @@
 //! hits/misses and the warm/cold cache distinction behave as in §7.
 //!
 //! **Durability.** With a WAL attached, [`StoredDb::sync`] commits the
-//! dirty pages with a catalog record (see the snapshot module): the
-//! full catalog for the first commit after a build, a checkpoint, or
-//! a failed commit; otherwise a delta of what the change journal saw
-//! change, so a commit costs O(change), not O(document). Recovery
-//! ([`StoredDb::open_with`]) decodes the last full catalog in the live
-//! log and applies the deltas after it; a replica applies each delta
-//! in place onto its base ([`StoredDb::apply_repl_commit`]), and
-//! transactions roll back from the same journal.
+//! dirty pages with a catalog record (see the snapshot module) of what
+//! the change journal saw change, so a commit costs O(change), not
+//! O(document). The first commit after a build or a failed commit and
+//! every checkpoint are *rooted* (encoded against the zero journal, so
+//! they carry the whole catalog); the rest are *chained* onto the
+//! commit before. Every install goes through one path: recovery
+//! ([`StoredDb::open_with`]) applies the last rooted record in the live
+//! log and the chain after it onto an empty catalog, a replica applies
+//! each record in place onto its state
+//! ([`StoredDb::apply_repl_commit`]) or a snapshot onto an empty one
+//! ([`StoredDb::from_snapshot`]), and transactions roll back from the
+//! same journal.
 
 use crate::color::ColorId;
-use crate::database::{McNodeId, McNodeKind, MctDatabase};
-use crate::snapshot::{self, Directory, PhysCatalog, Record};
+use crate::database::{Journal, McNodeId, McNodeKind, MctDatabase};
+use crate::snapshot::{self, Delta, Directory, Header};
 use mct_storage::{
     BTree, BufferPool, ContentIndex, DiskManager, FileDisk, HeapFile, IntervalCode, KeyEncoder,
     MemDisk, RecordId, StorageError, StorageStats, TagIndex, Wal, PAGE_SIZE,
@@ -65,13 +69,39 @@ impl Txn {
 
 /// Physical half of the change journal (the logical half lives in the
 /// [`MctDatabase`]): the heap/index directory when the journal started
-/// and the start-time value of each record-id slot set since.
+/// and the journal of each record-id map.
 struct PhysJournal {
     dir: Directory,
-    content_len: usize,
-    attr_len: usize,
-    content_rid: BTreeMap<u32, Option<RecordId>>,
-    attr_rid: BTreeMap<u32, Option<RecordId>>,
+    content: RidJournal,
+    attr: RidJournal,
+}
+
+/// Change journal of one record-id map: its length when the journal
+/// started and the start-time value of each slot set since. The zero
+/// journal (the default) describes the empty map.
+#[derive(Default)]
+pub(crate) struct RidJournal {
+    pub len: usize,
+    pub saved: BTreeMap<u32, Option<RecordId>>,
+}
+
+impl RidJournal {
+    fn start(rids: &[Option<RecordId>]) -> RidJournal {
+        RidJournal {
+            len: rids.len(),
+            saved: BTreeMap::new(),
+        }
+    }
+
+    /// Put every saved slot back and drop what was pushed since.
+    fn roll_back(self, rids: &mut Vec<Option<RecordId>>) {
+        rids.truncate(self.len);
+        for (n, rid) in self.saved {
+            if let Some(slot) = rids.get_mut(n as usize) {
+                *slot = rid;
+            }
+        }
+    }
 }
 
 /// One entry of a posting list: a structural node reference.
@@ -103,9 +133,10 @@ pub struct StructRef {
 /// **Change journal.** While a WAL is attached or a transaction is
 /// open, the store and its logical database journal the first change
 /// of every node, `(color, node)` slot and record-id slot. A commit
-/// writes only those (a *delta* catalog, see the snapshot module), an
-/// abort puts the journaled values back in place. Without a WAL or a
-/// transaction the journal is off and costs one branch per mutation.
+/// writes only those (a chained catalog record, see the snapshot
+/// module), an abort puts the journaled values back in place. Without
+/// a WAL or a transaction the journal is off and costs one branch per
+/// mutation.
 pub struct StoredDb<D: DiskManager = MemDisk> {
     /// The logical database (kept for construction & exact navigation).
     pub db: MctDatabase,
@@ -136,8 +167,8 @@ pub struct StoredDb<D: DiskManager = MemDisk> {
     catalog_version: u64,
     /// Physical half of the change journal; `None` when off.
     journal: Option<PhysJournal>,
-    /// The next commit must carry a full catalog: nothing durable is
-    /// known to describe the state the journal started at.
+    /// The next commit must be rooted: nothing durable is known to
+    /// describe the state the journal started at.
     full_due: bool,
 }
 
@@ -272,44 +303,44 @@ impl<D: DiskManager> StoredDb<D> {
 
     /// Make the current state durable: commit every page written since
     /// the last sync through the attached WAL, with a catalog record
-    /// that advances the catalog version by one. The record is a delta
-    /// of what the change journal saw since the last commit, or the
-    /// full catalog (logical database + physical directory) when there
-    /// is no journal to go by: the first commit after a build, or after
-    /// a commit that failed. Returns the commit LSN. Errors if the pool
-    /// has no WAL.
+    /// that advances the catalog version by one. The record carries
+    /// what the change journal saw since the last commit; it is rooted
+    /// (the whole catalog) when there is no journal to go by: the first
+    /// commit after a build, or after a commit that failed. Returns the
+    /// commit LSN. Errors if the pool has no WAL.
     pub fn sync(&mut self) -> mct_storage::Result<u64> {
         if !self.pool.has_wal() {
             return Err(StorageError::Corrupt("commit without an attached WAL"));
         }
-        let base = self.catalog_version;
-        let record = match (&self.journal, self.db.journal.as_deref()) {
-            (Some(pj), Some(j)) if !self.full_due => snapshot::encode_delta(
-                &self.db,
-                j,
-                &self.directory(),
-                [
-                    (&self.content_rid, &pj.content_rid),
-                    (&self.attr_rid, &pj.attr_rid),
-                ],
-                base,
-            ),
-            _ => snapshot::encode(&self.db, &self.phys_catalog(), base + 1),
-        };
+        let version = self.catalog_version + 1;
+        let record = self.encode_catalog(version, self.full_due);
         match self.pool.commit(&record) {
             Ok(lsn) => {
-                self.catalog_version = base + 1;
+                self.catalog_version = version;
                 self.full_due = false;
                 self.start_journal();
                 Ok(lsn)
             }
             Err(e) => {
                 // The record may have reached the log all the same; a
-                // full catalog next time makes the chain unambiguous.
+                // rooted record next time makes the chain unambiguous.
                 self.full_due = true;
                 Err(e)
             }
         }
+    }
+
+    /// The catalog record at `version` of what the change journal saw
+    /// change, or rooted — against the zero journal, so it carries the
+    /// whole catalog — when `rooted` or the journal is off.
+    fn encode_catalog(&self, version: u64, rooted: bool) -> Vec<u8> {
+        let (zero, empty) = (Journal::default(), RidJournal::default());
+        let (j, content, attr) = match (&self.journal, self.db.journal.as_deref()) {
+            (Some(pj), Some(j)) if !rooted => (j, &pj.content, &pj.attr),
+            _ => (&zero, &empty, &empty),
+        };
+        let rids = [(&self.content_rid[..], content), (&self.attr_rid[..], attr)];
+        snapshot::encode(&self.db, j, &self.directory(), rids, version)
     }
 
     /// Checkpoint the WAL: flush every committed page, fsync the data
@@ -320,7 +351,7 @@ impl<D: DiskManager> StoredDb<D> {
     /// Returns the checkpoint record's LSN.
     pub fn checkpoint(&mut self) -> mct_storage::Result<u64> {
         let version = self.catalog_version + 1;
-        let catalog = snapshot::encode(&self.db, &self.phys_catalog(), version);
+        let catalog = self.encode_catalog(version, true);
         match self.pool.checkpoint(&catalog) {
             Ok(lsn) => {
                 self.catalog_version = version;
@@ -372,8 +403,8 @@ impl<D: DiskManager> StoredDb<D> {
     /// Recover a database from its data disk and WAL: replay every
     /// page image up to the last durable commit, truncate any torn
     /// tail, and rebuild the `StoredDb` from the committed catalog —
-    /// the last full catalog in the live log with every delta after it
-    /// applied in order. Returns `Ok(None)` when the WAL holds no
+    /// the last rooted record in the live log and every record after
+    /// it, applied in order. Returns `Ok(None)` when the WAL holds no
     /// commit.
     pub fn open_with(
         mut data: D,
@@ -384,39 +415,48 @@ impl<D: DiskManager> StoredDb<D> {
         let Some(state) = wal.replay_into(&mut data)? else {
             return Ok(None);
         };
-        let (db, phys, version) = snapshot::decode_chain(&state.catalogs)?;
+        let root = state
+            .catalogs
+            .iter()
+            .rposition(|c| is_rooted(c))
+            .ok_or(StorageError::Corrupt("no rooted catalog in the live log"))?;
         let mut pool = BufferPool::new(data, pool_bytes);
         pool.attach_wal(wal);
-        Self::assemble(db, phys, version, pool).map(Some)
+        Self::assemble(pool, &state.catalogs[root..]).map(Some)
     }
 
-    /// Construct a `StoredDb` from a decoded catalog at `version` over
-    /// a pool whose page file already holds the state it describes.
+    /// Construct a `StoredDb` over a pool whose page file already holds
+    /// the state `records` (a rooted catalog record and the chain after
+    /// it) describe, by applying them in order onto an empty catalog.
     fn assemble(
-        db: MctDatabase,
-        phys: PhysCatalog,
-        version: u64,
         pool: BufferPool<D>,
+        records: &[impl AsRef<[u8]>],
     ) -> mct_storage::Result<StoredDb<D>> {
+        let empty = || ContentIndex::from_btree(BTree::from_parts(mct_storage::PageId(0), 0, 0));
         let mut s = StoredDb {
-            db,
+            db: MctDatabase::new(),
             pool,
             content_heap: HeapFile::new(),
             attr_heap: HeapFile::new(),
             struct_heaps: Vec::new(),
             tag_indexes: Vec::new(),
             link_indexes: Vec::new(),
-            content_index: ContentIndex::from_btree(BTree::from_parts(mct_storage::PageId(0), 0, 0)),
-            attr_index: ContentIndex::from_btree(BTree::from_parts(mct_storage::PageId(0), 0, 0)),
-            content_rid: phys.content_rid,
-            attr_rid: phys.attr_rid,
+            content_index: empty(),
+            attr_index: empty(),
+            content_rid: Vec::new(),
+            attr_rid: Vec::new(),
             generation: 0,
             checkpoint_bytes: None,
-            catalog_version: version,
+            catalog_version: 0,
             journal: None,
             full_due: false,
         };
-        s.install_directory(phys.dir);
+        if !records.first().is_some_and(|r| is_rooted(r.as_ref())) {
+            return Err(StorageError::Corrupt("catalog chain does not start rooted"));
+        }
+        for r in records {
+            s.apply_catalog(r.as_ref())?;
+        }
         if s.pool.has_wal() {
             s.start_journal();
         }
@@ -424,27 +464,41 @@ impl<D: DiskManager> StoredDb<D> {
         Ok(s)
     }
 
+    /// Install a catalog record: refuse it with
+    /// [`StorageError::CatalogBase`] unless it fits this store's
+    /// catalog version (see the snapshot module), else apply it in
+    /// place. A record that does not fit changes nothing.
+    fn apply_catalog(&mut self, bytes: &[u8]) -> mct_storage::Result<()> {
+        let record = Delta::parse(bytes)?;
+        record.header.check_base(self.catalog_version)?;
+        let version = record.header.version;
+        let dir = record.apply(&mut self.db, [&mut self.content_rid, &mut self.attr_rid])?;
+        self.install_directory(dir);
+        self.catalog_version = version;
+        Ok(())
+    }
+
     // ----- replication ----------------------------------------------------------
 
     /// Serialize the current catalog (logical database + physical
-    /// directory) in full, stamped with the store's catalog version —
-    /// the blob a full commit or a checkpoint record carries.
-    /// Replication ships it in snapshot frames.
+    /// directory) as a rooted record at the store's catalog version —
+    /// the record a rooted commit or a checkpoint carries. Replication
+    /// ships it in snapshot frames.
     pub fn snapshot_catalog(&self) -> Vec<u8> {
-        snapshot::encode(&self.db, &self.phys_catalog(), self.catalog_version)
+        self.encode_catalog(self.catalog_version, true)
     }
 
     /// Rebuild a `StoredDb` over `data`, a page file whose raw
-    /// contents already equal the state `catalog` describes (e.g.
-    /// pages shipped by a replication snapshot). No WAL is attached —
-    /// a replica's durability is the primary's log, not its own.
+    /// contents already equal the state the rooted record `catalog`
+    /// describes (e.g. pages shipped by a replication snapshot). No WAL
+    /// is attached — a replica's durability is the primary's log, not
+    /// its own.
     pub fn from_snapshot(
         data: D,
         catalog: &[u8],
         pool_bytes: usize,
     ) -> mct_storage::Result<StoredDb<D>> {
-        let (db, phys, version) = snapshot::decode(catalog)?;
-        Self::assemble(db, phys, version, BufferPool::new(data, pool_bytes))
+        Self::assemble(BufferPool::new(data, pool_bytes), &[catalog])
     }
 
     /// Apply one replicated page image (the replica's redo path).
@@ -458,44 +512,26 @@ impl<D: DiskManager> StoredDb<D> {
         self.pool.install_image(page, image)
     }
 
-    /// Check that a shipped catalog record fits this store: a full
-    /// catalog always does, a delta only when its base is this store's
-    /// catalog version — otherwise [`StorageError::CatalogBase`] (a
-    /// commit went missing on the way; the replica must re-bootstrap).
-    /// Changes nothing, so a replica can check before it installs the
-    /// commit's page images.
+    /// Check that a shipped catalog record fits this store: a rooted
+    /// record always does, a chained one only when it produces this
+    /// store's catalog version plus one — otherwise
+    /// [`StorageError::CatalogBase`] (a commit went missing on the way;
+    /// the replica must re-bootstrap). Reads only the record's header
+    /// and changes nothing, so a replica can check before it installs
+    /// the commit's page images.
     pub fn check_catalog_base(&self, catalog: &[u8]) -> mct_storage::Result<()> {
-        match snapshot::base_of(catalog)? {
-            Some(base) => snapshot::check_base(base, self.catalog_version),
-            None => Ok(()),
-        }
+        Header::of(catalog)?.check_base(self.catalog_version)
     }
 
-    /// Apply a replicated commit: truncate the page file to the
-    /// committed count, install the shipped catalog — a full one
-    /// wholesale, a delta in place — and bump the generation so plan
-    /// caches and other derived state go stale. A delta whose base is
-    /// not this store's catalog version is refused with
-    /// [`StorageError::CatalogBase`] before anything changes. Idempotent
-    /// for checkpoint records (same full catalog re-applied).
+    /// Apply a replicated commit: apply the shipped catalog record in
+    /// place, truncate the page file to the committed count and bump the
+    /// generation so plan caches and other derived state go stale. A
+    /// record that does not fit (see [`StoredDb::check_catalog_base`])
+    /// is refused before anything changes. Idempotent for checkpoint
+    /// records (rooted).
     pub fn apply_repl_commit(&mut self, num_pages: u32, catalog: &[u8]) -> mct_storage::Result<()> {
-        match snapshot::Record::decode(catalog)? {
-            Record::Full(db, phys, version) => {
-                self.pool.truncate_pages(num_pages)?;
-                self.db = db;
-                self.content_rid = phys.content_rid;
-                self.attr_rid = phys.attr_rid;
-                self.install_directory(phys.dir);
-                self.catalog_version = version;
-            }
-            Record::Delta(delta) => {
-                snapshot::check_base(delta.base, self.catalog_version)?;
-                self.pool.truncate_pages(num_pages)?;
-                let dir = delta.apply(&mut self.db, &mut self.content_rid, &mut self.attr_rid)?;
-                self.install_directory(dir);
-                self.catalog_version += 1;
-            }
-        }
+        self.apply_catalog(catalog)?;
+        self.pool.truncate_pages(num_pages)?;
         self.generation += 1;
         self.ensure_all_annotated()
     }
@@ -610,10 +646,8 @@ impl<D: DiskManager> StoredDb<D> {
         self.db.start_journal();
         self.journal = Some(PhysJournal {
             dir: self.directory(),
-            content_len: self.content_rid.len(),
-            attr_len: self.attr_rid.len(),
-            content_rid: BTreeMap::new(),
-            attr_rid: BTreeMap::new(),
+            content: RidJournal::start(&self.content_rid),
+            attr: RidJournal::start(&self.attr_rid),
         });
     }
 
@@ -627,10 +661,9 @@ impl<D: DiskManager> StoredDb<D> {
     fn journal_is_clean(&self) -> bool {
         self.db.journal_is_clean()
             && self.journal.as_ref().is_some_and(|j| {
-                j.content_rid.is_empty()
-                    && j.attr_rid.is_empty()
-                    && j.content_len == self.content_rid.len()
-                    && j.attr_len == self.attr_rid.len()
+                [(&j.content, &self.content_rid), (&j.attr, &self.attr_rid)]
+                    .iter()
+                    .all(|(rj, rids)| rj.saved.is_empty() && rj.len == rids.len())
             })
     }
 
@@ -641,17 +674,8 @@ impl<D: DiskManager> StoredDb<D> {
         let Some(j) = self.journal.take() else {
             return;
         };
-        for (rids, len, saved) in [
-            (&mut self.content_rid, j.content_len, j.content_rid),
-            (&mut self.attr_rid, j.attr_len, j.attr_rid),
-        ] {
-            rids.truncate(len);
-            for (n, rid) in saved {
-                if let Some(slot) = rids.get_mut(n as usize) {
-                    *slot = rid;
-                }
-            }
-        }
+        j.content.roll_back(&mut self.content_rid);
+        j.attr.roll_back(&mut self.attr_rid);
         self.install_directory(j.dir);
     }
 
@@ -659,9 +683,15 @@ impl<D: DiskManager> StoredDb<D> {
     /// slot's old value first.
     fn set_rid(&mut self, attr: bool, n: McNodeId, rid: RecordId) {
         let (rids, saved) = if attr {
-            (&mut self.attr_rid, self.journal.as_mut().map(|j| &mut j.attr_rid))
+            (
+                &mut self.attr_rid,
+                self.journal.as_mut().map(|j| &mut j.attr.saved),
+            )
         } else {
-            (&mut self.content_rid, self.journal.as_mut().map(|j| &mut j.content_rid))
+            (
+                &mut self.content_rid,
+                self.journal.as_mut().map(|j| &mut j.content.saved),
+            )
         };
         if rids.len() <= n.index() {
             rids.resize(n.index() + 1, None);
@@ -700,14 +730,6 @@ impl<D: DiskManager> StoredDb<D> {
         self.link_indexes = dir.link_indexes.into_iter().map(tree).collect();
         self.content_index = ContentIndex::from_btree(tree(dir.content_index));
         self.attr_index = ContentIndex::from_btree(tree(dir.attr_index));
-    }
-
-    fn phys_catalog(&self) -> PhysCatalog {
-        PhysCatalog {
-            dir: self.directory(),
-            content_rid: self.content_rid.clone(),
-            attr_rid: self.attr_rid.clone(),
-        }
     }
 
     // ----- access paths -------------------------------------------------------
@@ -999,6 +1021,12 @@ impl<D: DiskManager> StoredDb<D> {
     pub fn flush_cache(&self) -> mct_storage::Result<()> {
         self.pool.evict_all()
     }
+}
+
+/// True when `record` is a rooted catalog record (see the snapshot
+/// module); false for a chained or malformed one.
+fn is_rooted(record: &[u8]) -> bool {
+    Header::of(record).is_ok_and(|h| h.rooted())
 }
 
 /// Sort `(key, value)` pairs and bulk-load them into a fresh B+-tree.
@@ -1612,6 +1640,47 @@ mod tests {
         let err = other.apply_repl_commit(0, &delta).unwrap_err();
         assert!(matches!(err, StorageError::CatalogBase { .. }), "{err}");
         assert!(other.snapshot_catalog() == stale);
+    }
+
+    /// A record-id map's length is its base plus the tail the record
+    /// carries: a record claiming a million slots it does not hold is
+    /// refused as corrupt, allocates nothing for them and changes
+    /// nothing.
+    #[test]
+    fn a_record_id_map_longer_than_its_payload_is_corrupt() {
+        let mut s = StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap();
+        s.sync().unwrap();
+        let base = s.snapshot_catalog();
+        let lsn = s.pool.with_wal(|w| Ok(w.committed_lsn())).unwrap();
+        let n = s.content_lookup("Movie 3").unwrap()[0];
+        s.update_content(n, "Movie 4").unwrap();
+        s.sync().unwrap();
+        let (records, _) = s
+            .pool
+            .with_wal(|w| {
+                w.read_committed_after(&mut mct_storage::TailCursor::new(), lsn, u64::MAX)
+            })
+            .unwrap();
+        let mut record = records
+            .into_iter()
+            .find_map(|r| match r {
+                mct_storage::ReplRecord::Commit { catalog, .. } => Some(catalog),
+                mct_storage::ReplRecord::Image { .. } => None,
+            })
+            .unwrap();
+        // The attribute map comes last: no changed slot, an empty tail.
+        let at = record.len() - 4;
+        assert_eq!(record[at - 4..], [0; 8]);
+        record[at..].copy_from_slice(&1_000_000u32.to_le_bytes());
+
+        let mut replica = StoredDb::from_snapshot(MemDisk::new(), &base, 4 * 1024 * 1024).unwrap();
+        let attr_len = replica.attr_rid.len();
+        let err = replica
+            .apply_repl_commit(s.pool.num_pages(), &record)
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        assert_eq!(replica.attr_rid.len(), attr_len);
+        assert!(replica.snapshot_catalog() == base);
     }
 
     #[test]

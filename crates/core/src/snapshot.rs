@@ -1,53 +1,66 @@
 //! Binary catalog records for crash-consistent persistence.
 //!
 //! Every WAL commit and checkpoint record of a [`StoredDb`] carries a
-//! catalog blob: the logical database plus the physical directory
-//! (heap page lists, B+-tree roots, record-id maps). There are two
-//! kinds, both versioned by the store's catalog version, which every
-//! record advances by one:
+//! catalog record: the logical database plus the physical directory
+//! (heap page lists, B+-tree roots, record-id maps). There is one kind
+//! of record ([`encode`]): the change from a *base* — the state a
+//! change journal started at — to the state at the catalog version the
+//! record produces. It holds, in key order so the bytes are
+//! deterministic:
 //!
-//! * a **full** catalog ([`encode`]) describes the whole state. The
-//!   first commit after a build or a WAL reset, every checkpoint, the
-//!   first commit after a failed one, and replication snapshots
-//!   ([`StoredDb::snapshot_catalog`]) are full;
-//! * a **delta** ([`encode_delta`]) names the version it applies to
-//!   (its *base*) and carries only what the change journals saw
-//!   change since: the lengths of the node arena, interner, palette,
-//!   colored trees and record-id maps, the new values at the journaled
-//!   positions (in key order, so the bytes are deterministic), every
-//!   color registered since whole, and the small heap/index directory.
-//!   Applying one ([`Delta::apply`]) truncates to the base lengths,
-//!   pushes what is new and sets positions, so it is idempotent on its
-//!   base and costs O(change).
+//! * a fixed header: the version the record produces and every base
+//!   length (interner, palette, node arena, both record-id maps);
+//! * the strings and colors registered since the base;
+//! * the node arena, every colored tree (links + interval codes) and
+//!   both record-id maps *positionally*: the journaled slots below the
+//!   base, then the tail from the base (a color registered since the
+//!   base has base 0); a tree also carries its counters and, when it
+//!   was renumbered, all its codes;
+//! * the small heap/index directory.
 //!
-//! Recovery ([`decode_chain`]) decodes the last full catalog in the
-//! live log and applies the deltas after it in order, each against the
-//! version the previous one produced. The catalog is therefore exactly
-//! as durable (and exactly as checksummed) as the records that carry
-//! it — no superblock or catalog pages.
+//! A record encoded against a zero journal (every base length 0) is
+//! **rooted**: it carries the whole state and applies to any store. The
+//! first commit after a build or a failed commit, every checkpoint and
+//! replication snapshots ([`StoredDb::snapshot_catalog`]) are rooted;
+//! every other commit is **chained** onto the version before it. The
+//! header alone tells which, so a store checks a record's base
+//! ([`Header::check_base`]) before it reads the payload: a rooted
+//! record always fits, a chained one only when it produces the store's
+//! version plus one. Applying one ([`Delta::apply`]) truncates to the
+//! base lengths, pushes what is new and sets positions, so it costs
+//! O(record) and is idempotent on its base.
+//!
+//! Recovery applies the last rooted record in the live log and every
+//! chained record after it, in order. The catalog is therefore exactly
+//! as durable (and exactly as checksummed) as the records that carry it
+//! — no superblock or catalog pages.
 //!
 //! The format is a private little-endian encoding, versioned by an
-//! 8-byte magic per kind. Malformed bytes decode to
-//! [`StorageError::Corrupt`], never a panic, and a delta is checked
-//! against the database before any of it is applied.
+//! 8-byte magic. Malformed bytes decode to [`StorageError::Corrupt`],
+//! never a panic; no allocation is sized by a length field beyond the
+//! bytes that are left; and a record is checked against the database
+//! before any of it is applied.
 //!
 //! [`StoredDb`]: crate::persist::StoredDb
 //! [`StoredDb::snapshot_catalog`]: crate::persist::StoredDb::snapshot_catalog
 
 use crate::color::{ColorSet, Palette};
-use crate::database::{ColorTree, Journal, Links, McNode, McNodeKind, MctDatabase, NO_CODE};
+use crate::database::{ColorTree, Journal, Links, McNode, McNodeKind, MctDatabase};
+use crate::persist::RidJournal;
 use mct_storage::{IntervalCode, PageId, RecordId, StorageError};
-use mct_xml::{Interner, Sym};
-use std::collections::BTreeMap;
+use mct_xml::Sym;
+use std::collections::HashSet;
 
-/// Magic of a full catalog; bump the trailing digit on layout changes.
-const MAGIC_FULL: &[u8; 8] = b"MCTSNAP2";
-/// Magic of a delta catalog.
-const MAGIC_DELTA: &[u8; 8] = b"MCTDLTA1";
+/// Magic of a catalog record; bump the trailing digits on layout changes.
+const MAGIC: &[u8; 8] = b"MCTCAT01";
 /// Encoding of `None` for optional u32 fields (node ids, syms).
 const NONE32: u32 = u32::MAX;
 /// Encoding of `None` for optional packed record ids.
 const NONE64: u64 = u64::MAX;
+/// Fewest bytes one encoded node record takes.
+const NODE_BYTES: usize = 15;
+/// Bytes of one encoded link + interval code.
+const LINK_BYTES: usize = 21 + IntervalCode::BYTES;
 
 /// Catalog parts of one heap file: `(pages, records, bytes)`.
 pub(crate) type HeapParts = (Vec<PageId>, u64, u64);
@@ -69,110 +82,113 @@ pub(crate) struct Directory {
     pub attr_index: TreeParts,
 }
 
-/// The physical catalog: everything a [`StoredDb`] holds outside the
-/// page file itself.
-///
-/// [`StoredDb`]: crate::persist::StoredDb
-pub(crate) struct PhysCatalog {
-    pub dir: Directory,
-    pub content_rid: Vec<Option<RecordId>>,
-    pub attr_rid: Vec<Option<RecordId>>,
+/// One record-id map and its journal.
+pub(crate) type RidChanges<'a> = (&'a [Option<RecordId>], &'a RidJournal);
+
+/// The fixed head of a catalog record.
+pub(crate) struct Header {
+    /// The catalog version the record produces.
+    pub version: u64,
+    names: usize,
+    colors: usize,
+    nodes: usize,
+    rids: [usize; 2],
 }
 
-/// One record-id map and the positions journaled in it.
-pub(crate) type RidChanges<'a> = (&'a [Option<RecordId>], &'a BTreeMap<u32, Option<RecordId>>);
+impl Header {
+    /// Read the header of `bytes` without decoding the payload.
+    pub(crate) fn of(bytes: &[u8]) -> mct_storage::Result<Header> {
+        Reader { b: bytes, at: 0 }.header()
+    }
+
+    /// True when every base length is 0: the record carries the whole
+    /// state and applies to any store.
+    pub(crate) fn rooted(&self) -> bool {
+        self.names == 0 && self.colors == 0 && self.nodes == 0 && self.rids == [0, 0]
+    }
+
+    /// Refuse a chained record that does not produce `version + 1`
+    /// with [`StorageError::CatalogBase`]; a rooted record always fits.
+    pub(crate) fn check_base(&self, version: u64) -> mct_storage::Result<()> {
+        if self.rooted() || self.version == version.wrapping_add(1) {
+            Ok(())
+        } else {
+            Err(StorageError::CatalogBase {
+                base: self.version.wrapping_sub(1),
+                version,
+            })
+        }
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(MAGIC);
+        put_u64(out, self.version);
+        put_u32(out, self.names as u32);
+        out.push(self.colors as u8);
+        put_u32(out, self.nodes as u32);
+        put_u32(out, self.rids[0] as u32);
+        put_u32(out, self.rids[1] as u32);
+    }
+}
 
 // ----- encoding ---------------------------------------------------------------
 
-/// The full catalog at catalog version `version`.
-pub(crate) fn encode(db: &MctDatabase, phys: &PhysCatalog, version: u64) -> Vec<u8> {
-    mct_obs::counter("catalog.encodes.full").inc();
-    let mut out = Vec::with_capacity(64 * 1024);
-    out.extend_from_slice(MAGIC_FULL);
-    put_u64(&mut out, version);
-    // Interner: strings in Sym order (interning order), so decoding
-    // re-interns them to identical symbols.
-    put_u32(&mut out, db.names.len() as u32);
-    for (_, s) in db.names.iter() {
-        put_str(&mut out, s);
-    }
-    // Palette, in ColorId order.
-    out.push(db.palette.len() as u8);
-    for (_, name) in db.palette.iter() {
-        put_str(&mut out, name);
-    }
-    // Node arena.
-    put_u32(&mut out, db.nodes.len() as u32);
-    for n in &db.nodes {
-        put_node(&mut out, n);
-    }
-    // Colored trees: links + interval codes, parallel to the arena.
-    out.push(db.trees.len() as u8);
-    for t in &db.trees {
-        put_tree(&mut out, t);
-    }
-    put_directory(&mut out, &phys.dir);
-    put_rids(&mut out, &phys.content_rid);
-    put_rids(&mut out, &phys.attr_rid);
-    out
-}
-
-/// The delta from catalog version `base` to `base + 1`: what `j` (the
-/// logical journal) and `rids` (each record-id map with its journaled
-/// positions) saw change since they started at `base`, plus `dir`.
-pub(crate) fn encode_delta(
+/// The record that takes the state `j` (the logical journal) and `rids`
+/// (each record-id map with its journal) started at to the current
+/// state, at catalog version `version`. Against a zero journal it is
+/// rooted.
+pub(crate) fn encode(
     db: &MctDatabase,
     j: &Journal,
     dir: &Directory,
     rids: [RidChanges<'_>; 2],
-    base: u64,
+    version: u64,
 ) -> Vec<u8> {
-    mct_obs::counter("catalog.encodes.delta").inc();
-    let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(MAGIC_DELTA);
-    put_u64(&mut out, base);
-    put_u32(&mut out, j.names_len as u32);
+    let header = Header {
+        version,
+        names: j.names_len,
+        colors: j.colors(),
+        nodes: j.nodes_len,
+        rids: rids.map(|(_, rj)| rj.len),
+    };
+    let rooted = header.rooted();
+    mct_obs::counter(if rooted {
+        "catalog.encodes.full"
+    } else {
+        "catalog.encodes.delta"
+    })
+    .inc();
+    let mut out = Vec::with_capacity(if rooted { 64 * 1024 } else { 4096 });
+    header.put(&mut out);
     put_u32(&mut out, (db.names.len() - j.names_len) as u32);
     for (_, s) in db.names.iter().skip(j.names_len) {
         put_str(&mut out, s);
     }
-    out.push(j.colors() as u8);
     out.push((db.palette.len() - j.colors()) as u8);
     for (_, name) in db.palette.iter().skip(j.colors()) {
         put_str(&mut out, name);
     }
-    put_u32(&mut out, j.nodes_len as u32);
-    put_u32(&mut out, db.nodes.len() as u32);
-    put_u32(&mut out, j.nodes.len() as u32);
-    for &n in j.nodes.keys() {
-        put_u32(&mut out, n);
-        put_node(&mut out, &db.nodes[n as usize]);
-    }
-    for n in &db.nodes[j.nodes_len..] {
-        put_node(&mut out, n);
-    }
+    let nodes = &db.nodes;
+    put_positional(
+        &mut out,
+        nodes.len(),
+        j.nodes_len,
+        j.nodes.keys(),
+        |out, i| put_node(out, &nodes[i]),
+    );
     out.push(db.trees.len() as u8);
     for (c, t) in db.trees.iter().enumerate() {
-        if c >= j.colors() {
-            out.push(1);
-            put_tree(&mut out, t);
-            continue;
-        }
-        out.push(0);
+        let base = j.trees.get(c).map_or(0, |&(len, _, _)| len);
+        put_u32(&mut out, base as u32);
         put_u64(&mut out, t.node_count);
         out.push(t.dirty as u8);
-        put_u32(&mut out, t.links.len() as u32);
-        let slots: Vec<u32> = j
+        let changed = j
             .links
             .range((c as u8, 0)..=(c as u8, u32::MAX))
-            .map(|(&(_, n), _)| n)
-            .filter(|&n| (n as usize) < t.links.len())
-            .collect();
-        put_u32(&mut out, slots.len() as u32);
-        for n in slots {
-            put_u32(&mut out, n);
-            put_link(&mut out, &t.links[n as usize], &t.codes[n as usize]);
-        }
+            .map(|((_, n), _)| n);
+        put_positional(&mut out, t.links.len(), base, changed, |out, i| {
+            put_link(out, &t.links[i], &t.codes[i])
+        });
         let renumbered = j.codes.contains_key(&(c as u8));
         out.push(renumbered as u8);
         if renumbered {
@@ -182,20 +198,34 @@ pub(crate) fn encode_delta(
         }
     }
     put_directory(&mut out, dir);
-    for (rids, keys) in rids {
-        put_u32(&mut out, rids.len() as u32);
-        let slots: Vec<u32> = keys
-            .keys()
-            .copied()
-            .filter(|&n| (n as usize) < rids.len())
-            .collect();
-        put_u32(&mut out, slots.len() as u32);
-        for n in slots {
-            put_u32(&mut out, n);
-            put_u64(&mut out, pack(rids[n as usize]));
-        }
+    for (rids, rj) in rids {
+        put_positional(&mut out, rids.len(), rj.len, rj.saved.keys(), |out, i| {
+            put_u64(out, pack(rids[i]))
+        });
     }
     out
+}
+
+/// A sequence of `len` values relative to a base of length `base`:
+/// the slots named by `changed` that lie below the base, then the tail
+/// from the base; `put` writes the value at an index.
+fn put_positional<'k>(
+    out: &mut Vec<u8>,
+    len: usize,
+    base: usize,
+    changed: impl Iterator<Item = &'k u32>,
+    put: impl Fn(&mut Vec<u8>, usize),
+) {
+    let changed: Vec<usize> = changed.map(|&i| i as usize).filter(|&i| i < base).collect();
+    put_u32(out, changed.len() as u32);
+    for i in changed {
+        put_u32(out, i as u32);
+        put(out, i);
+    }
+    put_u32(out, (len - base) as u32);
+    for i in base..len {
+        put(out, i);
+    }
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -243,15 +273,6 @@ fn put_link(out: &mut Vec<u8>, l: &Links, code: &IntervalCode) {
     out.extend_from_slice(&code.to_bytes());
 }
 
-fn put_tree(out: &mut Vec<u8>, t: &ColorTree) {
-    put_u64(out, t.node_count);
-    out.push(t.dirty as u8);
-    put_u32(out, t.links.len() as u32);
-    for (l, code) in t.links.iter().zip(&t.codes) {
-        put_link(out, l, code);
-    }
-}
-
 fn put_heap(out: &mut Vec<u8>, (pages, records, bytes): &HeapParts) {
     put_u32(out, pages.len() as u32);
     for p in pages {
@@ -297,243 +318,101 @@ fn unpack(packed: u64) -> Option<RecordId> {
     })
 }
 
-fn put_rids(out: &mut Vec<u8>, rids: &[Option<RecordId>]) {
-    put_u32(out, rids.len() as u32);
-    for &r in rids {
-        put_u64(out, pack(r));
-    }
-}
-
 // ----- decoding ---------------------------------------------------------------
 
-/// Decode a full catalog: the database, its physical catalog and the
-/// catalog version.
-pub(crate) fn decode(bytes: &[u8]) -> mct_storage::Result<(MctDatabase, PhysCatalog, u64)> {
-    let mut r = Reader { b: bytes, at: 0 };
-    if r.take(8)? != MAGIC_FULL {
-        return Err(corrupt("bad snapshot magic"));
+/// A sequence relative to a base: new values at slots below the base,
+/// and the tail that replaces everything from the base on.
+struct Positional<T> {
+    changed: Vec<(u32, T)>,
+    tail: Vec<T>,
+}
+
+impl<T> Positional<T> {
+    /// Length of the sequence it produces from a base of `base`.
+    fn len(&self, base: usize) -> usize {
+        base + self.tail.len()
     }
-    let version = r.u64()?;
-    let mut names = Interner::new();
-    let nstrings = r.u32()?;
-    for i in 0..nstrings {
-        let s = r.str()?;
-        if names.intern(s) != Sym(i) {
-            return Err(corrupt("duplicate interner string"));
+
+    /// Apply onto `v`, which holds at least `base` values.
+    fn apply(self, v: &mut Vec<T>, base: usize) {
+        v.truncate(base);
+        for (i, x) in self.changed {
+            v[i as usize] = x;
         }
-    }
-    let mut palette = Palette::new();
-    let ncolors = r.u8()? as usize;
-    if ncolors > 32 {
-        return Err(corrupt("palette beyond 32-color limit"));
-    }
-    for _ in 0..ncolors {
-        let name = r.str()?.to_string();
-        palette.register(&name);
-    }
-    if palette.len() != ncolors {
-        return Err(corrupt("duplicate palette color"));
-    }
-    let nnodes = r.u32()? as usize;
-    let mut nodes = Vec::with_capacity(nnodes.min(1 << 20));
-    for _ in 0..nnodes {
-        nodes.push(r.node(nstrings)?);
-    }
-    let ntrees = r.u8()? as usize;
-    if ntrees != ncolors {
-        return Err(corrupt("tree count != color count"));
-    }
-    let mut trees = Vec::with_capacity(ntrees);
-    for _ in 0..ntrees {
-        trees.push(r.tree(nnodes)?);
-    }
-    let db = MctDatabase {
-        nodes,
-        names,
-        palette,
-        trees,
-        journal: None,
-    };
-    let dir = r.directory(ncolors)?;
-    let content_rid = r.rids()?;
-    let attr_rid = r.rids()?;
-    r.end()?;
-    let phys = PhysCatalog {
-        dir,
-        content_rid,
-        attr_rid,
-    };
-    Ok((db, phys, version))
-}
-
-/// A decoded catalog record of either kind.
-pub(crate) enum Record {
-    /// A full catalog: the database, its physical catalog, the version.
-    Full(MctDatabase, PhysCatalog, u64),
-    /// A delta onto [`Delta::base`].
-    Delta(Delta),
-}
-
-impl Record {
-    pub(crate) fn decode(bytes: &[u8]) -> mct_storage::Result<Record> {
-        Ok(match base_of(bytes)? {
-            None => {
-                let (db, phys, version) = decode(bytes)?;
-                Record::Full(db, phys, version)
-            }
-            Some(_) => Record::Delta(Delta::decode(bytes)?),
-        })
+        v.extend(self.tail);
     }
 }
 
-/// The base version of a catalog blob: `None` for a full catalog,
-/// `Some(base)` for a delta.
-pub(crate) fn base_of(bytes: &[u8]) -> mct_storage::Result<Option<u64>> {
-    let mut r = Reader { b: bytes, at: 0 };
-    match r.take(8)? {
-        m if m == MAGIC_FULL => Ok(None),
-        m if m == MAGIC_DELTA => Ok(Some(r.u64()?)),
-        _ => Err(corrupt("bad snapshot magic")),
-    }
+/// One colored tree in a record: its base length, counters, links +
+/// codes relative to the base, and all its codes when it was
+/// renumbered.
+struct TreeChange {
+    base: usize,
+    node_count: u64,
+    dirty: bool,
+    slots: Positional<(Links, IntervalCode)>,
+    codes: Option<Vec<IntervalCode>>,
 }
 
-/// The error for a delta whose base is not the version at hand.
-pub(crate) fn check_base(base: u64, version: u64) -> mct_storage::Result<()> {
-    if base == version {
-        Ok(())
-    } else {
-        Err(StorageError::CatalogBase { base, version })
-    }
-}
-
-/// Rebuild the catalog the chain of records `catalogs` (oldest first)
-/// ends at: decode the last full catalog and apply every delta after
-/// it, each against the version its predecessor produced.
-pub(crate) fn decode_chain(
-    catalogs: &[Vec<u8>],
-) -> mct_storage::Result<(MctDatabase, PhysCatalog, u64)> {
-    let last_full = catalogs
-        .iter()
-        .rposition(|c| c.starts_with(MAGIC_FULL))
-        .ok_or(corrupt("no full catalog in the live log"))?;
-    let (mut db, mut phys, mut version) = decode(&catalogs[last_full])?;
-    for bytes in &catalogs[last_full + 1..] {
-        let delta = Delta::decode(bytes)?;
-        check_base(delta.base, version)?;
-        version = delta.base + 1;
-        phys.dir = delta.apply(&mut db, &mut phys.content_rid, &mut phys.attr_rid)?;
-    }
-    Ok((db, phys, version))
-}
-
-/// One colored tree in a delta.
-enum TreeChange {
-    /// A color that existed at the base: its new length and counters,
-    /// the journaled slots, and all its codes when it was renumbered.
-    Patch {
-        len: usize,
-        node_count: u64,
-        dirty: bool,
-        slots: Vec<(u32, Links, IntervalCode)>,
-        codes: Option<Vec<IntervalCode>>,
-    },
-    /// A color registered since the base, whole.
-    Whole(ColorTree),
-}
-
-/// A record-id map in a delta: its length and the slots set.
-type RidSlots = (usize, Vec<(u32, Option<RecordId>)>);
-
-/// A decoded delta catalog (see the module docs).
+/// A decoded catalog record (see the module docs).
 pub(crate) struct Delta {
-    /// The catalog version this delta applies to; it produces `base + 1`.
-    pub base: u64,
-    names_base: usize,
+    pub header: Header,
     names: Vec<String>,
-    colors_base: usize,
     colors: Vec<String>,
-    nodes_base: usize,
-    changed_nodes: Vec<(u32, McNode)>,
-    new_nodes: Vec<McNode>,
+    nodes: Positional<McNode>,
     trees: Vec<TreeChange>,
     dir: Directory,
-    rids: [RidSlots; 2],
+    rids: [Positional<Option<RecordId>>; 2],
 }
 
 impl Delta {
-    pub(crate) fn decode(bytes: &[u8]) -> mct_storage::Result<Delta> {
+    /// Decode a record. Checks everything that does not depend on the
+    /// database it will be applied to.
+    pub(crate) fn parse(bytes: &[u8]) -> mct_storage::Result<Delta> {
         let mut r = Reader { b: bytes, at: 0 };
-        if r.take(8)? != MAGIC_DELTA {
-            return Err(corrupt("bad delta magic"));
-        }
-        let base = r.u64()?;
-        let names_base = r.u32()? as usize;
-        let n = r.u32()?;
-        let mut names = Vec::with_capacity((n as usize).min(1 << 16));
+        let header = r.header()?;
+        let n = r.u32()? as usize;
+        let mut names = Vec::with_capacity(r.cap(n, 4));
         for _ in 0..n {
             names.push(r.str()?.to_string());
         }
-        let nstrings = u32::try_from(names_base + names.len())
+        if !distinct(&names) {
+            return Err(corrupt("duplicate interner string"));
+        }
+        let nstrings = u32::try_from(header.names + names.len())
             .map_err(|_| corrupt("interner beyond u32"))?;
-        let colors_base = r.u8()? as usize;
-        let n = r.u8()?;
-        let mut colors = Vec::with_capacity(n as usize);
+        let n = r.u8()? as usize;
+        if header.colors + n > Palette::CAPACITY {
+            return Err(corrupt("palette beyond 32-color limit"));
+        }
+        let mut colors = Vec::with_capacity(n);
         for _ in 0..n {
             colors.push(r.str()?.to_string());
         }
-        if colors_base + colors.len() > 32 {
-            return Err(corrupt("palette beyond 32-color limit"));
+        if !distinct(&colors) {
+            return Err(corrupt("duplicate palette color"));
         }
-        let nodes_base = r.u32()? as usize;
-        let nodes_len = r.u32()? as usize;
-        if nodes_len < nodes_base {
-            return Err(corrupt("delta shrinks the arena"));
-        }
-        let n = r.u32()?;
-        let mut changed_nodes = Vec::with_capacity((n as usize).min(1 << 16));
-        for _ in 0..n {
-            let i = r.u32()?;
-            if i as usize >= nodes_base {
-                return Err(corrupt("delta node out of range"));
-            }
-            changed_nodes.push((i, r.node(nstrings)?));
-        }
-        let mut new_nodes = Vec::with_capacity((nodes_len - nodes_base).min(1 << 16));
-        for _ in nodes_base..nodes_len {
-            new_nodes.push(r.node(nstrings)?);
-        }
+        let nodes = r.positional(header.nodes, NODE_BYTES, |r| r.node(nstrings))?;
+        let nodes_len = nodes.len(header.nodes);
         let ntrees = r.u8()? as usize;
-        if ntrees != colors_base + colors.len() {
+        if ntrees != header.colors + colors.len() {
             return Err(corrupt("tree count != color count"));
         }
         let mut trees = Vec::with_capacity(ntrees);
         for c in 0..ntrees {
-            let whole = r.u8()? != 0;
-            if whole != (c >= colors_base) {
-                return Err(corrupt("delta tree kind does not match its color"));
-            }
-            if whole {
-                trees.push(TreeChange::Whole(r.tree(nodes_len)?));
-                continue;
+            let base = r.u32()? as usize;
+            if c >= header.colors && base != 0 {
+                return Err(corrupt("new color with a base"));
             }
             let node_count = r.u64()?;
             let dirty = r.u8()? != 0;
-            let len = r.u32()? as usize;
+            let slots = r.positional(base, LINK_BYTES, Reader::link)?;
+            let len = slots.len(base);
             if len > nodes_len {
                 return Err(corrupt("tree longer than arena"));
             }
-            let n = r.u32()?;
-            let mut slots = Vec::with_capacity((n as usize).min(1 << 16));
-            for _ in 0..n {
-                let i = r.u32()?;
-                if i as usize >= len {
-                    return Err(corrupt("delta link out of range"));
-                }
-                let (l, code) = r.link()?;
-                slots.push((i, l, code));
-            }
             let codes = if r.u8()? != 0 {
-                let mut codes = Vec::with_capacity(len);
+                let mut codes = Vec::with_capacity(r.cap(len, IntervalCode::BYTES));
                 for _ in 0..len {
                     codes.push(IntervalCode::from_bytes(r.take(IntervalCode::BYTES)?));
                 }
@@ -541,8 +420,8 @@ impl Delta {
             } else {
                 None
             };
-            trees.push(TreeChange::Patch {
-                len,
+            trees.push(TreeChange {
+                base,
                 node_count,
                 dirty,
                 slots,
@@ -550,117 +429,95 @@ impl Delta {
             });
         }
         let dir = r.directory(ntrees)?;
-        let mut rid_map = || -> mct_storage::Result<RidSlots> {
-            let len = r.u32()? as usize;
-            let n = r.u32()?;
-            let mut slots = Vec::with_capacity((n as usize).min(1 << 16));
-            for _ in 0..n {
-                let i = r.u32()?;
-                if i as usize >= len {
-                    return Err(corrupt("delta record id out of range"));
-                }
-                slots.push((i, unpack(r.u64()?)));
-            }
-            Ok((len, slots))
-        };
-        let rids = [rid_map()?, rid_map()?];
+        let mut rid_map = |base| r.positional(base, 8, |r| Ok(unpack(r.u64()?)));
+        let rids = [rid_map(header.rids[0])?, rid_map(header.rids[1])?];
         r.end()?;
         Ok(Delta {
-            base,
-            names_base,
+            header,
             names,
-            colors_base,
             colors,
-            nodes_base,
-            changed_nodes,
-            new_nodes,
+            nodes,
             trees,
             dir,
             rids,
         })
     }
 
-    /// Apply the delta in place to `db` and the two record-id maps
-    /// (the caller has checked [`Delta::base`]) and return the new
-    /// directory. Everything is checked against `db` first, so a delta
-    /// that does not fit changes nothing.
+    /// Apply the record in place to `db` and the two record-id maps
+    /// (the caller has checked the base, see [`Header::check_base`])
+    /// and return the new directory. Everything is checked against
+    /// `db` first, so a record that does not fit changes nothing.
     pub(crate) fn apply(
         self,
         db: &mut MctDatabase,
-        content_rid: &mut Vec<Option<RecordId>>,
-        attr_rid: &mut Vec<Option<RecordId>>,
+        [content_rid, attr_rid]: [&mut Vec<Option<RecordId>>; 2],
     ) -> mct_storage::Result<Directory> {
-        if db.names.len() < self.names_base
-            || db.palette.len() < self.colors_base
-            || db.trees.len() < self.colors_base
-            || db.nodes.len() < self.nodes_base
+        let h = &self.header;
+        if db.names.len() < h.names
+            || db.palette.len() < h.colors
+            || db.trees.len() < h.colors
+            || db.nodes.len() < h.nodes
+            || content_rid.len() < h.rids[0]
+            || attr_rid.len() < h.rids[1]
         {
-            return Err(corrupt("delta base is longer than the database"));
+            return Err(corrupt("record base is longer than the database"));
         }
-        let fresh = |s: &String, i: usize, earlier: &[String]| {
-            !earlier[..i].contains(s)
-        };
-        let names_fresh = self.names.iter().enumerate().all(|(i, s)| {
-            db.names.get(s).is_none_or(|sym| sym.index() >= self.names_base)
-                && fresh(s, i, &self.names)
-        });
-        let colors_fresh = self.colors.iter().enumerate().all(|(i, s)| {
-            db.palette
-                .get(s)
-                .is_none_or(|c| c.index() >= self.colors_base)
-                && fresh(s, i, &self.colors)
-        });
-        if !names_fresh || !colors_fresh {
-            return Err(corrupt("delta re-registers a name or color"));
+        if (self.trees.iter().zip(&db.trees)).any(|(tc, t)| t.links.len() < tc.base) {
+            return Err(corrupt("tree base is longer than the tree"));
+        }
+        if self
+            .names
+            .iter()
+            .any(|s| db.names.get(s).is_some_and(|sym| sym.index() < h.names))
+        {
+            return Err(corrupt("duplicate interner string"));
+        }
+        if self
+            .colors
+            .iter()
+            .any(|s| db.palette.get(s).is_some_and(|c| c.index() < h.colors))
+        {
+            return Err(corrupt("duplicate palette color"));
         }
 
-        db.names.truncate(self.names_base);
+        db.names.truncate(h.names);
         for s in &self.names {
             db.names.intern(s);
         }
-        db.palette.truncate(self.colors_base);
+        db.palette.truncate(h.colors);
         for s in &self.colors {
             db.palette.register(s);
         }
-        db.nodes.truncate(self.nodes_base);
-        for (i, node) in self.changed_nodes {
-            db.nodes[i as usize] = node;
-        }
-        db.nodes.extend(self.new_nodes);
-        db.trees.truncate(self.colors_base);
-        for (c, change) in self.trees.into_iter().enumerate() {
-            match change {
-                TreeChange::Whole(t) => db.trees.push(t),
-                TreeChange::Patch {
-                    len,
-                    node_count,
-                    dirty,
-                    slots,
-                    codes,
-                } => {
-                    let t = &mut db.trees[c];
-                    t.links.resize(len, Links::default());
-                    t.codes.resize(len, NO_CODE);
-                    t.node_count = node_count;
-                    t.dirty = dirty;
-                    for (i, l, code) in slots {
-                        t.links[i as usize] = l;
-                        t.codes[i as usize] = code;
-                    }
-                    if let Some(codes) = codes {
-                        t.codes = codes;
-                    }
-                }
+        self.nodes.apply(&mut db.nodes, h.nodes);
+        db.trees.truncate(h.colors);
+        db.trees.resize_with(self.trees.len(), ColorTree::new);
+        for (tc, t) in self.trees.into_iter().zip(&mut db.trees) {
+            t.links.truncate(tc.base);
+            t.codes.truncate(tc.base);
+            for (i, (l, code)) in tc.slots.changed {
+                t.links[i as usize] = l;
+                t.codes[i as usize] = code;
             }
-        }
-        for ((len, slots), rids) in self.rids.into_iter().zip([content_rid, attr_rid]) {
-            rids.resize(len, None);
-            for (i, rid) in slots {
-                rids[i as usize] = rid;
+            let (links, codes): (Vec<_>, Vec<_>) = tc.slots.tail.into_iter().unzip();
+            t.links.extend(links);
+            t.codes.extend(codes);
+            if let Some(codes) = tc.codes {
+                t.codes = codes;
             }
+            t.node_count = tc.node_count;
+            t.dirty = tc.dirty;
         }
+        let [content, attr] = self.rids;
+        content.apply(content_rid, h.rids[0]);
+        attr.apply(attr_rid, h.rids[1]);
         Ok(self.dir)
     }
+}
+
+/// True when no string occurs twice in `names`.
+fn distinct(names: &[String]) -> bool {
+    let mut seen = HashSet::with_capacity(names.len());
+    names.iter().all(|s| seen.insert(s.as_str()))
 }
 
 fn corrupt(what: &'static str) -> StorageError {
@@ -675,18 +532,24 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> mct_storage::Result<&'a [u8]> {
         if self.b.len() - self.at < n {
-            return Err(corrupt("snapshot truncated"));
+            return Err(corrupt("catalog record truncated"));
         }
         let s = &self.b[self.at..self.at + n];
         self.at += n;
         Ok(s)
     }
 
+    /// How many of `n` items of at least `item_bytes` each the bytes
+    /// left can hold: the most any pre-allocation may reserve.
+    fn cap(&self, n: usize, item_bytes: usize) -> usize {
+        n.min((self.b.len() - self.at) / item_bytes)
+    }
+
     fn end(&self) -> mct_storage::Result<()> {
         if self.at == self.b.len() {
             Ok(())
         } else {
-            Err(corrupt("trailing bytes after snapshot"))
+            Err(corrupt("trailing bytes after catalog record"))
         }
     }
 
@@ -712,12 +575,50 @@ impl<'a> Reader<'a> {
     }
 
     fn str_of(&mut self, len: usize) -> mct_storage::Result<&'a str> {
-        std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("snapshot string not UTF-8"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("catalog string not UTF-8"))
     }
 
     fn str(&mut self) -> mct_storage::Result<&'a str> {
         let len = self.u32()? as usize;
         self.str_of(len)
+    }
+
+    fn header(&mut self) -> mct_storage::Result<Header> {
+        if self.take(8)? != MAGIC {
+            return Err(corrupt("bad catalog magic"));
+        }
+        Ok(Header {
+            version: self.u64()?,
+            names: self.u32()? as usize,
+            colors: self.u8()? as usize,
+            nodes: self.u32()? as usize,
+            rids: [self.u32()? as usize, self.u32()? as usize],
+        })
+    }
+
+    /// A sequence relative to a base of `base`, whose values take at
+    /// least `item_bytes` each and are read by `read`.
+    fn positional<T>(
+        &mut self,
+        base: usize,
+        item_bytes: usize,
+        mut read: impl FnMut(&mut Self) -> mct_storage::Result<T>,
+    ) -> mct_storage::Result<Positional<T>> {
+        let n = self.u32()? as usize;
+        let mut changed = Vec::with_capacity(self.cap(n, 4 + item_bytes));
+        for _ in 0..n {
+            let i = self.u32()?;
+            if i as usize >= base {
+                return Err(corrupt("changed slot beyond the base"));
+            }
+            changed.push((i, read(self)?));
+        }
+        let n = self.u32()? as usize;
+        let mut tail = Vec::with_capacity(self.cap(n, item_bytes));
+        for _ in 0..n {
+            tail.push(read(self)?);
+        }
+        Ok(Positional { changed, tail })
     }
 
     /// A node record whose name symbols lie below `nstrings`.
@@ -737,7 +638,7 @@ impl<'a> Reader<'a> {
             len => Some(self.str_of(len as usize)?.into()),
         };
         let nattrs = self.u16()? as usize;
-        let mut attrs = Vec::with_capacity(nattrs);
+        let mut attrs = Vec::with_capacity(self.cap(nattrs, 8));
         for _ in 0..nattrs {
             let s = self.u32()?;
             if s >= nstrings {
@@ -767,32 +668,9 @@ impl<'a> Reader<'a> {
         Ok((links, IntervalCode::from_bytes(self.take(IntervalCode::BYTES)?)))
     }
 
-    /// A colored tree no longer than an arena of `nnodes`.
-    fn tree(&mut self, nnodes: usize) -> mct_storage::Result<ColorTree> {
-        let node_count = self.u64()?;
-        let dirty = self.u8()? != 0;
-        let len = self.u32()? as usize;
-        if len > nnodes {
-            return Err(corrupt("tree longer than arena"));
-        }
-        let mut links = Vec::with_capacity(len);
-        let mut codes = Vec::with_capacity(len);
-        for _ in 0..len {
-            let (l, code) = self.link()?;
-            links.push(l);
-            codes.push(code);
-        }
-        Ok(ColorTree {
-            links,
-            codes,
-            node_count,
-            dirty,
-        })
-    }
-
     fn heap(&mut self) -> mct_storage::Result<HeapParts> {
         let npages = self.u32()? as usize;
-        let mut pages = Vec::with_capacity(npages.min(1 << 20));
+        let mut pages = Vec::with_capacity(self.cap(npages, 4));
         for _ in 0..npages {
             pages.push(PageId(self.u32()?));
         }
@@ -836,13 +714,143 @@ impl<'a> Reader<'a> {
             attr_index: self.btree()?,
         })
     }
+}
 
-    fn rids(&mut self) -> mct_storage::Result<Vec<Option<RecordId>>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(unpack(self.u64()?));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::color::ColorId;
+    use crate::database::McNodeId;
+
+    fn dir(ncolors: usize) -> Directory {
+        let heap = || (Vec::new(), 0, 0);
+        Directory {
+            content_heap: heap(),
+            attr_heap: heap(),
+            struct_heaps: (0..ncolors).map(|_| heap()).collect(),
+            tag_indexes: vec![(PageId(0), 0, 0); ncolors],
+            link_indexes: vec![(PageId(0), 0, 0); ncolors],
+            content_index: (PageId(0), 0, 0),
+            attr_index: (PageId(0), 0, 0),
         }
-        Ok(out)
+    }
+
+    fn db() -> MctDatabase {
+        let mut db = MctDatabase::new();
+        let a = db.add_color("colorA");
+        db.add_color("colorB");
+        for name in ["nameA", "nameB"] {
+            let n = db.new_element(name, a);
+            db.append_child(McNodeId::DOCUMENT, n, a);
+        }
+        db
+    }
+
+    /// `db`'s rooted record, with a directory for `ncolors` colors.
+    fn rooted(db: &MctDatabase, ncolors: usize) -> Vec<u8> {
+        encode(
+            db,
+            &Journal::default(),
+            &dir(ncolors),
+            [(&[], &RidJournal::default()); 2],
+            1,
+        )
+    }
+
+    /// Decode `bytes` and apply them onto `db`; the `Corrupt` reason.
+    fn install(db: &mut MctDatabase, bytes: &[u8]) -> Result<(), &'static str> {
+        let (mut content, mut attr) = (Vec::new(), Vec::new());
+        match Delta::parse(bytes).and_then(|d| d.apply(db, [&mut content, &mut attr])) {
+            Ok(_) => Ok(()),
+            Err(StorageError::Corrupt(why)) => Err(why),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn position(bytes: &[u8], s: &str) -> usize {
+        bytes
+            .windows(s.len())
+            .position(|w| w == s.as_bytes())
+            .unwrap()
+    }
+
+    fn replace(bytes: &mut [u8], from: &str, to: &str) {
+        let at = position(bytes, from);
+        bytes[at..at + to.len()].copy_from_slice(to.as_bytes());
+    }
+
+    #[test]
+    fn a_rooted_record_rebuilds_the_database_it_was_encoded_from() {
+        let bytes = rooted(&db(), 2);
+        let mut rebuilt = MctDatabase::new();
+        install(&mut rebuilt, &bytes).unwrap();
+        assert!(rooted(&rebuilt, 2) == bytes);
+    }
+
+    /// The checks a whole catalog needs: no string or color twice, at
+    /// most 32 colors, one tree and one set of directory entries per
+    /// color.
+    #[test]
+    fn a_rooted_record_keeps_every_whole_catalog_check() {
+        let good = rooted(&db(), 2);
+        let refused = |bytes: &[u8]| install(&mut MctDatabase::new(), bytes).unwrap_err();
+        let mut twice = good.clone();
+        replace(&mut twice, "nameB", "nameA");
+        assert_eq!(refused(&twice), "duplicate interner string");
+        let mut twice = good.clone();
+        replace(&mut twice, "colorB", "colorA");
+        assert_eq!(refused(&twice), "duplicate palette color");
+        // The palette count precedes the first color's length.
+        let mut many = good.clone();
+        many[position(&good, "colorA") - 5] = 33;
+        assert_eq!(refused(&many), "palette beyond 32-color limit");
+        let mut extra = db();
+        extra.trees.push(ColorTree::new());
+        assert_eq!(refused(&rooted(&extra, 2)), "tree count != color count");
+        assert_eq!(
+            refused(&rooted(&db(), 1)),
+            "struct heap count != color count"
+        );
+    }
+
+    /// A chained record fits only a database at least as long as its
+    /// base, and may not register a name its base already holds; one
+    /// that does not fit changes nothing.
+    #[test]
+    fn a_chained_record_is_checked_against_the_database() {
+        let base = db();
+        let mut next = base.clone();
+        next.start_journal();
+        let n = next.new_element("nameC", ColorId(0));
+        next.append_child(McNodeId::DOCUMENT, n, ColorId(0));
+        let j = next.journal.take().unwrap();
+        let bytes = encode(&next, &j, &dir(2), [(&[], &RidJournal::default()); 2], 2);
+        let refused = |target: &mut MctDatabase, bytes: &[u8]| {
+            let before = rooted(target, 2);
+            let why = install(target, bytes).unwrap_err();
+            assert!(rooted(target, 2) == before, "{why}: something was applied");
+            why
+        };
+        let mut empty = MctDatabase::new();
+        assert_eq!(
+            refused(&mut empty, &bytes),
+            "record base is longer than the database"
+        );
+        let mut short = base.clone();
+        short.trees[0].links.truncate(1);
+        short.trees[0].codes.truncate(1);
+        assert_eq!(
+            refused(&mut short, &bytes),
+            "tree base is longer than the tree"
+        );
+        let mut again = bytes.clone();
+        replace(&mut again, "nameC", "nameA");
+        assert_eq!(
+            refused(&mut base.clone(), &again),
+            "duplicate interner string"
+        );
+        let mut target = base.clone();
+        install(&mut target, &bytes).unwrap();
+        assert!(rooted(&target, 2) == rooted(&next, 2));
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::ast::*;
 use mct_storage::{DiskManager, MemDisk};
-use mct_core::{ColorId, McNodeId, StoredDb};
+use mct_core::{ColorId, McNodeId, Palette, StoredDb};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -56,6 +56,9 @@ pub enum EvalError {
     /// The §4.2 dynamic error: a node would occur twice in one colored
     /// tree of a constructed result.
     DuplicateNode(McNodeId, String),
+    /// `createColor` into a new color when the palette already holds
+    /// [`Palette::CAPACITY`] colors.
+    PaletteFull(String),
     /// Anything else (type errors, unsupported forms).
     Dynamic(String),
 }
@@ -70,6 +73,11 @@ impl fmt::Display for EvalError {
             EvalError::DuplicateNode(n, color) => write!(
                 f,
                 "dynamic error: node {n:?} occurs more than once in colored tree {{{color}}}"
+            ),
+            EvalError::PaletteFull(c) => write!(
+                f,
+                "cannot create color {{{c}}}: the palette holds {} colors already",
+                Palette::CAPACITY
             ),
             EvalError::Dynamic(m) => write!(f, "dynamic error: {m}"),
         }
@@ -526,6 +534,10 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
         "createColor" => {
             expect_args(name, args, 2)?;
             let color_name = color_literal(ctx, &args[0])?;
+            let palette = &ctx.stored.db.palette;
+            if palette.get(&color_name).is_none() && palette.len() >= Palette::CAPACITY {
+                return Err(EvalError::PaletteFull(color_name));
+            }
             let v = eval(ctx, &args[1])?;
             let c = ctx.stored.db.add_color(&color_name);
             let items: Vec<McNodeId> = v

@@ -8,8 +8,8 @@
 //! The cut runs under the database **write** lock: `sync()` unless the
 //! store is exactly its last commit (so the pages and the catalog
 //! equal the committed state at the snapshot's LSN, and the next
-//! catalog delta extends the snapshot's version), then copy every raw
-//! page and the catalog into memory. The frames stream
+//! chained catalog record extends the snapshot's version), then copy
+//! every raw page and a rooted record of the catalog into memory. The frames stream
 //! *after* the lock drops — a bootstrap never blocks the primary for
 //! longer than one memory-speed page copy.
 //!

@@ -11,11 +11,12 @@
 //! side therefore only ever observe committed prefixes — the same
 //! atomicity the primary's own readers get from its commit path.
 //!
-//! Most commits carry a catalog *delta* against the previous one.
-//! Before installing a batch the replica checks that the delta's base
-//! is its own catalog version ([`StoredDb::check_catalog_base`]); if
-//! not, a commit went missing, nothing of the batch is applied, and
-//! the replica re-bootstraps from a snapshot.
+//! Most commits carry a catalog record chained onto the previous one.
+//! Before installing a batch the replica checks that the record is
+//! rooted or produces its own catalog version plus one
+//! ([`StoredDb::check_catalog_base`]); if not, a commit went missing,
+//! nothing of the batch is applied, and the replica re-bootstraps from
+//! a snapshot.
 //!
 //! ## Reconnect
 //!
@@ -25,7 +26,7 @@
 //! (checkpoint truncation outran us) it sends a fresh snapshot and the
 //! replica swaps in a whole new store, lifting the generation past the
 //! old one so plan caches cannot serve stale plans. After a refused
-//! delta the replica presents LSN 0, which always gets a snapshot.
+//! record the replica presents LSN 0, which always gets a snapshot.
 
 use crate::proto::{self, Frame};
 use mct_core::StoredDb;
@@ -151,7 +152,7 @@ fn sio(e: StorageError) -> io::Error {
     io::Error::other(format!("storage: {e}"))
 }
 
-/// Carry a refused catalog delta through `io::Error` so the applier
+/// Carry a refused catalog record through `io::Error` so the applier
 /// can tell it from a broken connection.
 fn stale_base(e: StorageError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
@@ -311,7 +312,7 @@ fn applier_loop(engine: &Engine, mut stream: TcpStream) {
         match pump(engine, &mut stream) {
             Ok(()) => return, // clean shutdown
             Err(e) => {
-                // A refused delta means our catalog is not the one the
+                // A refused record means our catalog is not the one the
                 // stream extends: only a snapshot can repair that.
                 let rebootstrap = is_stale_base(&e);
                 if engine.shutdown.load(Ordering::SeqCst) {

@@ -269,6 +269,38 @@ fn create_color_over_http_keeps_the_store_checkable_and_queryable() {
     handle.shutdown();
 }
 
+/// A `createColor` past the 32-color palette is a query error: `400`,
+/// the store unchanged and still checkable, the server serviceable.
+#[test]
+fn create_color_beyond_the_palette_is_refused_with_400() {
+    let _guard = test_lock();
+    let handle = start(ServerConfig::default());
+    let client = Client::new("127.0.0.1", handle.port());
+    let create = |k: usize| {
+        client
+            .query(&format!("createColor(\"k{k}\", <k{k}/>)"))
+            .unwrap()
+    };
+    let colors = handle.state().db.read().unwrap().db.palette.len();
+    for k in colors..32 {
+        let reply = create(k);
+        assert_eq!(reply.status, 200, "color {k}: {}", reply.body_str());
+    }
+    let before = handle.state().db.read().unwrap().snapshot_catalog();
+    let refused = create(32);
+    assert_eq!(refused.status, 400, "{}", refused.body_str());
+    let body = refused.body_str();
+    assert!(body.contains("palette"), "{body}");
+    assert!(handle.state().db.read().unwrap().snapshot_catalog() == before);
+    let check = client.request("GET", "/check", None, &[]).expect("check");
+    assert_eq!(check.status, 200, "zero violations: {}", check.body_str());
+    // An existing color is still found by name, not created.
+    assert_eq!(create(31).status, 200);
+    let served = client.query(Q_MOVIES).expect("query after the refusal");
+    assert_eq!(served.status, 200, "{}", served.body_str());
+    handle.shutdown();
+}
+
 #[test]
 fn admission_control_rejects_beyond_the_queue_with_503() {
     let _guard = test_lock();

@@ -10,8 +10,8 @@
 //! accept a clean re-execution that lands on the oracle's committed
 //! state. At the end of the case the store is dropped without a
 //! checkpoint and recovered from its own (faulted) disks: recovery —
-//! the last full catalog in the log plus the chain of catalog deltas
-//! after it — must land on the last committed state and pass `mctck`.
+//! the last rooted catalog record in the log plus the chain after
+//! it — must land on the last committed state and pass `mctck`.
 
 use mct_core::{McNodeId, MctDatabase, StoredDb};
 use mct_query::ast::UpdateStmt;

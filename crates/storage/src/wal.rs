@@ -7,8 +7,9 @@
 //! * **page image** — the full post-write contents of one data page;
 //! * **commit** — marks every preceding image as durable, and carries
 //!   the committed data-file page count plus an opaque catalog blob
-//!   (the database's logical + physical metadata: in `mct-core`, the
-//!   full catalog or a delta against the previous commit's);
+//!   (the database's logical + physical metadata: in `mct-core`, a
+//!   catalog record, either chained onto the previous commit's or
+//!   rooted — the change from an empty store);
 //! * **txn begin** — opens a transaction (txn id);
 //! * **undo** — the full *before*-image of a page about to be dirtied
 //!   by an open transaction (txn id + page + image);
@@ -25,10 +26,10 @@
 //! *last* commit record, in log order, truncates the data file to the
 //! committed page count — dropping both torn data-page writes and
 //! pages allocated by an uncommitted build — returns the catalog blob
-//! of every commit in the live log (oldest first: the caller may chain
-//! deltas onto the last full catalog), and then **undoes losers**: any
-//! transaction whose begin record sits after the last commit never
-//! committed, so its undo images (captured against the
+//! of every commit in the live log (oldest first: the caller may apply
+//! the last rooted record and the chain after it), and then **undoes
+//! losers**: any transaction whose begin record sits after the last
+//! commit never committed, so its undo images (captured against the
 //! committed baseline) are applied in reverse log order, wiping
 //! whatever the losing transaction managed to evict to the data file.
 //!
@@ -136,8 +137,8 @@ pub struct CommittedState {
     pub num_pages: u32,
     /// The catalog blob of every commit and checkpoint record in the
     /// live log, oldest first (so never empty). The log does not read
-    /// them: a database that writes full catalogs and deltas rebuilds
-    /// its catalog from the last full one and the deltas after it.
+    /// them: a database that writes rooted and chained records rebuilds
+    /// its catalog from the last rooted one and the chain after it.
     pub catalogs: Vec<Vec<u8>>,
     /// LSN of the last commit record.
     pub lsn: u64,
@@ -640,7 +641,7 @@ impl Wal {
     /// the loser evicted to the data file return to their committed
     /// contents. Finally sync `target`. Returns the committed state —
     /// with the catalog blob of every commit in the live log, so a
-    /// caller that logs catalog deltas can rebuild from them — or
+    /// caller that chains catalog records can rebuild from them — or
     /// `None` when the log holds no commit (nothing durable).
     pub fn replay_into(&mut self, target: &mut dyn DiskManager) -> Result<Option<CommittedState>> {
         let Some(commit_end) = self.last_commit_end else {

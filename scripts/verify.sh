@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Full local verification: everything CI runs, in the same order.
+# Full verification: every check CI runs (CI's job is this script
+# plus a time-budgeted daily fuzz run), in the same order.
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> toolchain"
+rustc --version && cargo --version
 
 echo "==> build (release)"
 cargo build --release --workspace --offline
@@ -62,11 +66,16 @@ cargo bench --workspace --offline --no-run
 echo "==> update crash loop + mctck after every recovery"
 RUST_BACKTRACE=1 cargo test --offline -q --test txn_crash
 
-echo "==> mctck deep-checker smoke (movies + tpcw builds)"
+echo "==> mctck deep-checker smoke (movies + tpcw + sigmod builds)"
 cargo run --release --offline --bin mctck -- --build movies | grep -q "zero violations" \
     || { echo "FAIL: mctck rejects a clean movies build"; exit 1; }
 cargo run --release --offline --bin mctck -- -q --build tpcw --scale 0.05 \
     || { echo "FAIL: mctck rejects a clean tpcw build"; exit 1; }
+# Table 1 scale: multi-level bulk-loaded indexes.
+cargo run --release --offline --bin mctck -- -q --build tpcw --scale 1.0 \
+    || { echo "FAIL: mctck rejects a clean tpcw scale-1.0 build"; exit 1; }
+cargo run --release --offline --bin mctck -- -q --build sigmod --scale 1.0 \
+    || { echo "FAIL: mctck rejects a clean sigmod scale-1.0 build"; exit 1; }
 
 echo "==> mctd server smoke (queries, update, metrics, SIGTERM drain)"
 PORT_FILE=$(mktemp)

@@ -1,7 +1,8 @@
 //! Commits are O(change): a one-value update on a WAL-attached TPC-W
 //! store appends the same few page images and a small catalog delta to
 //! its log whatever the document's size, and opening the transaction
-//! encodes nothing.
+//! encodes nothing. A rooted record (what a checkpoint or a replication
+//! snapshot carries) stays as small as the full catalog it replaced.
 //!
 //! The catalog counters (`catalog.encodes.*`) are process-global, so
 //! this binary holds a single `#[test]`.
@@ -17,6 +18,11 @@ const COMMIT_BUDGET: u64 = 64 * 1024;
 /// What its catalog record may take: the touched node and record-id
 /// slots plus the heap/index directory.
 const CATALOG_BUDGET: usize = 8 * 1024;
+/// `snapshot_catalog()` bytes of the freshly built and synced store at
+/// scales 0.05 and 0.5, in the full-catalog format that preceded
+/// rooted records (measured with this file's seed and pool). A rooted
+/// record may take at most 1 % more.
+const FULL_CATALOG_BYTES: [(f64, usize); 2] = [(0.05, 381_851), (0.5, 3_868_851)];
 
 fn wal_len(s: &StoredDb) -> u64 {
     s.pool.with_wal(|w| Ok(w.len_bytes())).unwrap()
@@ -28,14 +34,16 @@ fn encodes(kind: &str) -> u64 {
 
 /// One same-length replace-value commit at `scale`: the log bytes it
 /// appended, the bytes `begin_txn` alone appended, the size of the
-/// commit's catalog record, and the store's node count.
-fn one_update(scale: f64) -> (u64, u64, usize, usize) {
+/// commit's catalog record, the store's node count and the size of its
+/// snapshot before the update.
+fn one_update(scale: f64) -> (u64, u64, usize, usize, usize) {
     let tpcw = TpcwData::generate(&TpcwConfig { scale, seed: 42 });
     let mut pool = BufferPool::new(MemDisk::new(), POOL);
     pool.attach_wal(Wal::create(Box::new(MemDisk::new())).unwrap());
     let mut s = StoredDb::build_on(pool, tpcw.build_mct()).unwrap();
     s.sync().unwrap();
     let elements = s.db.len();
+    let snapshot = s.snapshot_catalog().len();
     let cost = (0..s.db.len() as u32)
         .map(McNodeId)
         .find(|&n| s.db.name_str(n) == Some("cost"))
@@ -70,16 +78,20 @@ fn one_update(scale: f64) -> (u64, u64, usize, usize) {
             ReplRecord::Image { .. } => None,
         })
         .expect("the commit record");
-    (committed, begun, catalog, elements)
+    (committed, begun, catalog, elements, snapshot)
 }
 
 #[test]
 fn one_value_commit_appends_o_change_to_the_log_at_any_scale() {
-    for scale in [0.05, 0.5] {
-        let (committed, begun, catalog, elements) = one_update(scale);
+    for (scale, full) in FULL_CATALOG_BYTES {
+        let (committed, begun, catalog, elements, snapshot) = one_update(scale);
         eprintln!(
             "scale {scale}: {elements} nodes, begin {begun} B, commit {committed} B \
-             (catalog {catalog} B)"
+             (catalog {catalog} B), snapshot {snapshot} B"
+        );
+        assert!(
+            snapshot * 100 <= full * 101,
+            "scale {scale}: a rooted snapshot takes {snapshot} bytes, the full catalog took {full}"
         );
         assert!(
             begun <= 64,
