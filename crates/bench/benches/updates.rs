@@ -6,6 +6,7 @@
 use mct_bench::microbench::Criterion;
 use mct_bench::{criterion_group, criterion_main};
 use mct_core::{McNodeId, MctDatabase, StoredDb};
+use std::collections::HashMap;
 
 fn build_store(n: usize) -> (StoredDb, Vec<McNodeId>) {
     let mut db = MctDatabase::new();
@@ -23,36 +24,31 @@ fn build_store(n: usize) -> (StoredDb, Vec<McNodeId>) {
 }
 
 fn updates(c: &mut Criterion) {
-    // Gap-path insert: append a leaf, assign codes in the gap, persist.
+    // Gap path: one leaf fits the numbering gap under its parent.
     c.bench_function("insert/gap_path", |b| {
         b.iter_batched(
             || build_store(5_000),
             |(mut s, items)| {
                 let red = s.db.color("red").unwrap();
-                let target = items[items.len() / 2];
-                let e = s.db.new_element("remark", red);
-                s.db.set_content(e, "fresh");
-                s.db.append_child(target, e, red);
-                let fit = s.db.try_assign_gap_codes(e, red);
-                assert!(fit, "first insert under a leaf must fit the gap");
-                s.persist_new_element(e).unwrap();
+                let e = s.new_element("remark", Some("fresh"), &[]);
+                s.attach(items[items.len() / 2], &[e], &HashMap::new(), red)
+                    .unwrap();
             },
             mct_bench::microbench::BatchSize::LargeInput,
         )
     });
 
-    // Renumber path: force a full annotate + reindex of the color.
+    // Renumber path: a two-node fragment renumbers and reindexes the
+    // whole color.
     c.bench_function("insert/renumber_path", |b| {
         b.iter_batched(
             || build_store(5_000),
             |(mut s, items)| {
                 let red = s.db.color("red").unwrap();
-                let target = items[items.len() / 2];
-                let e = s.db.new_element("remark", red);
-                s.db.set_content(e, "fresh");
-                s.db.append_child(target, e, red);
-                s.reindex_color(red).unwrap();
-                s.persist_new_element(e).unwrap();
+                let e = s.new_element("remark", None, &[]);
+                let x = s.new_element("x", Some("fresh"), &[]);
+                let edges = HashMap::from([(e, vec![x])]);
+                s.attach(items[items.len() / 2], &[e], &edges, red).unwrap();
             },
             mct_bench::microbench::BatchSize::LargeInput,
         )

@@ -21,8 +21,9 @@
 //!   record for the same node with the logical code, and every node
 //!   carrying the color links back;
 //! * **content/attr heaps + indexes ↔ logical nodes** — record ids
-//!   round-trip, heap payloads equal logical content/attributes, and
-//!   every value-index entry matches the node it names.
+//!   round-trip, heap payloads equal logical content/attributes, every
+//!   live heap record is the one its node's record id names (no
+//!   orphans), and every value-index entry matches the node it names.
 //!
 //! The checker is read-only (`&self`, shared buffer pool), so a
 //! server can run it under its read lock; it also runs offline via
@@ -32,7 +33,7 @@
 use crate::color::ColorId;
 use crate::database::{McNodeId, McNodeKind};
 use crate::persist::{decode_attrs, decode_content, unpack_rid, StoredDb};
-use mct_storage::{DiskManager, IntervalCode, KeyEncoder};
+use mct_storage::{DiskManager, HeapFile, IntervalCode, RecordId};
 use mct_obs::Counter;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -551,6 +552,7 @@ impl<D: DiskManager> StoredDb<D> {
                 );
             }
         }
+        self.check_heap_owners(&self.content_heap, &self.content_rid, "content-record-orphan", rep)?;
         // Reverse: every index entry names a node with that content.
         let entries = self.content_index.btree().range_vec(&self.pool, &[], None)?;
         rep.records_checked += entries.len() as u64;
@@ -567,6 +569,31 @@ impl<D: DiskManager> StoredDb<D> {
                     format!("content index maps {value:?} to n{} which disagrees", n.0),
                 );
             }
+        }
+        Ok(())
+    }
+
+    /// Reverse over a content or attribute heap: every live record is
+    /// the one its node's record id names. (Both record kinds start with
+    /// the node id.) Anything else is an orphan: live in the heap,
+    /// reachable from no node.
+    fn check_heap_owners(
+        &self,
+        heap: &HeapFile,
+        rids: &[Option<RecordId>],
+        category: &'static str,
+        rep: &mut CheckReport,
+    ) -> mct_storage::Result<()> {
+        let mut orphans = Vec::new();
+        heap.scan(&self.pool, |rid, rec| {
+            rep.records_checked += 1;
+            let owner = rec.get(..4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+            if owner.and_then(|n| rids.get(n as usize).copied().flatten()) != Some(rid) {
+                orphans.push((rid, owner));
+            }
+        })?;
+        for (rid, owner) in orphans {
+            rep.flag(category, format!("record {rid:?} of n{owner:?} is not the one its node names"));
         }
         Ok(())
     }
@@ -621,6 +648,7 @@ impl<D: DiskManager> StoredDb<D> {
                 }
             }
         }
+        self.check_heap_owners(&self.attr_heap, &self.attr_rid, "attr-record-orphan", rep)?;
         // Reverse over the attribute index.
         let entries = self.attr_index.btree().range_vec(&self.pool, &[], None)?;
         rep.records_checked += entries.len() as u64;
@@ -661,15 +689,10 @@ impl<D: DiskManager> StoredDb<D> {
     }
 }
 
-/// `KeyEncoder` is used by callers constructing probes; referenced
-/// here so the checker's key formats stay in one import graph.
-#[allow(unused)]
-type _KeyEncoderAlias = KeyEncoder;
-
 #[cfg(test)]
 mod tests {
     use crate::database::{McNodeId, MctDatabase};
-    use crate::persist::StoredDb;
+    use crate::persist::{encode_attrs, encode_content, StoredDb};
 
     fn small_db() -> MctDatabase {
         let mut db = MctDatabase::new();
@@ -713,9 +736,7 @@ mod tests {
         s.update_content(n, "Renamed").unwrap();
         let green = s.db.color("green").unwrap();
         let victim = s.postings_named(green, "movie").unwrap()[0].node;
-        s.unindex_node(victim, green).unwrap();
-        s.db.remove_color(victim, green);
-        s.ensure_all_annotated().unwrap();
+        s.detach(victim, green).unwrap();
         let rep = s.check().unwrap();
         assert!(rep.is_ok(), "maintained store must verify: {rep}");
     }
@@ -726,10 +747,10 @@ mod tests {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
         let red = s.db.color("red").unwrap();
         let genre = s.postings_named(red, "movie-genre").unwrap()[0].node;
-        let m = s.db.new_element("movie", red);
-        s.db.append_child(genre, m, red);
-        let blue = s.db.add_color("blue");
-        s.db.annotate(blue);
+        let m = s.db.0.new_element("movie", red);
+        s.db.0.append_child(genre, m, red);
+        let blue = s.db.0.add_color("blue");
+        s.db.0.annotate(blue);
         let rep = s.check().unwrap();
         let flagged: Vec<_> = rep.violations.iter().map(|v| v.category).collect();
         assert_eq!(flagged, ["dirty-color", "color-without-storage"], "{rep}");
@@ -765,13 +786,28 @@ mod tests {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
         let n = s.content_lookup("Movie 3").unwrap()[0];
         // Mutate only the logical content, skipping heap + index.
-        s.db.set_content(n, "Silently Edited");
+        s.db.0.set_content(n, "Silently Edited");
         let rep = s.check().unwrap();
         assert!(!rep.is_ok());
         assert!(
             rep.violations.iter().any(|v| v.category.starts_with("content-")),
             "wrong categories: {rep}"
         );
+    }
+
+    /// A live heap record that no node's record id names is flagged,
+    /// for the content heap and the attribute heap alike.
+    #[test]
+    fn detects_orphaned_heap_records() {
+        let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
+        let n = s.content_lookup("Movie 3").unwrap()[0];
+        s.content_heap.insert(&s.pool, &encode_content(n, "Movie 3")).unwrap();
+        let m = s.attr_lookup("id", "m3").unwrap()[0];
+        let attrs = s.db.node(m).attrs.clone();
+        s.attr_heap.insert(&s.pool, &encode_attrs(m, &attrs)).unwrap();
+        let rep = s.check().unwrap();
+        let flagged: Vec<_> = rep.violations.iter().map(|v| v.category).collect();
+        assert_eq!(flagged, ["content-record-orphan", "attr-record-orphan"], "{rep}");
     }
 
     #[test]
@@ -781,7 +817,7 @@ mod tests {
         assert!(format!("{rep}").contains("zero violations"));
         let mut s = s;
         let n = s.content_lookup("Movie 3").unwrap()[0];
-        s.db.set_content(n, "Drift");
+        s.db.0.set_content(n, "Drift");
         let rep = s.check().unwrap();
         assert!(format!("{rep}").contains("FAILED"));
     }

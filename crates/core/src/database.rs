@@ -387,24 +387,9 @@ impl MctDatabase {
     /// *First-color* element constructor: a brand-new node with unique
     /// identity carrying color `c`, initially detached in `T_c`.
     pub fn new_element(&mut self, name: &str, c: ColorId) -> McNodeId {
-        let sym = self.names.intern(name);
-        self.new_element_sym(sym, c)
-    }
-
-    /// [`Self::new_element`] with a pre-interned name.
-    pub fn new_element_sym(&mut self, name: Sym, c: ColorId) -> McNodeId {
         assert!(c.index() < self.trees.len(), "unregistered color {c:?}");
-        let id = McNodeId(u32::try_from(self.nodes.len()).expect("MCT arena overflow"));
-        self.nodes.push(McNode {
-            kind: McNodeKind::Element,
-            name: Some(name),
-            content: None,
-            attrs: Vec::new(),
-            colors: ColorSet::single(c),
-        });
-        for t in &mut self.trees {
-            t.grow(self.nodes.len());
-        }
+        let id = self.new_element_uncolored(name);
+        self.nodes[id.index()].colors = ColorSet::single(c);
         id
     }
 
@@ -508,34 +493,6 @@ impl MctDatabase {
             t.links[old_last as usize].next = child.0;
         }
         t.link_mut(parent).last_child = child.0;
-        t.node_count += 1;
-        t.dirty = true;
-    }
-
-    /// Insert `child` immediately before `anchor` in tree `c`.
-    pub fn insert_before(&mut self, anchor: McNodeId, child: McNodeId, c: ColorId) {
-        let parent_raw = self.tree(c).link(anchor).parent;
-        assert!(parent_raw != NONE, "insert_before: anchor detached in {c:?}");
-        let parent = McNodeId(parent_raw);
-        self.attach_checks(parent, child, c);
-        let prev = self.tree(c).link(anchor).prev;
-        for n in [parent.0, child.0, anchor.0, prev] {
-            self.touch_link(c, n);
-        }
-        let t = self.tree_mut(c);
-        {
-            let l = t.link_mut(child);
-            l.parent = parent.0;
-            l.prev = prev;
-            l.next = anchor.0;
-            l.attached = true;
-        }
-        t.link_mut(anchor).prev = child.0;
-        if prev == NONE {
-            t.link_mut(parent).first_child = child.0;
-        } else {
-            t.links[prev as usize].next = child.0;
-        }
         t.node_count += 1;
         t.dirty = true;
     }
@@ -768,7 +725,7 @@ impl MctDatabase {
     /// [`CODE_STRIDE`], without renumbering the tree. Returns `false`
     /// when there is no room (caller should [`Self::annotate`] and
     /// rebuild dependent indexes). Clears the dirty flag on success.
-    pub fn try_assign_gap_codes(&mut self, n: McNodeId, c: ColorId) -> bool {
+    pub(crate) fn try_assign_gap_codes(&mut self, n: McNodeId, c: ColorId) -> bool {
         let (parent, prev) = {
             let l = self.tree(c).link(n);
             if !l.attached || l.parent == NONE || l.first_child != NONE {
@@ -811,12 +768,6 @@ impl MctDatabase {
         };
         t.dirty = false;
         true
-    }
-
-    /// Nodes of tree `c` in local (pre-order) order.
-    pub fn local_order(&mut self, c: ColorId) -> Vec<McNodeId> {
-        self.ensure_annotated(c);
-        self.descendants_or_self(McNodeId::DOCUMENT, c).collect()
     }
 
     // ----- statistics ---------------------------------------------------------
@@ -1079,8 +1030,10 @@ mod tests {
     #[test]
     fn local_order_is_per_color_preorder() {
         let (mut db, red, green, movie, name) = figure2();
-        let red_order = db.local_order(red);
-        let green_order = db.local_order(green);
+        db.annotate(red);
+        db.annotate(green);
+        let red_order: Vec<_> = db.descendants_or_self(McNodeId::DOCUMENT, red).collect();
+        let green_order: Vec<_> = db.descendants_or_self(McNodeId::DOCUMENT, green).collect();
         let genre = db.parent(movie, red).unwrap();
         let award = db.parent(movie, green).unwrap();
         assert_eq!(red_order, vec![McNodeId::DOCUMENT, genre, movie, name]);
@@ -1196,7 +1149,7 @@ mod tests {
         db.append_child(movie, extra, red);
         assert!(db.try_assign_gap_codes(extra, red));
         let first = db.new_element("first", red);
-        db.insert_before(extra, first, red);
+        db.append_child(movie, first, red);
         db.annotate(red);
         db.remove_color(movie, green);
         db.add_node_color(extra, green);

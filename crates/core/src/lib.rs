@@ -33,5 +33,5 @@ pub use check::{CheckReport, Violation};
 pub use color::{ColorId, ColorSet, Palette};
 pub use crosstree::{cross_tree_join, cross_tree_join_direct};
 pub use database::{McNode, McNodeId, McNodeKind, MctDatabase, CODE_STRIDE};
-pub use persist::{StoredDb, StructRef, Txn};
+pub use persist::{AttachError, DbView, StoredDb, StructRef, Txn};
 pub use xmlbridge::{export_color, export_subtree, import_document};

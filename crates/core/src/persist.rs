@@ -41,7 +41,7 @@ use mct_storage::{
     MemDisk, RecordId, StorageError, StorageStats, TagIndex, Wal, PAGE_SIZE,
 };
 use mct_xml::Sym;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -121,14 +121,15 @@ pub struct StructRef {
 /// **Annotation invariant.** Between calls, every color of the palette
 /// is annotated (no colored tree is dirty) and has its structural
 /// heap, tag index and link index, keyed by exactly the interval codes
-/// of the logical twin. Every constructor and load path establishes it,
-/// and every `&mut` path that can dirty a color restores it before
-/// returning: the update executor at the end of each statement, the
-/// interpreter's `createColor` right after materializing, and
-/// [`StoredDb::ensure_all_annotated`] for anyone else. Readers rely on
-/// it and never re-annotate; code that mutates `db` directly must call
-/// `ensure_all_annotated` itself. A read that meets a violation gets
-/// [`StorageError::NotAnnotated`], never a panic.
+/// of the logical twin. Every constructor and load path establishes it.
+/// The logical database is read-only outside this crate (see
+/// [`DbView`]); it changes only through the mutators
+/// [`StoredDb::add_color`], [`StoredDb::new_element`],
+/// [`StoredDb::attach`], [`StoredDb::detach`] and
+/// [`StoredDb::update_content`], each of which writes the change
+/// through to the heaps and indexes and leaves the invariant holding.
+/// Readers rely on it and never re-annotate. A read that meets a
+/// violation gets [`StorageError::NotAnnotated`], never a panic.
 ///
 /// **Change journal.** While a WAL is attached or a transaction is
 /// open, the store and its logical database journal the first change
@@ -138,8 +139,9 @@ pub struct StructRef {
 /// a WAL or a transaction the journal is off and costs one branch per
 /// mutation.
 pub struct StoredDb<D: DiskManager = MemDisk> {
-    /// The logical database (kept for construction & exact navigation).
-    pub db: MctDatabase,
+    /// The logical database (kept for construction & exact navigation),
+    /// read-only: change it through the mutators.
+    pub db: DbView,
     /// Shared buffer pool over the disk.
     pub pool: BufferPool<D>,
     pub(crate) content_heap: HeapFile,
@@ -170,6 +172,56 @@ pub struct StoredDb<D: DiskManager = MemDisk> {
     /// The next commit must be rooted: nothing durable is known to
     /// describe the state the journal started at.
     full_due: bool,
+}
+
+/// Read-only view of a [`StoredDb`]'s logical database. Every
+/// `&MctDatabase` method reaches through it; nothing that takes
+/// `&mut MctDatabase` does, so a stored document can only change
+/// through the [`StoredDb`] mutators, which keep the physical store in
+/// step.
+///
+/// ```
+/// # use mct_core::{MctDatabase, StoredDb};
+/// let mut db = MctDatabase::new();
+/// db.add_color("red");
+/// let s = StoredDb::build(db, 1 << 20).unwrap();
+/// assert!(s.db.color("red").is_some());
+/// ```
+///
+/// ```compile_fail,E0596
+/// # use mct_core::{McNodeId, StoredDb};
+/// fn graft(s: &mut StoredDb, n: McNodeId) {
+///     let red = s.db.color("red").unwrap();
+///     s.db.append_child(McNodeId::DOCUMENT, n, red);
+/// }
+/// ```
+pub struct DbView(pub(crate) MctDatabase);
+
+impl std::ops::Deref for DbView {
+    type Target = MctDatabase;
+
+    fn deref(&self) -> &MctDatabase {
+        &self.0
+    }
+}
+
+/// Why [`StoredDb::attach`] refused a fragment. A refused attach
+/// changes nothing.
+#[derive(Debug)]
+pub enum AttachError {
+    /// The §4.2 dynamic error: the node already occurs in the colored
+    /// tree (named), or twice in the fragment.
+    Duplicate(McNodeId, String),
+    /// The parent does not occur in the colored tree (named).
+    ParentNotInColor(McNodeId, String),
+    /// Storage-layer failure while writing the fragment through.
+    Storage(StorageError),
+}
+
+impl From<StorageError> for AttachError {
+    fn from(e: StorageError) -> Self {
+        AttachError::Storage(e)
+    }
 }
 
 impl StoredDb<MemDisk> {
@@ -280,7 +332,7 @@ impl<D: DiskManager> StoredDb<D> {
             link_indexes.push(link);
         }
         Ok(StoredDb {
-            db,
+            db: DbView(db),
             pool,
             content_heap,
             attr_heap,
@@ -434,7 +486,7 @@ impl<D: DiskManager> StoredDb<D> {
     ) -> mct_storage::Result<StoredDb<D>> {
         let empty = || ContentIndex::from_btree(BTree::from_parts(mct_storage::PageId(0), 0, 0));
         let mut s = StoredDb {
-            db: MctDatabase::new(),
+            db: DbView(MctDatabase::new()),
             pool,
             content_heap: HeapFile::new(),
             attr_heap: HeapFile::new(),
@@ -472,7 +524,7 @@ impl<D: DiskManager> StoredDb<D> {
         let record = Delta::parse(bytes)?;
         record.header.check_base(self.catalog_version)?;
         let version = record.header.version;
-        let dir = record.apply(&mut self.db, [&mut self.content_rid, &mut self.attr_rid])?;
+        let dir = record.apply(&mut self.db.0, [&mut self.content_rid, &mut self.attr_rid])?;
         self.install_directory(dir);
         self.catalog_version = version;
         Ok(())
@@ -643,7 +695,7 @@ impl<D: DiskManager> StoredDb<D> {
     /// Start (or restart) both halves of the change journal at the
     /// current state.
     fn start_journal(&mut self) {
-        self.db.start_journal();
+        self.db.0.start_journal();
         self.journal = Some(PhysJournal {
             dir: self.directory(),
             content: RidJournal::start(&self.content_rid),
@@ -652,7 +704,7 @@ impl<D: DiskManager> StoredDb<D> {
     }
 
     fn stop_journal(&mut self) {
-        self.db.stop_journal();
+        self.db.0.stop_journal();
         self.journal = None;
     }
 
@@ -670,7 +722,7 @@ impl<D: DiskManager> StoredDb<D> {
     /// Put everything the journal saw change back to its start-time
     /// value and turn the journal off. No-op when it is off.
     fn roll_back_journal(&mut self) {
-        self.db.roll_back();
+        self.db.0.roll_back();
         let Some(j) = self.journal.take() else {
             return;
         };
@@ -832,12 +884,6 @@ impl<D: DiskManager> StoredDb<D> {
         self.generation
     }
 
-    /// Explicitly advance the generation (for callers performing
-    /// logical-only mutations outside the write-through methods).
-    pub fn bump_generation(&mut self) {
-        self.generation += 1;
-    }
-
     /// Raise the generation to at least `floor`. A replica that swaps
     /// in a freshly bootstrapped store (which starts at generation 0)
     /// lifts it past the store it replaces, so generation-stamped
@@ -850,8 +896,9 @@ impl<D: DiskManager> StoredDb<D> {
 
     /// Restore the annotation invariant (see [`StoredDb`]): annotate
     /// every dirty color, and rebuild the structural heap and indexes of
-    /// each color that was dirty or has none yet. No-op on a store that
-    /// already holds it.
+    /// each color that was dirty or has none yet. The load paths in this
+    /// crate need it; every mutator leaves the invariant holding, so a
+    /// caller outside the crate always finds nothing to do.
     pub fn ensure_all_annotated(&mut self) -> mct_storage::Result<()> {
         for i in 0..self.db.palette.len() {
             let c = ColorId(i as u8);
@@ -871,59 +918,119 @@ impl<D: DiskManager> StoredDb<D> {
             .ok_or(StorageError::NotAnnotated)
     }
 
-    // ----- write-through updates -----------------------------------------------
+    // ----- mutators ------------------------------------------------------------
 
-    /// Insert a fresh element (already created and appended in the
-    /// logical database, with codes assigned) into the physical store.
-    pub fn persist_new_element(&mut self, n: McNodeId) -> mct_storage::Result<()> {
+    /// Register color `name` (idempotent by name) with its structural
+    /// heap and indexes. The palette must have room for a new color
+    /// (see [`crate::Palette::CAPACITY`]).
+    pub fn add_color(&mut self, name: &str) -> mct_storage::Result<ColorId> {
+        let c = self.db.0.add_color(name);
+        self.ensure_all_annotated()?;
+        Ok(c)
+    }
+
+    /// Create an element with no color yet, the node an element
+    /// constructor makes (§4.2). It occurs in no colored tree and has
+    /// no records until [`Self::attach`] gives it its first color.
+    pub fn new_element(
+        &mut self,
+        name: &str,
+        content: Option<&str>,
+        attrs: &[(String, String)],
+    ) -> McNodeId {
+        let db = &mut self.db.0;
+        let n = db.new_element_uncolored(name);
+        if let Some(text) = content {
+            db.set_content(n, text);
+        }
+        for (k, v) in attrs {
+            db.set_attr(n, k, v);
+        }
+        n
+    }
+
+    /// Attach nodes in colored tree `c`: each of `roots` as the last
+    /// child of `parent`, and below each node the children `edges`
+    /// lists for it, recursively (an element constructor's pending
+    /// edges). Nodes keep their identity and their place in other
+    /// colors; a node lacking `c` gains it. The new members get interval
+    /// codes (a lone leaf in its sibling gap, else the color is
+    /// renumbered) and structural records, and a node whose first color
+    /// this is gets its content and attribute records.
+    ///
+    /// Refused before anything changes when `parent` does not occur in
+    /// `c`, or a node already occurs in `c` or twice in the fragment.
+    pub fn attach(
+        &mut self,
+        parent: McNodeId,
+        roots: &[McNodeId],
+        edges: &HashMap<McNodeId, Vec<McNodeId>>,
+        c: ColorId,
+    ) -> Result<(), AttachError> {
+        let occurs = |n: McNodeId| self.db.tree(c).link(n).attached;
+        let color = || self.db.palette.name(c).to_string();
+        if !occurs(parent) {
+            return Err(AttachError::ParentNotInColor(parent, color()));
+        }
+        // The fragment in pre-order, each node with its parent.
+        let mut fragment = Vec::new();
+        let mut seen = HashSet::new();
+        let mut stack: Vec<(McNodeId, McNodeId)> = roots.iter().rev().map(|&r| (parent, r)).collect();
+        while let Some((p, n)) = stack.pop() {
+            if occurs(n) || !seen.insert(n) {
+                return Err(AttachError::Duplicate(n, color()));
+            }
+            fragment.push((p, n));
+            stack.extend(edges.get(&n).into_iter().flatten().rev().map(|&k| (n, k)));
+        }
+        if fragment.is_empty() {
+            return Ok(());
+        }
         self.generation += 1;
-        if self.content_rid.len() < self.db.len() {
-            self.content_rid.resize(self.db.len(), None);
-            self.attr_rid.resize(self.db.len(), None);
-        }
-        let node = self.db.node(n).clone();
-        let name = node.name.expect("element named");
-        if let Some(content) = &node.content {
-            let rec = encode_content(n, content);
-            let rid = self.content_heap.insert(&self.pool, &rec)?;
-            self.set_rid(false, n, rid);
-            self.content_index
-                .insert(&self.pool, content, u64::from(n.0))?;
-        }
-        if !node.attrs.is_empty() {
-            let rec = encode_attrs(n, &node.attrs);
-            let rid = self.attr_heap.insert(&self.pool, &rec)?;
-            self.set_rid(true, n, rid);
-            for (s, v) in &node.attrs {
-                let key = format!("{}={}", self.db.names.resolve(*s), v);
-                self.attr_index.insert(&self.pool, &key, u64::from(n.0))?;
+        for &(p, n) in &fragment {
+            if !self.db.colors(n).contains(c) {
+                self.db.0.add_node_color(n, c);
             }
+            self.db.0.append_child(p, n, c);
         }
-        for c in node.colors.iter() {
-            let i = self.storage_of(c)?;
-            // A renumbering insert runs `reindex_color` before persisting,
-            // which already wrote this node's structural record; inserting
-            // again would orphan the first record in the heap (the link
-            // index only remembers the latest rid).
-            if self.link_indexes[i]
-                .get(&self.pool, &KeyEncoder::u32(n.0))?
-                .is_some()
-            {
-                continue;
-            }
-            let code = self.db.code(n, c).expect("code assigned before persist");
-            let rid = self.struct_heaps[i].insert(&self.pool, &encode_struct(n, name, code))?;
-            self.tag_indexes[i].insert(&self.pool, name.0, code, u64::from(n.0))?;
-            self.link_indexes[i].insert(&self.pool, &KeyEncoder::u32(n.0), pack_rid(rid))?;
+        let leaf = match fragment[..] {
+            [(_, n)] => self.db.0.try_assign_gap_codes(n, c).then_some(n),
+            _ => None,
+        };
+        match leaf {
+            Some(n) => self.write_struct(n, c)?,
+            // Renumbering rewrites every structural record of `c`,
+            // the fragment's included.
+            None => self.reindex_color(c)?,
+        }
+        for &(_, n) in &fragment {
+            self.write_records(n)?;
         }
         Ok(())
+    }
+
+    /// Color-scoped delete (§4.3): remove node `n` with its color-`c`
+    /// subtree from colored tree `c` only. The nodes keep their other
+    /// colors and their content and attribute records. No-op when `n`
+    /// does not occur in `c`; `n` must not be the document node.
+    pub fn detach(&mut self, n: McNodeId, c: ColorId) -> mct_storage::Result<()> {
+        assert_ne!(n, McNodeId::DOCUMENT, "the document node roots every colored tree");
+        if !self.db.colors(n).contains(c) {
+            return Ok(());
+        }
+        let subtree: Vec<McNodeId> = self.db.descendants_or_self(n, c).collect();
+        for d in subtree {
+            self.unindex_node(d, c)?;
+        }
+        self.db.0.remove_color(n, c);
+        self.reindex_color(c)
     }
 
     /// Replace an element's content, updating heap and content index.
     pub fn update_content(&mut self, n: McNodeId, new: &str) -> mct_storage::Result<()> {
         self.generation += 1;
         let old = self.db.content(n).map(str::to_string);
-        self.db.set_content(n, new);
+        self.db.0.set_content(n, new);
         if let Some(old) = &old {
             self.content_index.remove(&self.pool, old, u64::from(n.0))?;
         }
@@ -945,10 +1052,42 @@ impl<D: DiskManager> StoredDb<D> {
         Ok(())
     }
 
-    /// Remove node `n` from colored tree `to` (physical side of a
-    /// color-scoped delete): drops its structural index entries. The
-    /// logical detach/`remove_color` is the caller's responsibility.
-    pub fn unindex_node(&mut self, n: McNodeId, c: ColorId) -> mct_storage::Result<()> {
+    /// Write node `n`'s content and attribute records and index
+    /// entries, each unless it has one already (from an earlier color).
+    fn write_records(&mut self, n: McNodeId) -> mct_storage::Result<()> {
+        let node = self.db.node(n).clone();
+        let has = |rids: &[Option<RecordId>]| rids.get(n.index()).copied().flatten().is_some();
+        if let Some(content) = node.content.as_deref().filter(|_| !has(&self.content_rid)) {
+            let rid = self.content_heap.insert(&self.pool, &encode_content(n, content))?;
+            self.content_index.insert(&self.pool, content, u64::from(n.0))?;
+            self.set_rid(false, n, rid);
+        }
+        if !node.attrs.is_empty() && !has(&self.attr_rid) {
+            let rid = self.attr_heap.insert(&self.pool, &encode_attrs(n, &node.attrs))?;
+            for (s, v) in &node.attrs {
+                let key = format!("{}={}", self.db.names.resolve(*s), v);
+                self.attr_index.insert(&self.pool, &key, u64::from(n.0))?;
+            }
+            self.set_rid(true, n, rid);
+        }
+        Ok(())
+    }
+
+    /// Write node `n`'s structural record in color `c` and its tag and
+    /// link index entries.
+    fn write_struct(&mut self, n: McNodeId, c: ColorId) -> mct_storage::Result<()> {
+        let i = self.storage_of(c)?;
+        let name = self.db.node(n).name.expect("element named");
+        let code = self.db.code(n, c).expect("code assigned");
+        let rid = self.struct_heaps[i].insert(&self.pool, &encode_struct(n, name, code))?;
+        self.tag_indexes[i].insert(&self.pool, name.0, code, u64::from(n.0))?;
+        self.link_indexes[i].insert(&self.pool, &KeyEncoder::u32(n.0), pack_rid(rid))?;
+        Ok(())
+    }
+
+    /// Remove node `n` from colored tree `c`'s structural heap and
+    /// indexes (physical side of a color-scoped delete).
+    pub(crate) fn unindex_node(&mut self, n: McNodeId, c: ColorId) -> mct_storage::Result<()> {
         self.generation += 1;
         let name = self.db.node(n).name.expect("element named");
         let i = self.storage_of(c)?;
@@ -966,12 +1105,9 @@ impl<D: DiskManager> StoredDb<D> {
     /// heap and indexes from the codes. The first color without storage
     /// gets its heap and indexes here; [`Self::ensure_all_annotated`]
     /// reaches such colors in palette order.
-    pub fn reindex_color(&mut self, c: ColorId) -> mct_storage::Result<()> {
-        if c.index() > self.struct_heaps.len() {
-            return Err(StorageError::NotAnnotated);
-        }
+    fn reindex_color(&mut self, c: ColorId) -> mct_storage::Result<()> {
         self.generation += 1;
-        self.db.ensure_annotated(c);
+        self.db.0.ensure_annotated(c);
         let members = self.db.descendants_or_self(McNodeId::DOCUMENT, c).skip(1);
         let (heap, tag, link) = load_color(&self.pool, &self.db, c, members)?;
         if c.index() == self.struct_heaps.len() {
@@ -1065,7 +1201,7 @@ fn load_color<D: DiskManager>(
     Ok((heap, tag, load_index(pool, links)?))
 }
 
-fn encode_content(n: McNodeId, content: &str) -> Vec<u8> {
+pub(crate) fn encode_content(n: McNodeId, content: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + content.len());
     out.extend_from_slice(&n.0.to_le_bytes());
     out.extend_from_slice(content.as_bytes());
@@ -1077,7 +1213,7 @@ pub(crate) fn decode_content(rec: &[u8]) -> (McNodeId, String) {
     (n, String::from_utf8_lossy(&rec[4..]).into_owned())
 }
 
-fn encode_attrs(n: McNodeId, attrs: &[(Sym, Box<str>)]) -> Vec<u8> {
+pub(crate) fn encode_attrs(n: McNodeId, attrs: &[(Sym, Box<str>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + attrs.len() * 12);
     out.extend_from_slice(&n.0.to_le_bytes());
     out.extend_from_slice(&(attrs.len() as u16).to_le_bytes());
@@ -1256,27 +1392,21 @@ mod tests {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
         let red = s.db.color("red").unwrap();
         let genre = s.postings_named(red, "movie-genre").unwrap()[0].node;
-        let m = s.db.new_element("movie", red);
-        s.db.set_content(m, "Fresh Movie");
-        s.db.append_child(genre, m, red);
-        if !s.db.try_assign_gap_codes(m, red) {
-            s.db.annotate(red);
-            s.reindex_color(red).unwrap();
-        }
-        s.persist_new_element(m).unwrap();
+        let m = s.new_element("movie", Some("Fresh Movie"), &[]);
+        s.attach(genre, &[m], &HashMap::new(), red).unwrap();
         let movies = s.postings_named(red, "movie").unwrap();
         assert_eq!(movies.len(), 11);
         assert_eq!(s.content_lookup("Fresh Movie").unwrap(), vec![m]);
+        assert!(s.check().unwrap().is_ok());
     }
 
     #[test]
-    fn unindex_node_removes_from_postings() {
+    fn detach_removes_from_postings() {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
         let green = s.db.color("green").unwrap();
         let gm = s.postings_named(green, "movie").unwrap();
         let victim = gm[0].node;
-        s.unindex_node(victim, green).unwrap();
-        s.db.remove_color(victim, green);
+        s.detach(victim, green).unwrap();
         let after = s.postings_named(green, "movie").unwrap();
         assert_eq!(after.len(), gm.len() - 1);
         assert!(after.iter().all(|r| r.node != victim));
@@ -1289,7 +1419,7 @@ mod tests {
     fn reindex_color_after_renumber() {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
         let red = s.db.color("red").unwrap();
-        s.db.annotate(red); // force renumber
+        s.db.0.annotate(red); // force renumber
         s.reindex_color(red).unwrap();
         let movies = s.postings_named(red, "movie").unwrap();
         assert_eq!(movies.len(), 10);
@@ -1474,15 +1604,16 @@ mod tests {
         assert_eq!(s.generation(), g1);
         let green = s.db.color("green").unwrap();
         let victim = s.postings_named(green, "movie").unwrap()[0].node;
-        s.unindex_node(victim, green).unwrap();
-        s.db.remove_color(victim, green);
-        assert!(s.generation() > g1, "unindex_node bumps");
+        s.detach(victim, green).unwrap();
+        assert!(s.generation() > g1, "detach bumps");
         let g2 = s.generation();
-        s.reindex_color(green).unwrap();
-        assert!(s.generation() > g2, "reindex_color bumps");
+        let n = s.new_element("note", None, &[]);
+        assert_eq!(s.generation(), g2, "an uncolored node changes no record");
+        s.attach(McNodeId::DOCUMENT, &[n], &HashMap::new(), green).unwrap();
+        assert!(s.generation() > g2, "attach bumps");
         let g3 = s.generation();
-        s.bump_generation();
-        assert_eq!(s.generation(), g3 + 1);
+        s.add_color("blue").unwrap();
+        assert!(s.generation() > g3, "add_color bumps");
     }
 
     #[test]
@@ -1490,8 +1621,8 @@ mod tests {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
         let red = s.db.color("red").unwrap();
         let genre = s.postings_named(red, "movie-genre").unwrap()[0].node;
-        let m = s.db.new_element("movie", red);
-        s.db.append_child(genre, m, red);
+        let m = s.db.0.new_element("movie", red);
+        s.db.0.append_child(genre, m, red);
         assert!(s.db.is_dirty(red), "structural append dirties the color");
         s.ensure_all_annotated().unwrap();
         assert!(!s.db.is_dirty(red));
@@ -1506,19 +1637,14 @@ mod tests {
         s.update_content(n, "Txn Edit")?;
         let red = s.db.color("red").unwrap();
         let genre = s.postings_named(red, "movie-genre")?[0].node;
-        let m = s.db.new_element("movie", red);
-        s.db.set_content(m, "Txn Movie");
-        s.db.append_child(genre, m, red);
-        if !s.db.try_assign_gap_codes(m, red) {
-            s.db.annotate(red);
-            s.reindex_color(red)?;
+        let m = s.new_element("movie", Some("Txn Movie"), &[]);
+        match s.attach(genre, &[m], &HashMap::new(), red) {
+            Err(AttachError::Storage(e)) => return Err(e),
+            other => other.unwrap(),
         }
-        s.persist_new_element(m)?;
         let green = s.db.color("green").unwrap();
         let victim = s.postings_named(green, "movie")?[0].node;
-        s.unindex_node(victim, green)?;
-        s.db.remove_color(victim, green);
-        s.ensure_all_annotated()
+        s.detach(victim, green)
     }
 
     #[test]
@@ -1568,10 +1694,9 @@ mod tests {
             let txn = s.begin_txn().unwrap();
             let at_begin = s.snapshot_catalog();
             mutate_everything(&mut s).unwrap();
-            let blue = s.db.add_color("blue");
-            let b = s.db.new_element("blue-root", blue);
-            s.db.append_child(McNodeId::DOCUMENT, b, blue);
-            s.ensure_all_annotated().unwrap();
+            let blue = s.add_color("blue").unwrap();
+            let b = s.new_element("blue-root", None, &[]);
+            s.attach(McNodeId::DOCUMENT, &[b], &HashMap::new(), blue).unwrap();
             assert_ne!(s.snapshot_catalog(), at_begin);
             s.abort_txn(txn).unwrap();
             assert!(s.snapshot_catalog() == at_begin, "wal={wal}: abort left another catalog");

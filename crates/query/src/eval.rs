@@ -20,8 +20,8 @@
 
 use crate::ast::*;
 use mct_storage::{DiskManager, MemDisk};
-use mct_core::{ColorId, McNodeId, Palette, StoredDb};
-use std::collections::HashMap;
+use mct_core::{AttachError, ColorId, McNodeId, Palette, StoredDb};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// An item in the XQuery data model sense. Nodes remember the color
@@ -92,13 +92,26 @@ impl From<mct_storage::StorageError> for EvalError {
     }
 }
 
+impl From<AttachError> for EvalError {
+    fn from(e: AttachError) -> Self {
+        match e {
+            AttachError::Duplicate(n, color) => EvalError::DuplicateNode(n, color),
+            AttachError::ParentNotInColor(n, color) => EvalError::Dynamic(format!(
+                "node {n:?} does not occur in colored tree {{{color}}}"
+            )),
+            AttachError::Storage(e) => EvalError::Storage(e),
+        }
+    }
+}
+
 /// Result alias.
 pub type EvalResult<T> = Result<T, EvalError>;
 
 /// Evaluation context: the stored database, variable bindings, the
 /// context item, and the pending construction edges.
 pub struct EvalContext<'a, D: DiskManager = MemDisk> {
-    /// The database queried and (for constructors/updates) mutated.
+    /// The database queried and (for constructors, `createColor` and
+    /// updates) changed, through its mutators.
     pub stored: &'a mut StoredDb<D>,
     /// Default color for steps without a `{color}` (plain XQuery over
     /// a single-colored database).
@@ -539,43 +552,31 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
                 return Err(EvalError::PaletteFull(color_name));
             }
             let v = eval(ctx, &args[1])?;
-            let c = ctx.stored.db.add_color(&color_name);
-            let items: Vec<McNodeId> = v
+            let c = ctx.stored.add_color(&color_name)?;
+            // Each item not in `c` yet goes under the document node, the
+            // root every colored tree shares (Definition 3.2), unless
+            // another item's constructed content holds it.
+            let mut seen = HashSet::new();
+            let mut roots: Vec<McNodeId> = v
                 .iter()
                 .filter_map(|item| match *item {
                     Item::Node(n, _) => Some(n),
                     _ => None,
                 })
+                .filter(|&n| n != McNodeId::DOCUMENT && ctx.stored.db.parent(n, c).is_none())
+                .filter(|&n| seen.insert(n))
                 .collect();
-            let mut colored = Vec::new();
-            let materialized: EvalResult<()> = items
-                .iter()
-                .try_for_each(|&n| materialize_color(ctx, n, c, &color_name, &mut colored));
-            if materialized.is_ok() {
-                // Hang each item that no other item holds under the
-                // document node, the root every colored tree shares
-                // (Definition 3.2).
-                for n in items {
-                    if n != McNodeId::DOCUMENT && ctx.stored.db.parent(n, c).is_none() {
-                        ctx.stored.db.append_child(McNodeId::DOCUMENT, n, c);
+            let mut held = HashSet::new();
+            let mut stack = roots.clone();
+            while let Some(n) = stack.pop() {
+                for &k in ctx.pending.get(&n).into_iter().flatten() {
+                    if held.insert(k) {
+                        stack.push(k);
                     }
                 }
-            } else {
-                // All or nothing: a dynamic error leaves no node in `c`
-                // that was not there before.
-                for &n in &colored {
-                    ctx.stored.db.remove_color(n, c);
-                }
             }
-            ctx.stored.ensure_all_annotated()?;
-            materialized?;
-            for n in colored {
-                // A constructed node whose first color is `c` has no
-                // content or attribute records yet.
-                if ctx.stored.db.colors(n).len() == 1 {
-                    ctx.stored.persist_new_element(n)?;
-                }
-            }
+            roots.retain(|n| !held.contains(n));
+            ctx.stored.attach(McNodeId::DOCUMENT, &roots, &ctx.pending, c)?;
             Ok(v)
         }
         other => Err(EvalError::Dynamic(format!("unknown function {other}()"))),
@@ -620,43 +621,11 @@ fn color_literal<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> Eval
     }
 }
 
-/// Add `c` to node `n` and materialize its *pending* construction
-/// edges in tree `c`, recursively, recording in `colored` each node
-/// that gains `c`. Existing nodes keep their identity (and their
-/// structure in other colors). Raises the §4.2 dynamic error if a node
-/// would be attached twice in `c`.
-fn materialize_color<D: DiskManager>(
-    ctx: &mut EvalContext<'_, D>,
-    n: McNodeId,
-    c: ColorId,
-    color_name: &str,
-    colored: &mut Vec<McNodeId>,
-) -> EvalResult<()> {
-    if !ctx.stored.db.colors(n).contains(c) {
-        ctx.stored.db.add_node_color(n, c);
-        colored.push(n);
-    }
-    let children = ctx.pending.get(&n).cloned().unwrap_or_default();
-    for child in children {
-        // Duplicate-occurrence dynamic error check.
-        if ctx.stored.db.parent(child, c).is_some() {
-            return Err(EvalError::DuplicateNode(child, color_name.to_string()));
-        }
-        materialize_color(ctx, child, c, color_name, colored)?;
-        ctx.stored.db.append_child(n, child, c);
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Constructors
 // ---------------------------------------------------------------------------
 
 fn eval_ctor<D: DiskManager>(ctx: &mut EvalContext<'_, D>, ctor: &Constructor) -> EvalResult<McNodeId> {
-    let el = ctx.stored.db.new_element_uncolored(&ctor.name);
-    for (n, v) in &ctor.attrs {
-        ctx.stored.db.set_attr(el, n, v);
-    }
     let mut text = String::new();
     let mut children: Vec<McNodeId> = Vec::new();
     for item in &ctor.children {
@@ -682,9 +651,8 @@ fn eval_ctor<D: DiskManager>(ctx: &mut EvalContext<'_, D>, ctor: &Constructor) -
             }
         }
     }
-    if !text.is_empty() {
-        ctx.stored.db.set_content(el, &text);
-    }
+    let content = (!text.is_empty()).then_some(text.as_str());
+    let el = ctx.stored.new_element(&ctor.name, content, &ctor.attrs);
     if !children.is_empty() {
         ctx.pending.insert(el, children);
     }
@@ -696,27 +664,19 @@ fn deep_copy<D: DiskManager>(
     n: McNodeId,
     color: Option<ColorId>,
 ) -> EvalResult<McNodeId> {
-    let name = ctx
-        .stored
-        .db
+    let db = &ctx.stored.db;
+    let name = db
         .name_str(n)
         .ok_or_else(|| EvalError::Dynamic("createCopy of a non-element".into()))?
         .to_string();
-    let copy = ctx.stored.db.new_element_uncolored(&name);
-    let attrs: Vec<(String, String)> = ctx
-        .stored
-        .db
+    let attrs: Vec<(String, String)> = db
         .node(n)
         .attrs
         .iter()
-        .map(|(s, v)| (ctx.stored.db.names.resolve(*s).to_string(), v.to_string()))
+        .map(|(s, v)| (db.names.resolve(*s).to_string(), v.to_string()))
         .collect();
-    for (an, av) in attrs {
-        ctx.stored.db.set_attr(copy, &an, &av);
-    }
-    if let Some(content) = ctx.stored.db.content(n).map(str::to_string) {
-        ctx.stored.db.set_content(copy, &content);
-    }
+    let content = db.content(n).map(str::to_string);
+    let copy = ctx.stored.new_element(&name, content.as_deref(), &attrs);
     // Copy the subtree structure in the provenance color, if any.
     if let Some(c) = color {
         let children: Vec<McNodeId> = ctx.stored.db.children(n, c).collect();
@@ -836,6 +796,10 @@ mod tests {
 
     /// The Figure 2 movie database (genre/award/actor hierarchies).
     fn movie_db() -> StoredDb {
+        StoredDb::build(movie_mct(), 8 * 1024 * 1024).unwrap()
+    }
+
+    fn movie_mct() -> MctDatabase {
         let mut db = MctDatabase::new();
         let red = db.add_color("red");
         let green = db.add_color("green");
@@ -902,8 +866,7 @@ mod tests {
         let votes3 = db.new_element("votes", green);
         db.set_content(votes3, "7");
         db.append_child(m3, votes3, green);
-
-        StoredDb::build(db, 8 * 1024 * 1024).unwrap()
+        db
     }
 
     fn run(s: &mut StoredDb, q: &str) -> Sequence {
@@ -1128,11 +1091,15 @@ mod tests {
 
     #[test]
     fn attribute_step() {
-        let mut s = movie_db();
-        // Add an attribute then query it.
-        let red = s.db.color("red").unwrap();
-        let movies = s.postings_named(red, "movie").unwrap();
-        s.db.set_attr(movies[0].node, "rating", "PG");
+        // Give the first red movie an attribute, then query it.
+        let mut db = movie_mct();
+        let red = db.color("red").unwrap();
+        let first = db
+            .descendants(McNodeId::DOCUMENT, red)
+            .find(|&n| db.name_str(n) == Some("movie"))
+            .unwrap();
+        db.set_attr(first, "rating", "PG");
+        let mut s = StoredDb::build(db, 8 * 1024 * 1024).unwrap();
         let out = strings(
             &mut s,
             r#"document("m")/{red}descendant::movie/@rating"#,

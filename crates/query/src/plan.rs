@@ -30,7 +30,7 @@
 use crate::ast::{as_number, Axis, CmpOp, Expr, Literal, NodeTest, PathExpr, PathStart, Step};
 use crate::eval::format_num;
 use crate::exec::{self, CancelToken};
-use mct_storage::{DiskManager, StorageError};
+use mct_storage::DiskManager;
 use crate::ops::{self, dup_elim, select_attr_eq, Rel, Tuple};
 use mct_core::{ColorId, McNodeId, StoredDb, StructRef};
 use mct_storage::PoolStats;
@@ -96,19 +96,6 @@ enum Stage {
     Parent { color: ColorId, tag: Option<String> },
     /// Final duplicate elimination on the head column.
     DupElim,
-}
-
-impl Stage {
-    /// The color whose tree the stage reads, if any.
-    fn color(&self) -> Option<ColorId> {
-        match self {
-            Stage::ContentEntry { color, .. }
-            | Stage::Chain { color, .. }
-            | Stage::Parent { color, .. } => Some(*color),
-            Stage::CrossTree { to } => Some(*to),
-            Stage::DupElim => None,
-        }
-    }
 }
 
 /// A child step of a predicate: the color it navigates, and its tag.
@@ -252,21 +239,20 @@ impl PathPlan {
     /// the one way to run a plan. Worker threads of the serving layer
     /// run cached plans this way against one `StoredDb` behind a read
     /// lock. A color that breaks the store's annotation invariant is
-    /// reported as [`StorageError::NotAnnotated`].
+    /// reported as [`mct_storage::StorageError::NotAnnotated`].
     ///
     /// With `threads > 1`, Chain and CrossTree stages and predicate
     /// filters fan their inputs out over [`exec::run_morsels`] workers;
     /// the output is byte-identical at any thread count (chunk results
     /// merge in chunk order and those stages re-sort by document
     /// order). `cancel` is consulted at stage and morsel boundaries; an
-    /// elapsed deadline surfaces as [`StorageError::Cancelled`].
+    /// elapsed deadline surfaces as [`mct_storage::StorageError::Cancelled`].
     pub fn execute_shared<D: DiskManager>(
         &self,
         s: &StoredDb<D>,
         threads: usize,
         cancel: Option<&CancelToken>,
     ) -> mct_storage::Result<Vec<Tuple>> {
-        self.check_clean(s)?;
         self.run(s, None, threads, cancel).map(|(tuples, _)| tuples)
     }
 
@@ -286,7 +272,6 @@ impl PathPlan {
         threads: usize,
         cancel: Option<&CancelToken>,
     ) -> mct_storage::Result<(Vec<Tuple>, AnalyzeReport)> {
-        self.check_clean(s)?;
         let labels = self.labels(s);
         let pool_mark = s.pool.stats();
         let t0 = Instant::now();
@@ -298,15 +283,6 @@ impl PathPlan {
             rows: tuples.len() as u64,
         };
         Ok((tuples, report))
-    }
-
-    /// Execution precondition: every color the plan touches is
-    /// annotated and clean.
-    fn check_clean<D: DiskManager>(&self, s: &StoredDb<D>) -> mct_storage::Result<()> {
-        if self.stages.iter().filter_map(Stage::color).any(|c| s.db.is_dirty(c)) {
-            return Err(StorageError::NotAnnotated);
-        }
-        Ok(())
     }
 
     /// The pipeline driver: `&StoredDb` suffices, so the serving
@@ -1002,8 +978,11 @@ mod tests {
         assert!(text.contains("total: "), "{text}");
     }
 
+    /// A plan prepared before a change sees it: the store's mutators
+    /// leave every color annotated, so the plan runs and finds the new
+    /// node.
     #[test]
-    fn execute_shared_refuses_dirty_colors() {
+    fn execute_shared_sees_a_node_attached_after_planning() {
         let mut s = stored();
         let Expr::Path(p) =
             parse_query(r#"document("m")/{red}descendant::movie"#).unwrap()
@@ -1011,16 +990,14 @@ mod tests {
             panic!()
         };
         let plan = plan_path(&s, &p, true).unwrap();
-        // Dirty the red tree behind the plan's back.
+        let before = plan.execute_shared(&s, 1, None).unwrap().len();
         let red = s.db.color("red").unwrap();
-        let m = s.db.new_element("movie", red);
         let genre = s.postings_named(red, "movie-genre").unwrap()[0].node;
-        s.db.append_child(genre, m, red);
-        assert!(s.db.is_dirty(red));
-        let r = plan.execute_shared(&s, 1, None);
-        assert!(matches!(r, Err(StorageError::NotAnnotated)), "{r:?}");
-        s.reindex_color(red).unwrap();
-        assert!(plan.execute_shared(&s, 1, None).is_ok());
+        let m = s.new_element("movie", None, &[]);
+        s.attach(genre, &[m], &Default::default(), red).unwrap();
+        let after = plan.execute_shared(&s, 1, None).unwrap();
+        assert_eq!(after.len(), before + 1);
+        assert!(after.iter().any(|t| t[0].node == m));
     }
 
     #[test]
@@ -1035,7 +1012,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let r = plan.execute_shared(&s, 2, Some(&token));
-        assert!(matches!(r, Err(StorageError::Cancelled)), "{r:?}");
+        assert!(matches!(r, Err(mct_storage::StorageError::Cancelled)), "{r:?}");
     }
 
     #[test]

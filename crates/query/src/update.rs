@@ -90,75 +90,17 @@ fn apply_update<D: DiskManager>(
     // Phase 2: apply.
     for p in pending {
         match p {
-            Pending::Replace(n, v) => {
-                stored.update_content(n, &v)?;
-            }
-            Pending::Delete(n, c) => {
-                // A previous delete in this color left the tree dirty;
-                // `unindex_node` needs clean codes to find the index
-                // entries, so re-annotate (and rebuild the indexes,
-                // which are keyed by the renumbered codes) first.
-                if stored.db.is_dirty(c) {
-                    stored.reindex_color(c)?;
-                }
-                let subtree: Vec<McNodeId> = stored.db.descendants_or_self(n, c).collect();
-                for &d in &subtree {
-                    stored.unindex_node(d, c)?;
-                }
-                stored.db.remove_color(n, c);
-            }
+            Pending::Replace(n, v) => stored.update_content(n, &v)?,
+            Pending::Delete(n, c) => stored.detach(n, c)?,
             Pending::Insert {
                 target,
                 color,
                 root,
                 edges,
-            } => {
-                // Materialize the constructed fragment in `color`.
-                let mut new_nodes = Vec::new();
-                attach_fragment(stored, root, &edges, color, &mut new_nodes)?;
-                stored.db.append_child(target, root, color);
-                // Codes: single leaf goes in the gap; bigger fragments
-                // renumber the color.
-                let single = new_nodes.len() == 1;
-                if !(single && stored.db.try_assign_gap_codes(root, color)) {
-                    stored.reindex_color(color)?;
-                }
-                for n in new_nodes {
-                    stored.persist_new_element(n)?;
-                }
-            }
+            } => stored.attach(target, &[root], &edges, color)?,
         }
     }
-    // Deletes leave their colors dirty; restore the store's invariant
-    // inside the transaction.
-    stored.ensure_all_annotated()?;
     Ok(UpdateOutcome { tuples, elements })
-}
-
-fn attach_fragment<D: DiskManager>(
-    stored: &mut StoredDb<D>,
-    n: McNodeId,
-    edges: &HashMap<McNodeId, Vec<McNodeId>>,
-    c: ColorId,
-    new_nodes: &mut Vec<McNodeId>,
-) -> EvalResult<()> {
-    if !stored.db.colors(n).contains(c) {
-        stored.db.add_node_color(n, c);
-    }
-    new_nodes.push(n);
-    if let Some(children) = edges.get(&n) {
-        for &child in children {
-            if stored.db.parent(child, c).is_some() {
-                return Err(EvalError::DuplicateNode(
-                    child,
-                    stored.db.palette.name(c).to_string(),
-                ));
-            }
-            attach_fragment(stored, child, edges, c, new_nodes)?;
-            stored.db.append_child(n, child, c);
-        }
-    }
-    Ok(())
 }
 
 fn collect<D: DiskManager>(
@@ -370,9 +312,9 @@ mod tests {
     fn repeated_single_inserts_survive_a_renumber_without_duplicates() {
         // Sibling code gaps run out after a couple of inserts under the
         // same parent; the next insert renumbers the color, and the
-        // renumbering `reindex_color` already writes the new node's
-        // structural record — persisting it again must not leave an
-        // orphaned duplicate in the heap (caught by the deep checker).
+        // renumber already writes the new node's structural record —
+        // writing it again must not leave an orphaned duplicate in the
+        // heap (caught by the deep checker).
         let mut s = stored();
         for tag in ["first-note", "second-note", "third-note", "fourth-note"] {
             let u = parse_update(&format!(
@@ -390,6 +332,67 @@ mod tests {
         }
         let green = s.db.color("green").unwrap();
         assert_eq!(s.postings_named(green, "third-note").unwrap().len(), 3);
+    }
+
+    /// Inserting an existing node under a node of another color gives it
+    /// that color and nothing else: its content record stays the one it
+    /// had, so the heap holds no orphan, and it is reachable in both
+    /// colors.
+    #[test]
+    fn inserting_an_existing_node_into_a_second_color_keeps_its_records() {
+        let mut s = stored();
+        let u = parse_update(
+            r#"for $a in document("d")/{green}child::award,
+                   $m in document("d")/{red}descendant::movie
+               where $m/{red}child::name = "Movie 4"
+               update $a { insert $m/{red}child::name }"#,
+        )
+        .unwrap();
+        assert_eq!(execute_update(&mut s, &u).unwrap(), 1);
+        let report = s.check().unwrap();
+        assert!(report.is_ok(), "{report}");
+        let hits = s.content_lookup("Movie 4").unwrap();
+        assert_eq!(hits.len(), 1);
+        let (red, green) = (s.db.color("red").unwrap(), s.db.color("green").unwrap());
+        let red_parent = s.db.parent(hits[0], red).unwrap();
+        let green_parent = s.db.parent(hits[0], green).unwrap();
+        assert_eq!(s.db.name_str(red_parent), Some("movie"));
+        assert_eq!(s.db.name_str(green_parent), Some("award"));
+    }
+
+    /// A node that already occurs in the target's color is refused with
+    /// the §4.2 dynamic error, and the store is left as it was.
+    #[test]
+    fn inserting_a_node_already_in_the_color_is_a_duplicate() {
+        let mut s = stored();
+        let before = s.snapshot_catalog();
+        let u = parse_update(
+            r#"for $g in document("d")/{red}child::genre
+               update $g { insert document("d")/{red}descendant::name }"#,
+        )
+        .unwrap();
+        let err = execute_update(&mut s, &u).unwrap_err();
+        assert!(matches!(err, EvalError::DuplicateNode(..)), "{err}");
+        assert!(s.snapshot_catalog() == before);
+        assert!(s.check().unwrap().is_ok());
+    }
+
+    /// An insert under a target the same statement deleted from the
+    /// color is a dynamic error, and the statement rolls back whole.
+    #[test]
+    fn inserting_under_a_target_deleted_in_the_same_statement_is_refused() {
+        let mut s = stored();
+        let before = s.snapshot_catalog();
+        let u = parse_update(
+            r#"for $m in document("d")/{red}descendant::movie
+               where $m/{red}child::name = "Movie 1"
+               update $m { delete $m, insert <remark>late</remark> }"#,
+        )
+        .unwrap();
+        let err = execute_update(&mut s, &u).unwrap_err();
+        assert!(matches!(err, EvalError::Dynamic(_)), "{err}");
+        assert!(s.snapshot_catalog() == before);
+        assert!(s.check().unwrap().is_ok());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! generator covers the tree-pattern taxonomy: color-decorated
 //! child/descendant chains, reverse axes, predicates (value, numeric,
 //! positional, `count`, `contains`), cross-color twigs, FLWOR, and the
-//! six update forms (delete target, delete child, single-leaf insert,
-//! multi-node fragment insert, replace-value, filtered multi-action).
+//! seven update forms (delete target, delete child, single-leaf insert,
+//! multi-node fragment insert, replace-value, filtered multi-action,
+//! insert of an existing node).
 //!
 //! Everything is a pure function of the [`XorShiftRng`] passed in, so
 //! a case is reproducible from its seed alone.
@@ -376,7 +377,7 @@ pub fn gen_query(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
     }
 }
 
-/// One of the six update forms over a random binding path.
+/// One of the seven update forms over a random binding path.
 pub fn gen_update(rng: &mut XorShiftRng, doc: &DocSpec) -> UpdateStmt {
     let binding = gen_abs_path(rng, doc, 2);
     let x = || {
@@ -392,7 +393,7 @@ pub fn gen_update(rng: &mut XorShiftRng, doc: &DocSpec) -> UpdateStmt {
             children: vec![ConstructorItem::Text(word(rng).replace(' ', "-"))],
         })
     };
-    let (where_, actions) = match rng.gen_range(0..6u8) {
+    let (where_, actions) = match rng.gen_range(0..7u8) {
         // 1. Delete the target itself from its colored tree.
         0 => (None, vec![UpdateAction::Delete(x())]),
         // 2. Delete a child of the target.
@@ -440,13 +441,28 @@ pub fn gen_update(rng: &mut XorShiftRng, doc: &DocSpec) -> UpdateStmt {
             )],
         ),
         // 6. Filtered multi-action.
-        _ => (
+        5 => (
             Some(Box::new(gen_pred_on_var(rng, doc))),
             vec![
                 UpdateAction::ReplaceValue(x(), Expr::Lit(Literal::Str(word(rng)))),
                 UpdateAction::Insert(leaf(rng)),
             ],
         ),
+        // 7. Insert existing nodes, located by an absolute path in
+        //    another color than the target's: each gains the target's
+        //    color and keeps its identity and records.
+        _ => {
+            let target = binding.steps.last().and_then(|s| s.color.as_ref());
+            let others: Vec<&String> = doc.colors.iter().filter(|c| Some(*c) != target).collect();
+            let mut path = gen_abs_path(rng, doc, 2);
+            if !others.is_empty() {
+                let other = others[rng.gen_range(0..others.len())];
+                for step in &mut path.steps {
+                    step.color = Some(other.clone());
+                }
+            }
+            (None, vec![UpdateAction::Insert(Expr::Path(path))])
+        }
     };
     UpdateStmt {
         clauses: vec![FlworClause::For("x".to_string(), Expr::Path(binding))],

@@ -6,7 +6,10 @@
 //! turned on — a planner leading-`child::` axis treated as a
 //! descendant scan, a panic on the second delete of one color in a
 //! single update, a panic replacing the value of the document node —
-//! plus hand-planted tricky cases (`mctfuzz --plant`). To add an
+//! the bugs its insert-existing form found (a second content record
+//! orphaned in the heap; a panic inserting a node into a color it
+//! already occurs in), plus hand-planted tricky cases
+//! (`mctfuzz --plant`). To add an
 //! entry: run `mctfuzz`, and on failure the minimized `.xml` + `.mcx`
 //! pair lands here; commit it.
 

@@ -10,7 +10,7 @@
 //! their seed ranges so no two suites share a case seed; a failure
 //! message is reproducible verbatim.)
 
-use colorful_xml::core::{ColorId, McNodeId, MctDatabase, StoredDb};
+use colorful_xml::core::{AttachError, ColorId, McNodeId, MctDatabase, StoredDb};
 use colorful_xml::query::ops::{naive_structural_join, structural_join, Rel, Tuple};
 use colorful_xml::query::plan::plan_path;
 use colorful_xml::query::{eval, parse_query, EvalContext, Expr, Item};
@@ -24,6 +24,7 @@ use mct_core::StructRef;
 use mct_query::execute_update_with;
 use mct_sim::{gen_doc, gen_update, DocSpec};
 use mct_workloads::rng::XorShiftRng;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// One failure-reporting path for every generator in this suite.
@@ -540,8 +541,8 @@ fn pick(s: &StoredDb<SharedDisk>, rng: &mut XorShiftRng, c: ColorId) -> Option<M
     (!members.is_empty()).then(|| members[rng.gen_range(0..members.len())])
 }
 
-/// Everything an update does, through the store's write-through
-/// methods, inside an open transaction: a value replaced, an element
+/// Everything an update does, through the store's mutators, inside an
+/// open transaction: a value replaced, an element
 /// inserted (renumbering when its gap is full), an element deleted,
 /// and a color created. Errors just end the batch early.
 fn mutate_in_txn(s: &mut StoredDb<SharedDisk>, rng: &mut XorShiftRng, doc: &DocSpec, k: usize) {
@@ -551,21 +552,15 @@ fn mutate_in_txn(s: &mut StoredDb<SharedDisk>, rng: &mut XorShiftRng, doc: &DocS
             s.update_content(n, &format!("aborted-{k}"))?;
         }
         if let Some(parent) = pick(s, rng, c) {
-            let e = s.db.new_element(&format!("ghost{k}"), c);
-            s.db.set_content(e, "ghost");
-            s.db.set_attr(e, "k", "ghost");
-            s.db.append_child(parent, e, c);
-            if !s.db.try_assign_gap_codes(e, c) {
-                s.reindex_color(c)?;
+            let attrs = [("k".to_string(), "ghost".to_string())];
+            let e = s.new_element(&format!("ghost{k}"), Some("ghost"), &attrs);
+            match s.attach(parent, &[e], &HashMap::new(), c) {
+                Err(AttachError::Storage(e)) => return Err(e),
+                other => other.unwrap(),
             }
-            s.persist_new_element(e)?;
         }
         if let Some(victim) = pick(s, rng, c) {
-            for d in s.db.descendants_or_self(victim, c).collect::<Vec<_>>() {
-                s.unindex_node(d, c)?;
-            }
-            s.db.remove_color(victim, c);
-            s.ensure_all_annotated()?;
+            s.detach(victim, c)?;
         }
         Ok::<(), colorful_xml::storage::StorageError>(())
     };
