@@ -1,7 +1,7 @@
 //! Criterion benchmarks for update machinery — the ablation behind the
-//! gapped interval numbering (DESIGN.md): a leaf insert that fits the
-//! numbering gap updates indexes incrementally, while a forced
-//! renumber pays a full re-annotation + per-color reindex.
+//! gapped interval numbering (DESIGN.md): an insert that fits the
+//! numbering gap updates indexes incrementally, while a fragment too
+//! large for it pays a full re-annotation + per-color reindex.
 
 use mct_bench::microbench::Criterion;
 use mct_bench::{criterion_group, criterion_main};
@@ -38,16 +38,17 @@ fn updates(c: &mut Criterion) {
         )
     });
 
-    // Renumber path: a two-node fragment renumbers and reindexes the
-    // whole color.
+    // Renumber path: a four-node fragment does not fit a leaf's
+    // stride-8 gap (stride 8 / 9 = 0), so it renumbers and reindexes
+    // the whole color.
     c.bench_function("insert/renumber_path", |b| {
         b.iter_batched(
             || build_store(5_000),
             |(mut s, items)| {
                 let red = s.db.color("red").unwrap();
                 let e = s.new_element("remark", None, &[]);
-                let x = s.new_element("x", Some("fresh"), &[]);
-                let edges = HashMap::from([(e, vec![x])]);
+                let xs: Vec<_> = (0..3).map(|_| s.new_element("x", Some("fresh"), &[])).collect();
+                let edges = HashMap::from([(e, xs)]);
                 s.attach(items[items.len() / 2], &[e], &edges, red).unwrap();
             },
             mct_bench::microbench::BatchSize::LargeInput,

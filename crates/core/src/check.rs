@@ -6,10 +6,10 @@
 //! update can leave them silently disagreeing. [`StoredDb::check`]
 //! cross-checks every pair:
 //!
-//! * **logical shape** — every color's codes are clean (annotated),
-//!   and along each colored tree the interval codes are
-//!   nested-or-disjoint, in per-color document order, with
-//!   `level = parent.level + 1`;
+//! * **logical shape** — every node attached in a colored tree has an
+//!   interval code there and no other node has one; along each colored
+//!   tree the codes are nested-or-disjoint, in per-color document
+//!   order, with `level = parent.level + 1`;
 //! * **struct heap ↔ logical tree** — each per-color structural
 //!   record names an attached element whose code and tag match, and
 //!   record counts equal attached-node counts;
@@ -140,23 +140,16 @@ impl<D: DiskManager> StoredDb<D> {
 
         // Attached node set per color, in per-color document order,
         // from the logical trees — the ground truth the physical
-        // structures are checked against. `None` for a color whose
-        // codes or storage are unusable (flagged here, skipped below).
+        // structures are checked against. `None` for a color without
+        // storage (flagged here, skipped below).
         let mut attached: Vec<Option<Vec<McNodeId>>> = Vec::with_capacity(ncolors);
         for ci in 0..ncolors {
             let c = ColorId(ci as u8);
+            self.check_stray_codes(c, &mut rep);
             if self.storage_of(c).is_err() {
                 rep.flag(
                     "color-without-storage",
                     format!("color {ci} has no structural heap or indexes"),
-                );
-                attached.push(None);
-                continue;
-            }
-            if self.db.is_dirty(c) {
-                rep.flag(
-                    "dirty-color",
-                    format!("color {ci} has stale interval codes (annotate pending)"),
                 );
                 attached.push(None);
                 continue;
@@ -183,12 +176,33 @@ impl<D: DiskManager> StoredDb<D> {
         Ok(rep)
     }
 
-    /// Interval codes along one colored tree: present, nested within
-    /// the parent, disjoint and ordered across siblings, level =
-    /// parent level + 1, and strictly increasing starts in pre-order
-    /// (per-color document order).
+    /// A node that does not occur in colored tree `c` has no code
+    /// there: a delete that leaves one behind is caught here.
+    fn check_stray_codes(&self, c: ColorId, rep: &mut CheckReport) {
+        let ci = c.index();
+        for (i, l) in self.db.tree(c).links.iter().enumerate() {
+            let n = McNodeId(i as u32);
+            if let Some(code) = self.db.code(n, c).filter(|_| !l.attached) {
+                rep.flag(
+                    "stray-code",
+                    format!(
+                        "color {ci}: n{i} is not attached but has code [{},{}]",
+                        code.start, code.end
+                    ),
+                );
+            }
+        }
+    }
+
+    /// Interval codes along one colored tree: present (the document's
+    /// too), nested within the parent, disjoint and ordered across
+    /// siblings, level = parent level + 1, and strictly increasing
+    /// starts in pre-order (per-color document order).
     fn check_codes(&self, c: ColorId, nodes: &[McNodeId], rep: &mut CheckReport) {
         let ci = c.index();
+        if self.db.code(McNodeId::DOCUMENT, c).is_none() {
+            rep.flag("missing-code", format!("color {ci}: the document has no code"));
+        }
         let mut last_start: Option<u32> = None;
         for &n in nodes {
             rep.structural_checked += 1;
@@ -214,29 +228,26 @@ impl<D: DiskManager> StoredDb<D> {
                 }
             }
             last_start = Some(code.start);
-            // Against the parent (the document root has no code).
-            if let Some(p) = self.db.parent(n, c) {
-                if p != McNodeId::DOCUMENT {
-                    if let Some(pc) = self.db.code(p, c) {
-                        if code.start <= pc.start || code.end > pc.end {
-                            rep.flag(
-                                "code-nesting",
-                                format!(
-                                    "color {ci}: n{} [{},{}] not inside parent n{} [{},{}]",
-                                    n.0, code.start, code.end, p.0, pc.start, pc.end
-                                ),
-                            );
-                        }
-                        if code.level != pc.level + 1 {
-                            rep.flag(
-                                "code-level",
-                                format!(
-                                    "color {ci}: n{} level {} under parent level {}",
-                                    n.0, code.level, pc.level
-                                ),
-                            );
-                        }
-                    }
+            // Against the parent.
+            let parent = self.db.parent(n, c);
+            if let Some((p, pc)) = parent.and_then(|p| Some((p, self.db.code(p, c)?))) {
+                if code.start <= pc.start || code.end >= pc.end {
+                    rep.flag(
+                        "code-nesting",
+                        format!(
+                            "color {ci}: n{} [{},{}] not inside parent n{} [{},{}]",
+                            n.0, code.start, code.end, p.0, pc.start, pc.end
+                        ),
+                    );
+                }
+                if code.level != pc.level + 1 {
+                    rep.flag(
+                        "code-level",
+                        format!(
+                            "color {ci}: n{} level {} under parent level {}",
+                            n.0, code.level, pc.level
+                        ),
+                    );
                 }
             }
             // Against the previous sibling: disjoint and ordered.
@@ -750,16 +761,41 @@ mod tests {
         let m = s.db.0.new_element("movie", red);
         s.db.0.append_child(genre, m, red);
         let blue = s.db.0.add_color("blue");
-        s.db.0.annotate(blue);
         let rep = s.check().unwrap();
         let flagged: Vec<_> = rep.violations.iter().map(|v| v.category).collect();
-        assert_eq!(flagged, ["dirty-color", "color-without-storage"], "{rep}");
+        assert_eq!(
+            flagged,
+            [
+                "missing-code",
+                "color-without-storage",
+                "struct-count",
+                "tag-count",
+                "tag-missing",
+                "link-missing"
+            ],
+            "{rep}"
+        );
         assert!(matches!(s.postings_named(blue, "movie"), Err(NotAnnotated)));
         assert!(matches!(s.link_probe(McNodeId(1), blue), Err(NotAnnotated)));
+        s.db.0.remove_color(m, red);
         s.ensure_all_annotated().unwrap();
         assert!(s.check().unwrap().is_ok());
-        assert_eq!(s.postings_named(red, "movie").unwrap().len(), 11);
+        assert_eq!(s.postings_named(red, "movie").unwrap().len(), 10);
         assert!(s.postings_named(blue, "movie").unwrap().is_empty());
+    }
+
+    /// A node with a code in a color it does not occur in is flagged:
+    /// what a delete that forgot to clear the code would leave.
+    #[test]
+    fn detects_a_stray_code() {
+        let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
+        let (red, green) = (s.db.color("red").unwrap(), s.db.color("green").unwrap());
+        let odd = s.attr_lookup("id", "m3").unwrap()[0];
+        let code = s.db.code(odd, red).unwrap();
+        s.db.0.tree_mut(green).codes[odd.index()] = code;
+        let rep = s.check().unwrap();
+        let flagged: Vec<_> = rep.violations.iter().map(|v| v.category).collect();
+        assert_eq!(flagged, ["stray-code"], "{rep}");
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub(crate) const NO_CODE: IntervalCode = IntervalCode {
 
 /// Gap stride for interval numbering: consecutive code slots are this
 /// far apart, leaving room for in-place insertions (see
-/// [`MctDatabase::try_assign_gap_codes`]).
+/// [`crate::StoredDb::attach`]).
 pub const CODE_STRIDE: u32 = 8;
 
 /// One colored tree `T_c` (Definition 3.1): links + interval codes.
@@ -92,8 +92,6 @@ pub(crate) struct ColorTree {
     pub codes: Vec<IntervalCode>,
     /// Number of nodes attached in this tree.
     pub node_count: u64,
-    /// Codes need recomputation.
-    pub dirty: bool,
 }
 
 impl ColorTree {
@@ -102,7 +100,6 @@ impl ColorTree {
             links: Vec::new(),
             codes: Vec::new(),
             node_count: 0,
-            dirty: true,
         }
     }
 
@@ -166,8 +163,8 @@ pub(crate) struct Journal {
     pub nodes_len: usize,
     /// Interner length at the start.
     pub names_len: usize,
-    /// Per color at the start: `(slots, node_count, dirty)`.
-    pub trees: Vec<(usize, u64, bool)>,
+    /// Per color at the start: `(slots, node_count)`.
+    pub trees: Vec<(usize, u64)>,
     /// Start-time record of each touched node below `nodes_len`.
     pub nodes: BTreeMap<u32, McNode>,
     /// Start-time links + code of each touched `(color, node)` slot.
@@ -184,7 +181,7 @@ impl Journal {
             trees: db
                 .trees
                 .iter()
-                .map(|t| (t.links.len(), t.node_count, t.dirty))
+                .map(|t| (t.links.len(), t.node_count))
                 .collect(),
             nodes: BTreeMap::new(),
             links: BTreeMap::new(),
@@ -303,11 +300,10 @@ impl MctDatabase {
         self.names.truncate(j.names_len);
         self.palette.truncate(colors);
         self.trees.truncate(colors);
-        for (t, &(len, node_count, dirty)) in self.trees.iter_mut().zip(&j.trees) {
+        for (t, &(len, node_count)) in self.trees.iter_mut().zip(&j.trees) {
             t.links.truncate(len);
             t.codes.truncate(len);
             t.node_count = node_count;
-            t.dirty = dirty;
         }
         for ((c, n), (links, code)) in j.links {
             let t = &mut self.trees[c as usize];
@@ -353,7 +349,7 @@ impl MctDatabase {
 
     /// Register a color. The document node becomes the root of the new
     /// colored tree (Definition 3.2: every tree shares the document
-    /// root). Idempotent by name.
+    /// root), numbered as its only node. Idempotent by name.
     pub fn add_color(&mut self, name: &str) -> ColorId {
         if let Some(c) = self.palette.get(name) {
             return c;
@@ -365,6 +361,7 @@ impl MctDatabase {
         t.link_mut(McNodeId::DOCUMENT).attached = true;
         t.node_count = 1;
         self.trees.push(t);
+        self.number(c, &[McNodeId::DOCUMENT], 0, CODE_STRIDE, 0);
         self.touch_node(McNodeId::DOCUMENT);
         self.nodes[0].colors = self.nodes[0].colors.with(c);
         c
@@ -469,6 +466,8 @@ impl MctDatabase {
     // ----- structure mutation ------------------------------------------------
 
     /// Append `child` as the last child of `parent` in colored tree `c`.
+    /// The child has no interval code until the tree is numbered
+    /// ([`Self::annotate`]).
     ///
     /// Both nodes must carry `c` (color compatibility), and `child`
     /// must not already be attached in `T_c` — a node occurs at most
@@ -494,7 +493,6 @@ impl MctDatabase {
         }
         t.link_mut(parent).last_child = child.0;
         t.node_count += 1;
-        t.dirty = true;
     }
 
     fn attach_checks(&self, parent: McNodeId, child: McNodeId, c: ColorId) {
@@ -515,8 +513,10 @@ impl MctDatabase {
         // fragments are legal and get rooted when their top is appended.
     }
 
-    /// Detach `n` (with its color-`c` subtree) from tree `c`. The node
-    /// keeps the color; use [`Self::remove_color`] to drop it.
+    /// Detach `n` (with its color-`c` subtree) from tree `c` and clear
+    /// its interval code there. Every other code stays valid: removing
+    /// a node leaves the survivors' intervals nested and ordered. The
+    /// node keeps the color; use [`Self::remove_color`] to drop it.
     pub fn detach(&mut self, n: McNodeId, c: ColorId) {
         let l = *self.tree(c).link(n);
         if !l.attached || l.parent == NONE {
@@ -541,8 +541,8 @@ impl MctDatabase {
         lm.prev = NONE;
         lm.next = NONE;
         lm.attached = false;
+        t.codes[n.index()] = NO_CODE;
         t.node_count -= 1;
-        t.dirty = true;
     }
 
     /// Drop color `c` from node `n`: detaches it from `T_c` and removes
@@ -644,9 +644,9 @@ impl MctDatabase {
 
     // ----- interval codes & local order --------------------------------------
 
-    /// (Re-)annotate tree `c` with gapped `(start, end, level)` codes by
-    /// pre-order traversal (the *local order* of §3.1). Iterative, so
-    /// arbitrarily deep trees are fine.
+    /// (Re-)number tree `c` whole with gapped `(start, end, level)`
+    /// codes in pre-order (the *local order* of §3.1): the document
+    /// from 0 with [`CODE_STRIDE`].
     pub fn annotate(&mut self, c: ColorId) {
         if let Some(j) = &mut self.journal {
             if c.index() < j.colors() && !j.codes.contains_key(&c.0) {
@@ -661,113 +661,93 @@ impl MctDatabase {
                 j.codes.insert(c.0, codes);
             }
         }
-        // Take the tree out to satisfy the borrow checker cheaply.
-        let mut t = std::mem::replace(self.tree_mut(c), ColorTree::new());
-        t.grow(self.nodes.len());
-        for code in t.codes.iter_mut() {
-            *code = NO_CODE;
+        let len = self.nodes.len();
+        let t = self.tree_mut(c);
+        t.grow(len);
+        t.codes.fill(NO_CODE);
+        self.number(c, &[McNodeId::DOCUMENT], 0, CODE_STRIDE, 0);
+    }
+
+    /// Number `roots`, just appended as the last children of `parent`
+    /// in tree `c`, with their color-`c` subtrees inside the gap from
+    /// the previous sibling's end (or the parent's start) to the
+    /// parent's end, so no other code changes. A fragment of k nodes
+    /// takes the stride `gap / (2k + 1)`. Returns `false`, changing
+    /// nothing, when that stride is 0: the caller renumbers with
+    /// [`Self::annotate`]. The codes are journaled with the links the
+    /// appends touched.
+    pub(crate) fn number_fragment(
+        &mut self,
+        parent: McNodeId,
+        roots: &[McNodeId],
+        c: ColorId,
+    ) -> bool {
+        let Some(&first) = roots.first() else {
+            return true;
+        };
+        let Some(pc) = self.code(parent, c) else {
+            return false;
+        };
+        let prev = self.tree(c).link(first).prev;
+        let lower = if prev == NONE {
+            Some(pc.start)
+        } else {
+            self.code(McNodeId(prev), c).map(|p| p.end)
+        };
+        let Some(lower) = lower.filter(|&l| l < pc.end) else {
+            return false;
+        };
+        let k: u64 = roots
+            .iter()
+            .map(|&r| self.descendants_or_self(r, c).count() as u64)
+            .sum();
+        let stride = u64::from(pc.end - lower) / (2 * k + 1);
+        if stride == 0 {
+            return false;
         }
-        let mut counter: u32 = 0;
-        // Stack of (node, phase): phase 0 = assign start, phase 1 = assign end.
-        let mut stack: Vec<(u32, bool)> = vec![(McNodeId::DOCUMENT.0, false)];
-        let mut levels: Vec<u16> = vec![0; 1];
-        while let Some((n, closing)) = stack.pop() {
+        self.number(c, roots, lower, stride as u32, pc.level + 1);
+        true
+    }
+
+    /// Number the color-`c` subtrees of `roots` in order by an Euler
+    /// tour: a counter starts at `lower` and steps by `stride` at each
+    /// node's entry (its start) and exit (its end); the roots get level
+    /// `level`. Iterative, so arbitrarily deep trees are fine.
+    fn number(&mut self, c: ColorId, roots: &[McNodeId], lower: u32, stride: u32, level: u16) {
+        let t = self.tree_mut(c);
+        let mut counter = lower;
+        // (node, level, closing): children are pushed in reverse so the
+        // leftmost pops first.
+        let mut stack: Vec<(u32, u16, bool)> =
+            roots.iter().rev().map(|r| (r.0, level, false)).collect();
+        while let Some((n, level, closing)) = stack.pop() {
+            counter += stride;
+            let code = &mut t.codes[n as usize];
             if closing {
-                counter += CODE_STRIDE;
-                t.codes[n as usize].end = counter;
-                levels.pop();
+                code.end = counter;
                 continue;
             }
-            counter += CODE_STRIDE;
-            t.codes[n as usize].start = counter;
-            t.codes[n as usize].level = (levels.len() - 1) as u16;
-            stack.push((n, true));
-            levels.push(0); // placeholder; depth tracked by stack of closings
-            // Push children in reverse so leftmost pops first.
-            let mut kids: Vec<u32> = Vec::new();
+            *code = IntervalCode {
+                start: counter,
+                end: counter,
+                level,
+            };
+            stack.push((n, level, true));
+            let kids = stack.len();
             let mut cur = t.links[n as usize].first_child;
             while cur != NONE {
-                kids.push(cur);
+                stack.push((cur, level + 1, false));
                 cur = t.links[cur as usize].next;
             }
-            for &k in kids.iter().rev() {
-                stack.push((k, false));
-            }
-        }
-        t.dirty = false;
-        *self.tree_mut(c) = t;
-    }
-
-    /// Annotate only if dirty.
-    pub fn ensure_annotated(&mut self, c: ColorId) {
-        if self.tree(c).dirty {
-            self.annotate(c);
+            stack[kids..].reverse();
         }
     }
 
-    /// True when tree `c` needs re-annotation.
-    pub fn is_dirty(&self, c: ColorId) -> bool {
-        self.tree(c).dirty
-    }
-
-    /// Interval code of `n` in tree `c`.
-    ///
-    /// # Panics
-    /// Panics if the tree is dirty (call [`Self::ensure_annotated`]).
+    /// Interval code of `n` in tree `c`; `None` when `n` does not occur
+    /// there or has not been numbered since it was appended.
     pub fn code(&self, n: McNodeId, c: ColorId) -> Option<IntervalCode> {
-        assert!(!self.tree(c).dirty, "tree {c:?} is dirty; annotate first");
         let code = self.tree(c).codes[n.index()];
         (code.start != u32::MAX).then_some(code)
-    }
-
-    /// Try to assign codes to a freshly appended node `n` (a leaf of
-    /// its `c`-subtree) inside the numbering gap left by
-    /// [`CODE_STRIDE`], without renumbering the tree. Returns `false`
-    /// when there is no room (caller should [`Self::annotate`] and
-    /// rebuild dependent indexes). Clears the dirty flag on success.
-    pub(crate) fn try_assign_gap_codes(&mut self, n: McNodeId, c: ColorId) -> bool {
-        let (parent, prev) = {
-            let l = self.tree(c).link(n);
-            if !l.attached || l.parent == NONE || l.first_child != NONE {
-                return false; // only leaf inserts take the fast path
-            }
-            (McNodeId(l.parent), l.prev)
-        };
-        let t = self.tree(c);
-        let parent_code = t.codes[parent.index()];
-        if parent_code.start == u32::MAX {
-            return false; // tree was never annotated
-        }
-        let lower = if prev == NONE {
-            parent_code.start
-        } else {
-            t.codes[prev as usize].end
-        };
-        let upper = {
-            let next = t.link(n).next;
-            if next == NONE {
-                parent_code.end
-            } else {
-                t.codes[next as usize].start
-            }
-        };
-        if upper <= lower || upper - lower < 3 {
-            return false;
-        }
-        let start = lower + (upper - lower) / 3;
-        let end = lower + 2 * (upper - lower) / 3;
-        if start <= lower || end <= start || end >= upper {
-            return false;
-        }
-        self.touch_link(c, n.0);
-        let t = self.tree_mut(c);
-        t.codes[n.index()] = IntervalCode {
-            start,
-            end,
-            level: parent_code.level + 1,
-        };
-        t.dirty = false;
-        true
     }
 
     // ----- statistics ---------------------------------------------------------
@@ -803,7 +783,8 @@ impl MctDatabase {
     }
 
     /// Verify all per-tree doubly linked list invariants, color
-    /// consistency, and (for clean trees) code consistency.
+    /// consistency, and code consistency: a detached node has no code,
+    /// and a numbered node's parent is numbered and encloses it.
     pub fn check_invariants(&self) {
         for (ci, t) in self.trees.iter().enumerate() {
             let c = ColorId(ci as u8);
@@ -811,6 +792,7 @@ impl MctDatabase {
             for (i, l) in t.links.iter().enumerate() {
                 let n = McNodeId(i as u32);
                 if !l.attached {
+                    assert_eq!(t.codes[i], NO_CODE, "{n:?} detached in {c:?} with a code");
                     continue;
                 }
                 attached += 1;
@@ -830,16 +812,12 @@ impl MctDatabase {
                 assert_eq!(l.last_child, prev, "last_child mismatch for {n:?}");
             }
             assert_eq!(attached, t.node_count, "node_count mismatch in {c:?}");
-            if !t.dirty {
-                for n in self.descendants_or_self(McNodeId::DOCUMENT, c) {
-                    let code = t.codes[n.index()];
-                    assert_ne!(code.start, u32::MAX, "{n:?} missing code in {c:?}");
-                    if let Some(p) = self.parent(n, c) {
-                        assert!(
-                            t.codes[p.index()].is_parent_of(&code),
-                            "parent code of {n:?} in {c:?} inconsistent"
-                        );
-                    }
+            for n in self.descendants_or_self(McNodeId::DOCUMENT, c) {
+                if let (Some(code), Some(p)) = (self.code(n, c), self.parent(n, c)) {
+                    assert!(
+                        self.code(p, c).is_some_and(|pc| pc.is_parent_of(&code)),
+                        "parent code of {n:?} in {c:?} inconsistent"
+                    );
                 }
             }
         }
@@ -1071,38 +1049,83 @@ mod tests {
         assert_eq!(db.children(award, green).count(), 0);
     }
 
+    /// Every code of tree `c`, by node.
+    fn codes(db: &MctDatabase, c: ColorId) -> Vec<Option<IntervalCode>> {
+        (0..db.len() as u32).map(|i| db.code(McNodeId(i), c)).collect()
+    }
+
     #[test]
-    fn gap_codes_avoid_renumbering() {
-        let (mut db, red, _, movie, _) = figure2();
+    fn fragment_numbers_in_the_gap() {
+        let (mut db, red, _, movie, name) = figure2();
         db.annotate(red);
-        let before = db.code(movie, red).unwrap();
-        // Append a new red leaf under movie; the gap should absorb it.
-        let extra = db.new_element("scene", red);
-        db.append_child(movie, extra, red);
-        assert!(db.is_dirty(red));
-        assert!(db.try_assign_gap_codes(extra, red), "stride leaves room");
-        assert!(!db.is_dirty(red));
-        let code = db.code(extra, red).unwrap();
-        assert!(db.code(movie, red).unwrap().is_parent_of(&code));
-        assert_eq!(db.code(movie, red).unwrap(), before, "no renumbering");
+        let before = codes(&db, red);
+        // A two-node fragment appended under movie, after name.
+        let scene = db.new_element("scene", red);
+        let shot = db.new_element("shot", red);
+        db.append_child(movie, scene, red);
+        db.append_child(scene, shot, red);
+        assert!(db.number_fragment(movie, &[scene], red), "the stride leaves room");
+        let after = codes(&db, red);
+        assert_eq!(after[..scene.index()], before[..scene.index()], "no renumbering");
+        let (sc, sh) = (db.code(scene, red).unwrap(), db.code(shot, red).unwrap());
+        assert!(db.code(movie, red).unwrap().is_parent_of(&sc));
+        assert!(sc.is_parent_of(&sh));
+        assert!(db.code(name, red).unwrap().end < sc.start, "after its previous sibling");
         db.check_invariants();
     }
 
     #[test]
-    fn gap_codes_exhaust_eventually() {
-        let (mut db, red, _, movie, _) = figure2();
+    fn fragment_numbering_falls_back_when_the_gap_is_spent() {
+        let (mut db, red, _, _, name) = figure2();
         db.annotate(red);
+        // A fresh leaf's gap is one stride: three nodes fit, four don't.
+        let chain = |db: &mut MctDatabase, k: usize| {
+            let nodes: Vec<_> = (0..k).map(|i| db.new_element(&format!("f{i}"), red)).collect();
+            db.append_child(name, nodes[0], red);
+            for w in nodes.windows(2) {
+                db.append_child(w[0], w[1], red);
+            }
+            nodes[0]
+        };
+        let three = chain(&mut db, 3);
+        assert!(db.number_fragment(name, &[three], red));
+        db.remove_color(three, red);
+        let four = chain(&mut db, 4);
+        let before = codes(&db, red);
+        assert!(!db.number_fragment(name, &[four], red), "stride 8 / 9 is 0");
+        assert_eq!(codes(&db, red), before, "a refused numbering changes nothing");
+        db.annotate(red);
+        db.check_invariants();
+        // Leaves appended one by one spend the gap eventually.
+        let movie = db.parent(name, red).unwrap();
         let mut fallbacks = 0;
         for i in 0..20 {
             let e = db.new_element(&format!("e{i}"), red);
             db.append_child(movie, e, red);
-            if !db.try_assign_gap_codes(e, red) {
+            if !db.number_fragment(movie, &[e], red) {
                 fallbacks += 1;
                 db.annotate(red);
             }
         }
         assert!(fallbacks > 0, "a bounded gap must eventually overflow");
         db.check_invariants();
+    }
+
+    #[test]
+    fn remove_color_clears_only_the_removed_codes() {
+        let (mut db, red, _, movie, name) = figure2();
+        db.annotate(red);
+        let before = codes(&db, red);
+        db.remove_color(movie, red);
+        db.check_invariants();
+        let after = codes(&db, red);
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            if i == movie.index() || i == name.index() {
+                assert_eq!(*a, None, "n{i} left red");
+            } else {
+                assert_eq!(a, b, "n{i} keeps its code");
+            }
+        }
     }
 
     #[test]
@@ -1147,7 +1170,7 @@ mod tests {
         db.set_attr(movie, "fresh-attr", "1");
         let extra = db.new_element("scene", red);
         db.append_child(movie, extra, red);
-        assert!(db.try_assign_gap_codes(extra, red));
+        assert!(db.number_fragment(movie, &[extra], red));
         let first = db.new_element("first", red);
         db.append_child(movie, first, red);
         db.annotate(red);

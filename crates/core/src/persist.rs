@@ -118,10 +118,11 @@ pub struct StructRef {
 /// `FileDisk` plus an attached WAL gives a crash-consistent on-disk
 /// database (see [`StoredDb::create`] / [`StoredDb::open`]).
 ///
-/// **Annotation invariant.** Between calls, every color of the palette
-/// is annotated (no colored tree is dirty) and has its structural
-/// heap, tag index and link index, keyed by exactly the interval codes
-/// of the logical twin. Every constructor and load path establishes it.
+/// **Annotation invariant.** Between calls, every node attached in a
+/// colored tree has a valid interval code there, every other node has
+/// none, and every color of the palette has its structural heap, tag
+/// index and link index, keyed by exactly the interval codes of the
+/// logical twin. Every constructor and load path establishes it.
 /// The logical database is read-only outside this crate (see
 /// [`DbView`]); it changes only through the mutators
 /// [`StoredDb::add_color`], [`StoredDb::new_element`],
@@ -282,7 +283,7 @@ impl<D: DiskManager> StoredDb<D> {
         db.stop_journal();
         let ncolors = db.palette.len();
         for i in 0..ncolors {
-            db.ensure_annotated(ColorId(i as u8));
+            db.annotate(ColorId(i as u8));
         }
         let mut content_heap = HeapFile::new();
         let mut attr_heap = HeapFile::new();
@@ -894,15 +895,15 @@ impl<D: DiskManager> StoredDb<D> {
         }
     }
 
-    /// Restore the annotation invariant (see [`StoredDb`]): annotate
-    /// every dirty color, and rebuild the structural heap and indexes of
-    /// each color that was dirty or has none yet. The load paths in this
-    /// crate need it; every mutator leaves the invariant holding, so a
-    /// caller outside the crate always finds nothing to do.
+    /// Restore the annotation invariant (see [`StoredDb`]): give each
+    /// color that has no structural heap and indexes yet its own. The
+    /// load paths in this crate need it; every mutator leaves the
+    /// invariant holding, so a caller outside the crate always finds
+    /// nothing to do.
     pub fn ensure_all_annotated(&mut self) -> mct_storage::Result<()> {
         for i in 0..self.db.palette.len() {
             let c = ColorId(i as u8);
-            if self.db.is_dirty(c) || self.storage_of(c).is_err() {
+            if self.storage_of(c).is_err() {
                 self.reindex_color(c)?;
             }
         }
@@ -954,9 +955,9 @@ impl<D: DiskManager> StoredDb<D> {
     /// lists for it, recursively (an element constructor's pending
     /// edges). Nodes keep their identity and their place in other
     /// colors; a node lacking `c` gains it. The new members get interval
-    /// codes (a lone leaf in its sibling gap, else the color is
-    /// renumbered) and structural records, and a node whose first color
-    /// this is gets its content and attribute records.
+    /// codes in the gap after `parent`'s last child, or the color is
+    /// renumbered when they do not fit, and structural records; a node
+    /// whose first color this is gets its content and attribute records.
     ///
     /// Refused before anything changes when `parent` does not occur in
     /// `c`, or a node already occurs in `c` or twice in the fragment.
@@ -993,15 +994,14 @@ impl<D: DiskManager> StoredDb<D> {
             }
             self.db.0.append_child(p, n, c);
         }
-        let leaf = match fragment[..] {
-            [(_, n)] => self.db.0.try_assign_gap_codes(n, c).then_some(n),
-            _ => None,
-        };
-        match leaf {
-            Some(n) => self.write_struct(n, c)?,
+        if self.db.0.number_fragment(parent, roots, c) {
+            for &(_, n) in &fragment {
+                self.write_struct(n, c)?;
+            }
+        } else {
             // Renumbering rewrites every structural record of `c`,
             // the fragment's included.
-            None => self.reindex_color(c)?,
+            self.reindex_color(c)?;
         }
         for &(_, n) in &fragment {
             self.write_records(n)?;
@@ -1011,8 +1011,9 @@ impl<D: DiskManager> StoredDb<D> {
 
     /// Color-scoped delete (§4.3): remove node `n` with its color-`c`
     /// subtree from colored tree `c` only. The nodes keep their other
-    /// colors and their content and attribute records. No-op when `n`
-    /// does not occur in `c`; `n` must not be the document node.
+    /// colors and their content and attribute records, and every other
+    /// node keeps its code. No-op when `n` does not occur in `c`; `n`
+    /// must not be the document node.
     pub fn detach(&mut self, n: McNodeId, c: ColorId) -> mct_storage::Result<()> {
         assert_ne!(n, McNodeId::DOCUMENT, "the document node roots every colored tree");
         if !self.db.colors(n).contains(c) {
@@ -1023,7 +1024,7 @@ impl<D: DiskManager> StoredDb<D> {
             self.unindex_node(d, c)?;
         }
         self.db.0.remove_color(n, c);
-        self.reindex_color(c)
+        Ok(())
     }
 
     /// Replace an element's content, updating heap and content index.
@@ -1101,13 +1102,14 @@ impl<D: DiskManager> StoredDb<D> {
         Ok(())
     }
 
-    /// Annotate color `c` if it is dirty and rebuild its structural
-    /// heap and indexes from the codes. The first color without storage
-    /// gets its heap and indexes here; [`Self::ensure_all_annotated`]
-    /// reaches such colors in palette order.
+    /// Renumber color `c` and rebuild its structural heap and indexes
+    /// from the codes. The first color without storage gets its heap
+    /// and indexes here; [`Self::ensure_all_annotated`] reaches such
+    /// colors in palette order. The old heap's and indexes' pages are
+    /// not reused.
     fn reindex_color(&mut self, c: ColorId) -> mct_storage::Result<()> {
         self.generation += 1;
-        self.db.0.ensure_annotated(c);
+        self.db.0.annotate(c);
         let members = self.db.descendants_or_self(McNodeId::DOCUMENT, c).skip(1);
         let (heap, tag, link) = load_color(&self.pool, &self.db, c, members)?;
         if c.index() == self.struct_heaps.len() {
@@ -1617,17 +1619,32 @@ mod tests {
     }
 
     #[test]
-    fn ensure_all_annotated_clears_dirty_colors() {
+    fn structural_updates_keep_every_other_code() {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
         let red = s.db.color("red").unwrap();
+        let codes = |s: &StoredDb| -> Vec<_> {
+            (0..s.db.len() as u32).map(|i| s.db.code(McNodeId(i), red)).collect()
+        };
+        let before = codes(&s);
         let genre = s.postings_named(red, "movie-genre").unwrap()[0].node;
-        let m = s.db.0.new_element("movie", red);
-        s.db.0.append_child(genre, m, red);
-        assert!(s.db.is_dirty(red), "structural append dirties the color");
-        s.ensure_all_annotated().unwrap();
-        assert!(!s.db.is_dirty(red));
-        // The fresh element is now indexed with a valid code.
-        assert_eq!(s.postings_named(red, "movie").unwrap().len(), 11);
+        let m = s.new_element("movie", None, &[]);
+        let name = s.new_element("name", Some("Gap Movie"), &[]);
+        s.attach(genre, &[m], &HashMap::from([(m, vec![name])]), red).unwrap();
+        let victim = s.postings_named(red, "movie").unwrap()[3].node;
+        let gone: Vec<_> = s.db.descendants_or_self(victim, red).collect();
+        s.detach(victim, red).unwrap();
+        let after = codes(&s);
+        for (i, b) in before.iter().enumerate() {
+            if !gone.contains(&McNodeId(i as u32)) {
+                assert_eq!(after[i], *b, "n{i} keeps its code");
+            }
+        }
+        let fresh = s.db.code(m, red).unwrap();
+        assert!(fresh.is_parent_of(&s.db.code(name, red).unwrap()));
+        assert!(s.db.code(genre, red).unwrap().is_parent_of(&fresh));
+        assert_eq!(s.postings_named(red, "movie").unwrap().len(), 10);
+        let report = s.check().unwrap();
+        assert!(report.is_ok(), "{report}");
     }
 
     /// A multi-structure mutation batch used by the txn tests: content

@@ -52,7 +52,7 @@ use mct_xml::Sym;
 use std::collections::HashSet;
 
 /// Magic of a catalog record; bump the trailing digits on layout changes.
-const MAGIC: &[u8; 8] = b"MCTCAT01";
+const MAGIC: &[u8; 8] = b"MCTCAT02";
 /// Encoding of `None` for optional u32 fields (node ids, syms).
 const NONE32: u32 = u32::MAX;
 /// Encoding of `None` for optional packed record ids.
@@ -178,10 +178,9 @@ pub(crate) fn encode(
     );
     out.push(db.trees.len() as u8);
     for (c, t) in db.trees.iter().enumerate() {
-        let base = j.trees.get(c).map_or(0, |&(len, _, _)| len);
+        let base = j.trees.get(c).map_or(0, |&(len, _)| len);
         put_u32(&mut out, base as u32);
         put_u64(&mut out, t.node_count);
-        out.push(t.dirty as u8);
         let changed = j
             .links
             .range((c as u8, 0)..=(c as u8, u32::MAX))
@@ -349,7 +348,6 @@ impl<T> Positional<T> {
 struct TreeChange {
     base: usize,
     node_count: u64,
-    dirty: bool,
     slots: Positional<(Links, IntervalCode)>,
     codes: Option<Vec<IntervalCode>>,
 }
@@ -405,7 +403,6 @@ impl Delta {
                 return Err(corrupt("new color with a base"));
             }
             let node_count = r.u64()?;
-            let dirty = r.u8()? != 0;
             let slots = r.positional(base, LINK_BYTES, Reader::link)?;
             let len = slots.len(base);
             if len > nodes_len {
@@ -423,7 +420,6 @@ impl Delta {
             trees.push(TreeChange {
                 base,
                 node_count,
-                dirty,
                 slots,
                 codes,
             });
@@ -505,7 +501,6 @@ impl Delta {
                 t.codes = codes;
             }
             t.node_count = tc.node_count;
-            t.dirty = tc.dirty;
         }
         let [content, attr] = self.rids;
         content.apply(content_rid, h.rids[0]);

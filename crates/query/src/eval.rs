@@ -700,17 +700,17 @@ fn eval_flwor<D: DiskManager>(ctx: &mut EvalContext<'_, D>, f: &Flwor) -> EvalRe
     bind_clauses(ctx, f, 0, &mut out)?;
     if !f.order_by.is_empty() {
         out.sort_by(|(ka, _), (kb, _)| {
-            for (a, b) in ka.iter().zip(kb) {
+            for ((a, b), (_, ascending)) in ka.iter().zip(kb).zip(&f.order_by) {
+                // A total order, which the sort relies on: the empty key
+                // first, then numbers by value (total_cmp orders NaN,
+                // since "NaN" parses as f64), then other strings.
                 let ord = match (as_number(a), as_number(b)) {
-                    // total_cmp: a total order even for NaN keys
-                    // ("NaN" parses as f64), so order-by never sees
-                    // an inconsistent comparator and sorts
-                    // deterministically (NaN after +inf).
                     (Some(na), Some(nb)) => na.total_cmp(&nb),
-                    _ => a.cmp(b),
+                    (na, nb) => (!a.is_empty(), na.is_none(), a)
+                        .cmp(&(!b.is_empty(), nb.is_none(), b)),
                 };
                 if ord != std::cmp::Ordering::Equal {
-                    return ord;
+                    return if *ascending { ord } else { ord.reverse() };
                 }
             }
             std::cmp::Ordering::Equal
@@ -734,16 +734,9 @@ fn bind_clauses<D: DiskManager>(
             }
         }
         let mut keys = Vec::with_capacity(f.order_by.len());
-        for (k, asc) in &f.order_by {
+        for (k, _) in &f.order_by {
             let v = eval(ctx, k)?;
-            let mut key = v.first().map(|i| atomize(ctx, i)).unwrap_or_default();
-            if !*asc {
-                // Descending: invert by prefixing an ordering flip
-                // marker is fragile; simplest is to negate numbers and
-                // reverse-compare strings via a transformed key.
-                key = invert_key(&key);
-            }
-            keys.push(key);
+            keys.push(v.first().map(|i| atomize(ctx, i)).unwrap_or_default());
         }
         let r = eval(ctx, &f.ret)?;
         out.push((keys, r));
@@ -778,14 +771,6 @@ fn restore<D: DiskManager>(ctx: &mut EvalContext<'_, D>, var: &str, old: Option<
             ctx.vars.remove(var);
         }
     }
-}
-
-fn invert_key(key: &str) -> String {
-    if let Some(n) = as_number(key) {
-        return format!("{:020.6}", 1e15 - n);
-    }
-    // Invert bytes for descending string order.
-    key.bytes().map(|b| (255 - b) as char).collect()
 }
 
 #[cfg(test)]
@@ -1076,6 +1061,53 @@ mod tests {
                return $v"#,
         );
         assert_eq!(out, vec!["11", "7"]);
+    }
+
+    /// Descending order reverses the comparison of the raw keys: a
+    /// prefix sorts after its extensions, and numbers keep their full
+    /// precision.
+    #[test]
+    fn order_by_descending_reverses_raw_keys() {
+        let mut s = movie_db();
+        let out = strings(
+            &mut s,
+            r#"for $x in ("ab", "abc", "b") order by $x descending return $x"#,
+        );
+        assert_eq!(out, vec!["b", "abc", "ab"]);
+        let out = strings(
+            &mut s,
+            r#"for $x in (0.0000001, 0.0000002, 3) order by $x descending return $x"#,
+        );
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[0], "3");
+        assert!(as_number(&out[1]) > as_number(&out[2]), "{out:?}");
+    }
+
+    /// Keys that mix numbers and other strings sort by a total order
+    /// (the sort panics on one that is not): the empty key first, then
+    /// numbers by value, then strings.
+    #[test]
+    fn order_by_mixed_keys_is_a_total_order() {
+        let mut s = movie_db();
+        let out = strings(
+            &mut s,
+            r#"for $x in ("b", "10", "", "9", "a") order by $x return $x"#,
+        );
+        assert_eq!(out, vec!["", "9", "10", "a", "b"]);
+        // Numbers and digit-led strings: "2" < "10" < "1a" < "2" under
+        // a comparator that mixes numeric and string order.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let keys: Vec<String> = (0..400)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let suffix = if x & 1 == 0 { "" } else { "a" };
+                format!(r#""{}{suffix}""#, (x >> 8) % 101)
+            })
+            .collect();
+        let q = format!("for $x in ({}) order by $x return $x", keys.join(", "));
+        assert_eq!(strings(&mut s, &q).len(), 400);
     }
 
     #[test]

@@ -29,7 +29,7 @@ enum Pending {
     Insert {
         target: McNodeId,
         color: ColorId,
-        root: McNodeId,
+        roots: Vec<McNodeId>,
         edges: HashMap<McNodeId, Vec<McNodeId>>,
     },
     Replace(McNodeId, String),
@@ -86,7 +86,13 @@ fn apply_update<D: DiskManager>(
         }
         collect(&mut ctx, u, 0, &mut tuples, &mut pending)?;
     }
-    let elements = pending.len();
+    let elements = pending
+        .iter()
+        .map(|p| match p {
+            Pending::Insert { roots, .. } => roots.len(),
+            _ => 1,
+        })
+        .sum();
     // Phase 2: apply.
     for p in pending {
         match p {
@@ -95,9 +101,9 @@ fn apply_update<D: DiskManager>(
             Pending::Insert {
                 target,
                 color,
-                root,
+                roots,
                 edges,
-            } => stored.attach(target, &[root], &edges, color)?,
+            } => stored.attach(target, &roots, &edges, color)?,
         }
     }
     Ok(UpdateOutcome { tuples, elements })
@@ -163,17 +169,23 @@ fn collect<D: DiskManager>(
                 }
                 UpdateAction::Insert(what) => {
                     let c = target_color.ok_or(EvalError::NoColor)?;
-                    let nodes = eval(ctx, what)?;
-                    for item in nodes {
-                        if let Item::Node(n, _) = item {
-                            out.push(Pending::Insert {
-                                target,
-                                color: c,
-                                root: n,
-                                edges: ctx.take_pending(),
-                            });
-                            emitted = true;
-                        }
+                    let roots: Vec<McNodeId> = eval(ctx, what)?
+                        .into_iter()
+                        .filter_map(|item| match item {
+                            Item::Node(n, _) => Some(n),
+                            _ => None,
+                        })
+                        .collect();
+                    if !roots.is_empty() {
+                        // One fragment: the constructed edges of every
+                        // node the action made.
+                        out.push(Pending::Insert {
+                            target,
+                            color: c,
+                            roots,
+                            edges: ctx.take_pending(),
+                        });
+                        emitted = true;
                     }
                 }
             }
@@ -300,7 +312,7 @@ mod tests {
         let red = s.db.color("red").unwrap();
         assert_eq!(s.postings_named(red, "cast").unwrap().len(), 1);
         assert_eq!(s.postings_named(red, "star").unwrap().len(), 2);
-        // Codes stay consistent after the renumber.
+        // Codes stay consistent (three nodes still fit the gap).
         s.db.check_invariants();
         let stars = s.postings_named(red, "star").unwrap();
         for st in stars {
@@ -332,6 +344,26 @@ mod tests {
         }
         let green = s.db.color("green").unwrap();
         assert_eq!(s.postings_named(green, "third-note").unwrap().len(), 3);
+    }
+
+    /// Every node of one insert action keeps its constructed children,
+    /// not only the first.
+    #[test]
+    fn a_multi_node_insert_keeps_every_nodes_children() {
+        let mut s = stored();
+        let u = parse_update(
+            r#"for $m in document("d")/{red}descendant::movie
+               where $m/{red}child::name = "Movie 4"
+               update $m { insert (<a><zx/></a>, <b><zy/></b>) }"#,
+        )
+        .unwrap();
+        assert_eq!(execute_update(&mut s, &u).unwrap(), 1);
+        let red = s.db.color("red").unwrap();
+        for tag in ["a", "zx", "b", "zy"] {
+            assert_eq!(s.postings_named(red, tag).unwrap().len(), 1, "<{tag}>");
+        }
+        let report = s.check().unwrap();
+        assert!(report.is_ok(), "{report}");
     }
 
     /// Inserting an existing node under a node of another color gives it

@@ -642,8 +642,8 @@ mod tests {
         db.check_invariants();
         let cust = db.color("cust").unwrap();
         let auth = db.color("auth").unwrap();
-        db.ensure_annotated(cust);
-        db.ensure_annotated(auth);
+        db.annotate(cust);
+        db.annotate(auth);
         // Every orderline has parents in all five hierarchies.
         let five = ["cust", "bill", "ship", "date", "auth"];
         let mut lines = 0;

@@ -107,6 +107,17 @@ MCTC query 'document("m")/{green}descendant::movie-award/{green}child::note' | g
 # including the state the update just committed.
 MCTC check | grep -q "zero violations" \
     || { echo "FAIL: GET /check reports violations after an update"; exit 1; }
+# A color-scoped delete of the note: gone from green, and the store it
+# leaves (every other code kept, nothing rebuilt) still checks clean.
+MCTC update 'for $n in document("m")/{green}descendant::note update $n { delete $n }' \
+    | grep -q '"tuples":' || { echo "FAIL: delete"; exit 1; }
+NOTES=$(MCTC query 'document("m")/{green}descendant::movie-award/{green}child::note') \
+    || { echo "FAIL: query after delete"; exit 1; }
+if echo "$NOTES" | grep -q 'verify'; then
+    echo "FAIL: the deleted note is still in green"; exit 1
+fi
+MCTC check | grep -q "zero violations" \
+    || { echo "FAIL: GET /check reports violations after a delete"; exit 1; }
 metrics_out=$(MCTC metrics)
 echo "$metrics_out" | grep -q "^# TYPE server_requests counter" \
     || { echo "FAIL: /metrics is not well-formed Prometheus"; exit 1; }

@@ -3,11 +3,15 @@
 //! its log whatever the document's size, and opening the transaction
 //! encodes nothing. A rooted record (what a checkpoint or a replication
 //! snapshot carries) stays as small as the full catalog it replaced.
+//! A structural statement — a color-scoped delete, a small insert — is
+//! O(change) too: it keeps every other node's interval code, so it
+//! allocates no page and logs no more than a value update may.
 //!
 //! The catalog counters (`catalog.encodes.*`) are process-global, so
 //! this binary holds a single `#[test]`.
 
 use mct_core::{McNodeId, StoredDb};
+use mct_query::{execute_update, parse_update};
 use mct_storage::{BufferPool, MemDisk, ReplRecord, TailCursor, Wal};
 use mct_workloads::{TpcwConfig, TpcwData};
 
@@ -36,12 +40,7 @@ fn encodes(kind: &str) -> u64 {
 /// appended, the bytes `begin_txn` alone appended, the size of the
 /// commit's catalog record, the store's node count and the size of its
 /// snapshot before the update.
-fn one_update(scale: f64) -> (u64, u64, usize, usize, usize) {
-    let tpcw = TpcwData::generate(&TpcwConfig { scale, seed: 42 });
-    let mut pool = BufferPool::new(MemDisk::new(), POOL);
-    pool.attach_wal(Wal::create(Box::new(MemDisk::new())).unwrap());
-    let mut s = StoredDb::build_on(pool, tpcw.build_mct()).unwrap();
-    s.sync().unwrap();
+fn one_update(s: &mut StoredDb) -> (u64, u64, usize, usize, usize) {
     let elements = s.db.len();
     let snapshot = s.snapshot_catalog().len();
     let cost = (0..s.db.len() as u32)
@@ -57,13 +56,13 @@ fn one_update(scale: f64) -> (u64, u64, usize, usize, usize) {
     new.push(if last == '9' { '8' } else { (last as u8 + 1) as char });
 
     let (full, delta) = (encodes("full"), encodes("delta"));
-    let before = wal_len(&s);
+    let before = wal_len(s);
     let lsn = s.pool.with_wal(|w| Ok(w.committed_lsn())).unwrap();
     let txn = s.begin_txn().unwrap();
-    let begun = wal_len(&s) - before;
+    let begun = wal_len(s) - before;
     s.update_content(cost, &new).unwrap();
     s.commit_txn(txn).unwrap();
-    let committed = wal_len(&s) - before;
+    let committed = wal_len(s) - before;
     assert_eq!(encodes("full"), full, "begin + commit encoded a full catalog");
     assert_eq!(encodes("delta"), delta + 1, "the commit carries one delta");
     assert_eq!(s.fetch_content(cost).unwrap().as_deref(), Some(new.as_str()));
@@ -81,10 +80,38 @@ fn one_update(scale: f64) -> (u64, u64, usize, usize, usize) {
     (committed, begun, catalog, elements, snapshot)
 }
 
+/// A WAL-attached TPC-W store at `scale`, built and synced.
+fn store(scale: f64) -> StoredDb {
+    let tpcw = TpcwData::generate(&TpcwConfig { scale, seed: 42 });
+    let mut pool = BufferPool::new(MemDisk::new(), POOL);
+    pool.attach_wal(Wal::create(Box::new(MemDisk::new())).unwrap());
+    let mut s = StoredDb::build_on(pool, tpcw.build_mct()).unwrap();
+    s.sync().unwrap();
+    s
+}
+
+/// Run the update statement `text`, which must touch one binding: the
+/// pages it allocated and the log bytes its transaction appended.
+fn statement(s: &mut StoredDb, text: &str) -> (u32, u64) {
+    let (pages, wal) = (s.pool.num_pages(), wal_len(s));
+    assert_eq!(execute_update(s, &parse_update(text).unwrap()).unwrap(), 1, "{text}");
+    (s.pool.num_pages() - pages, wal_len(s) - wal)
+}
+
+/// The contents of the first two item titles.
+fn two_titles(s: &StoredDb) -> [String; 2] {
+    let mut titles = (0..s.db.len() as u32)
+        .map(McNodeId)
+        .filter(|&n| s.db.name_str(n) == Some("title"))
+        .map(|n| s.db.content(n).unwrap().to_string());
+    [titles.next().unwrap(), titles.next().unwrap()]
+}
+
 #[test]
 fn one_value_commit_appends_o_change_to_the_log_at_any_scale() {
     for (scale, full) in FULL_CATALOG_BYTES {
-        let (committed, begun, catalog, elements, snapshot) = one_update(scale);
+        let mut s = store(scale);
+        let (committed, begun, catalog, elements, snapshot) = one_update(&mut s);
         eprintln!(
             "scale {scale}: {elements} nodes, begin {begun} B, commit {committed} B \
              (catalog {catalog} B), snapshot {snapshot} B"
@@ -106,5 +133,29 @@ fn one_value_commit_appends_o_change_to_the_log_at_any_scale() {
             catalog <= CATALOG_BUDGET,
             "scale {scale}: the commit's catalog record is {catalog} bytes"
         );
+
+        let [deleted, noted] = two_titles(&s);
+        let statements = [
+            format!(
+                r#"for $t in document("tpcw")/{{auth}}descendant::title where $t = "{deleted}"
+                   update $t {{ delete $t }}"#
+            ),
+            format!(
+                r#"for $i in document("tpcw")/{{auth}}descendant::item
+                   where $i/{{auth}}child::title = "{noted}"
+                   update $i {{ insert <note><x/></note> }}"#
+            ),
+        ];
+        for text in &statements {
+            let (pages, logged) = statement(&mut s, text);
+            eprintln!("scale {scale}: {pages} new page(s), {logged} B logged by {text}");
+            assert_eq!(pages, 0, "scale {scale}: {text} allocated {pages} page(s)");
+            assert!(
+                logged <= COMMIT_BUDGET,
+                "scale {scale}: {text} appended {logged} bytes (> {COMMIT_BUDGET}) to the log"
+            );
+        }
+        let report = s.check().unwrap();
+        assert!(report.is_ok(), "scale {scale}: {report}");
     }
 }

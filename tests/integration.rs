@@ -193,8 +193,7 @@ fn definition_3_3_classifies_the_designs() {
     }
 }
 
-/// Evaluate `q`, then require a clean deep check — which also
-/// flags any dirty color.
+/// Evaluate `q`, then require a clean deep check.
 fn eval_checked<D: DiskManager>(s: &mut StoredDb<D>, q: &str) -> Result<Vec<Item>, EvalError> {
     let out = eval(&mut EvalContext::new(s), &parse_query(q).unwrap());
     let rep = s.check().unwrap();

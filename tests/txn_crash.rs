@@ -46,7 +46,7 @@ fn datasets() -> (TpcwData, SigmodData) {
 fn digest<D: DiskManager>(s: &StoredDb<D>) -> String {
     let mut out = String::new();
     for (c, name) in s.db.palette.iter() {
-        writeln!(out, "c{} {name} dirty={}", c.index(), s.db.is_dirty(c)).unwrap();
+        writeln!(out, "c{} {name}", c.index()).unwrap();
     }
     for i in 0..s.db.len() {
         let n = mct_core::McNodeId(i as u32);
