@@ -1,4 +1,4 @@
-//! Regenerates **Table 2: Query Processing Time**.
+//! Regenerates the timings of **Table 2: Query Processing Time**.
 //!
 //! Runs all 21 read queries and 6 updates on all three designs, warm
 //! cache, using the paper's five-run/middle-three protocol. Deep's
@@ -8,19 +8,72 @@
 //! deep rows show the update-anomaly blow-up.
 //!
 //! ```text
-//! cargo run --release -p mct-bench --bin table2 [-- --scale 0.3] [--sweep] [--cold]
+//! cargo run --release -p mct-bench --bin table2 -- [--scale X] [--seed N] [--sweep] [--cold] [--metrics-json]
 //! ```
 //!
 //! `--sweep` additionally runs the §7.2 scaling experiment (linear for
-//! structural plans, quadratic for the nested-loop inequality join).
+//! structural plans, quadratic for the nested-loop inequality join);
+//! `--metrics-json` dumps the metrics registry after the tables. The
+//! page accesses behind these times, and the paper's shape over them,
+//! are the root test `tests/paper_shape.rs`.
 
 use mct_bench::{secs, time_once, time_paper_protocol, Fixtures};
 use mct_workloads::{all_queries, run_read, run_update, QueryKind, SchemaKind};
 use std::time::Duration;
 
+struct Args {
+    scale: f64,
+    seed: Option<u64>,
+    sweep: bool,
+    cold: bool,
+    metrics_json: bool,
+}
+
+fn usage(why: &str) -> ! {
+    eprintln!("table2: {why}");
+    eprintln!("usage: table2 [--scale X] [--seed N] [--sweep] [--cold] [--metrics-json]");
+    std::process::exit(2)
+}
+
+/// The value after `flag`, parsed; a missing or malformed one is a
+/// usage error.
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+}
+
+/// Parse argv; an unknown argument is a usage error (exit 2).
+fn parse_args() -> Args {
+    let mut a = Args {
+        scale: 0.3,
+        seed: None,
+        sweep: false,
+        cold: false,
+        metrics_json: false,
+    };
+    let mut it = std::env::args().skip(1);
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--scale" => a.scale = value(&mut it, "--scale"),
+            "--seed" => a.seed = Some(value(&mut it, "--seed")),
+            "--sweep" => a.sweep = true,
+            "--cold" => a.cold = true,
+            "--metrics-json" => a.metrics_json = true,
+            other => usage(&format!("unknown argument {other}")),
+        }
+    }
+    a
+}
+
 fn main() {
-    let (scale, sweep, cold, stats) = mct_bench::parse_args_stats();
-    let seed = mct_bench::parse_seed();
+    let Args {
+        scale,
+        seed,
+        sweep,
+        cold,
+        metrics_json,
+    } = parse_args();
     eprintln!("building fixtures at scale {scale}...");
     let mut fx = Fixtures::build_seeded(scale, seed);
     let queries = all_queries(&fx.params);
@@ -72,24 +125,6 @@ fn main() {
                     wq.trees,
                     wq.description
                 );
-                if stats {
-                    // Page accesses per design for one (warm) run —
-                    // the engine-level cost behind the times.
-                    let mut cells = Vec::new();
-                    for (i, schema) in SchemaKind::ALL.iter().enumerate() {
-                        let p = fx.params.clone();
-                        let db = fx.db(wq.dataset, *schema);
-                        let mark = db.pool.stats();
-                        let _ = run_read(db, wq.id, *schema, &p, true).expect("plan");
-                        let st = db.pool.stats().delta_since(&mark);
-                        cells.push(st.accesses());
-                        let _ = i;
-                    }
-                    println!(
-                        "{:<7} {:>9} {:>10} {:>10} {:>10}   (page accesses)",
-                        "", "", cells[0], cells[1], cells[2]
-                    );
-                }
                 if wq.deep_dups {
                     // The *D row: deep without duplicate elimination.
                     let p = fx.params.clone();
@@ -140,22 +175,22 @@ fn main() {
     }
 
     println!();
-    println!("Paper shape to verify (§7.2):");
-    println!("  * MCT ≈ shallow on 1-tree queries; MCT beats shallow wherever shallow value-joins;");
-    println!("  * deep wins when its nesting matches the query but collapses on duplicate-heavy");
-    println!("    queries (TQ7 vs TQ7D) and multi-element updates (TU1/TU2/TU4 deep element counts).");
+    println!("The paper's shape over page accesses is asserted by `tests/paper_shape.rs`;");
+    println!("these times are this host's and are checked by nothing.");
 
     if sweep {
-        scaling_sweep();
+        scaling_sweep(seed);
     }
-    mct_bench::maybe_dump_metrics_json();
+    if metrics_json {
+        println!("\n-- metrics --");
+        print!("{}", mct_obs::global().snapshot().to_json());
+    }
 }
 
 /// The §7.2 scaling note: most queries scale linearly with data size;
 /// the inequality value join (nested loops) is quadratic.
-fn scaling_sweep() {
+fn scaling_sweep(seed: Option<u64>) {
     use mct_query::{ast::CmpOp, ops::{index_scan, nl_join_cmp}};
-    let seed = mct_bench::parse_seed();
     println!("\nScaling sweep (§7.2): linear structural plan vs quadratic inequality join");
     println!(
         "{:<8} {:>12} {:>14} {:>16}",

@@ -1,14 +1,15 @@
-//! # mct-bench — the §7 experiment harness
+//! # mct-bench — timings and microbenchmarks for §7
 //!
-//! Shared machinery for the binaries that regenerate the paper's
-//! tables and figures:
-//!
-//! * `table1` — storage requirements (Table 1);
 //! * `table2` — query/update processing times (Table 2), with
 //!   `--sweep` for the §7.2 scaling note and `--cold` for cold-cache;
-//! * `fig11` / `fig12` — query-specification complexity (Figures
-//!   11–12);
-//! * `report` — everything, plus the serialization ablation (A2).
+//! * `loadgen` — closed-loop load against a running or embedded `mctd`;
+//! * `cargo bench` groups: `btree`, `joins` (ablation A1), `queries`,
+//!   `serialize`, `updates` and `scaling`.
+//!
+//! The part of §7 that does not depend on the host — Table 1, Table
+//! 2's page accesses, Figures 11–12, ablations A2 and A3 — is the
+//! root test `tests/paper_shape.rs`, which asserts the paper's shape
+//! and prints the tables.
 //!
 //! Timing follows the paper's protocol: "Each experiment was run five
 //! times. The lowest and highest readings were ignored and the other
@@ -131,104 +132,6 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (Duration, T) {
 /// far faster than the paper's Pentium IIIM).
 pub fn secs(d: Duration) -> String {
     format!("{:.4}", d.as_secs_f64())
-}
-
-/// Parse `--scale X` style flags from argv; returns (scale, sweep, cold).
-pub fn parse_args() -> (f64, bool, bool) {
-    let (scale, sweep, cold, _) = parse_args_stats();
-    (scale, sweep, cold)
-}
-
-/// [`parse_args`] plus the `--stats` flag (page-access reporting).
-pub fn parse_args_stats() -> (f64, bool, bool, bool) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = 0.3;
-    let mut sweep = false;
-    let mut cold = false;
-    let mut stats = false;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a number");
-            }
-            "--sweep" => sweep = true,
-            "--cold" => cold = true,
-            "--stats" => stats = true,
-            // Handled by metrics_json_requested(); not an error here.
-            "--metrics-json" => {}
-            // Handled by parse_threads(); swallow the value too.
-            "--threads" => {
-                it.next();
-            }
-            // Handled by parse_seed(); swallow the value too.
-            "--seed" => {
-                it.next();
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}");
-            }
-            _ => {}
-        }
-    }
-    (scale, sweep, cold, stats)
-}
-
-/// Parse `--threads N` from argv (default 1). Report binaries pass
-/// this to the parallel plan executors; `1` keeps the sequential
-/// operators on the hot path.
-pub fn parse_threads() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--threads" {
-            return it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .expect("--threads needs a positive integer");
-        }
-    }
-    1
-}
-
-/// Parse `--seed N` from argv. `None` means "use the workload's
-/// default seed" — every bench binary threads this into its generator
-/// configs, so any run can be pinned (or varied) from the command
-/// line without touching defaults baked into results in
-/// `EXPERIMENTS.md`.
-pub fn parse_seed() -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--seed" {
-            return Some(
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a non-negative integer"),
-            );
-        }
-    }
-    None
-}
-
-/// Whether `--metrics-json` was passed: report binaries then dump the
-/// global metrics registry (JSON) to stdout after their tables, so
-/// BENCH output gains an I/O dimension next to the timings.
-pub fn metrics_json_requested() -> bool {
-    std::env::args().any(|a| a == "--metrics-json")
-}
-
-/// Dump the global metrics registry as JSON when requested by
-/// `--metrics-json` (call at the end of a report binary).
-pub fn maybe_dump_metrics_json() {
-    if metrics_json_requested() {
-        println!("\n-- metrics --");
-        print!("{}", mct_obs::global().snapshot().to_json());
-    }
 }
 
 #[cfg(test)]

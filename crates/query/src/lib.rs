@@ -39,6 +39,6 @@ pub use ast::{complexity, update_complexity, Complexity, Expr, UpdateStmt};
 pub use eval::{eval, EvalContext, EvalError, Item, Sequence};
 pub use exec::CancelToken;
 pub use ops::{Rel, Tuple};
-pub use parser::{parse_query, parse_update, QueryParseError};
+pub use parser::{parse_query, parse_update, QueryParseError, MAX_NESTING};
 pub use plan::{plan_path, AnalyzeReport, PathPlan, PlanError, StageStats};
 pub use update::{execute_update, execute_update_with, UpdateOutcome};

@@ -32,6 +32,14 @@ impl std::error::Error for QueryParseError {}
 
 type PResult<T> = Result<T, QueryParseError>;
 
+/// How deeply expressions, FLWORs and constructors may nest. The parser
+/// recurses once per level, so without a bound a few kilobytes of
+/// parentheses overflow the stack of the thread parsing them (and abort
+/// the process); past it, parsing fails with a [`QueryParseError`].
+/// A level of predicates takes about 11 KiB of stack in a debug build,
+/// so 100 levels fit a default 2 MiB thread with room to spare.
+pub const MAX_NESTING: usize = 100;
+
 /// Parse a query expression.
 pub fn parse_query(input: &str) -> PResult<Expr> {
     let mut p = P::new(input);
@@ -57,11 +65,30 @@ pub fn parse_update(input: &str) -> PResult<UpdateStmt> {
 struct P<'a> {
     b: &'a [u8],
     at: usize,
+    /// Levels of [`P::nested`] open at `at`.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
     fn new(s: &'a str) -> Self {
-        P { b: s.as_bytes(), at: 0 }
+        P {
+            b: s.as_bytes(),
+            at: 0,
+            depth: 0,
+        }
+    }
+
+    /// Run `f` one nesting level deeper, or fail past [`MAX_NESTING`].
+    /// Every recursive cycle of the grammar passes through a caller of
+    /// this: `or_expr`, `flwor_or_update` and `constructor`.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn err(&self, m: impl Into<String>) -> QueryParseError {
@@ -230,6 +257,10 @@ impl<'a> P<'a> {
     }
 
     fn flwor_or_update(&mut self) -> PResult<FlworOrUpdate> {
+        self.nested(Self::flwor_or_update_body)
+    }
+
+    fn flwor_or_update_body(&mut self) -> PResult<FlworOrUpdate> {
         let clauses = self.clauses()?;
         let where_ = if self.kw("where") {
             Some(Box::new(self.or_expr()?))
@@ -307,12 +338,14 @@ impl<'a> P<'a> {
     }
 
     fn or_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.and_expr()?;
-        while self.kw("or") {
-            let r = self.and_expr()?;
-            l = Expr::Or(Box::new(l), Box::new(r));
-        }
-        Ok(l)
+        self.nested(|p| {
+            let mut l = p.and_expr()?;
+            while p.kw("or") {
+                let r = p.and_expr()?;
+                l = Expr::Or(Box::new(l), Box::new(r));
+            }
+            Ok(l)
+        })
     }
 
     fn and_expr(&mut self) -> PResult<Expr> {
@@ -607,6 +640,10 @@ impl<'a> P<'a> {
     // ----- constructors -----------------------------------------------------------
 
     fn constructor(&mut self) -> PResult<Constructor> {
+        self.nested(Self::constructor_body)
+    }
+
+    fn constructor_body(&mut self) -> PResult<Constructor> {
         self.expect("<")?;
         let name = self.name()?;
         let mut attrs = Vec::new();
@@ -896,6 +933,34 @@ mod tests {
         let colors: Vec<&str> = p.steps.iter().map(|s| s.color.as_deref().unwrap()).collect();
         assert_eq!(colors, ["green", "green", "red", "blue"]);
         assert_eq!(p.steps[3].axis, Axis::Parent);
+    }
+
+    fn nest(open: &str, inner: &str, close: &str, levels: usize) -> String {
+        format!("{}{inner}{}", open.repeat(levels), close.repeat(levels))
+    }
+
+    /// Every recursive form of the grammar fails past `MAX_NESTING`
+    /// levels with a typed error instead of overflowing the stack.
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        const DEEP: usize = 100_000;
+        for q in [
+            nest("(", "1", ")", DEEP),
+            nest("a[", "b", "]", DEEP),
+            nest("<a>", "", "</a>", DEEP),
+            nest("<a>{", "1", "}</a>", DEEP),
+            nest("for $x in 1 return ", "1", "", DEEP),
+        ] {
+            let e = parse_query(&q).unwrap_err();
+            assert!(e.message.contains("nesting"), "{e}");
+        }
+        let update = format!("for $x in 1 update $x {{ delete {} }}", nest("(", "$x", ")", DEEP));
+        assert!(parse_update(&update).unwrap_err().message.contains("nesting"));
+        // The outermost expression is the first level.
+        assert!(parse_query(&nest("(", "1", ")", MAX_NESTING - 1)).is_ok());
+        assert!(parse_query(&nest("(", "1", ")", MAX_NESTING)).is_err());
+        assert!(parse_query(&nest("a[", "b", "]", MAX_NESTING - 1)).is_ok());
+        assert!(parse_query(&nest("<a>", "", "</a>", MAX_NESTING - 1)).is_ok());
     }
 
     /// Deterministic token soup: both parsers must reject arbitrary

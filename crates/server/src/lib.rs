@@ -21,7 +21,7 @@
 //!   direct execution" is a byte comparison.
 //! * [`client`] — `mct-client`, a tiny blocking HTTP helper.
 //! * [`load`] — closed-loop load generation (used by
-//!   `bench/src/bin/loadgen.rs` and the report harness).
+//!   `bench/src/bin/loadgen.rs`).
 //! * [`obslog`] — structured JSON request log (`--log-json`) and the
 //!   bounded slow-query capture ring behind `GET /slow`.
 //! * [`stats`] — windowed time-series derivation for `GET /stats`

@@ -148,9 +148,8 @@ impl LoadReport {
     }
 }
 
-/// Planner-covered query mixes for the built-in databases — shared by
-/// `bench --bin loadgen`, the report harness, and the verify script so
-/// they all drive the same workload.
+/// Planner-covered query mixes for the built-in databases, which
+/// `bench --bin loadgen` drives.
 pub fn builtin_mix(db: &str) -> Vec<String> {
     let texts: &[&str] = match db {
         "tpcw" => &[

@@ -176,6 +176,28 @@ fn malformed_requests_get_4xx_and_the_server_survives() {
     handle.shutdown();
 }
 
+/// A query nested past `MAX_NESTING` is a 400, not a stack overflow
+/// that aborts the process: 2 000 parentheses (a 4 KB request) used to
+/// take `mctd` down with every connection on it.
+#[test]
+fn deeply_nested_queries_get_400_and_the_server_survives() {
+    let _guard = test_lock();
+    let handle = start(ServerConfig::default());
+    let client = Client::new("127.0.0.1", handle.port());
+    let parens = |levels: usize| format!("{}1{}", "(".repeat(levels), ")".repeat(levels));
+
+    for levels in [2_000, mct_query::MAX_NESTING] {
+        let reply = client.query(&parens(levels)).expect("past the limit");
+        assert_eq!(reply.status, 400, "{levels} levels: {}", reply.body_str());
+        assert!(reply.body_str().contains("nesting"), "{}", reply.body_str());
+    }
+    // The outermost expression is the first level.
+    let at_limit = client.query(&parens(mct_query::MAX_NESTING - 1)).expect("at the limit");
+    assert_eq!(at_limit.status, 200, "{}", at_limit.body_str());
+    assert_eq!(client.healthz().expect("health").status, 200);
+    handle.shutdown();
+}
+
 #[test]
 fn deadline_exceeded_returns_408_and_inflight_returns_to_zero() {
     let _guard = test_lock();

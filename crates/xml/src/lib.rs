@@ -32,6 +32,6 @@ pub mod writer;
 pub use document::{Document, NodeData};
 pub use dtd::{AttrDecl, ContentParticle, Dtd, ElementDecl, Fd, FdTarget, Quantifier};
 pub use node::{NodeId, NodeKind};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use qname::{Interner, Sym};
 pub use writer::{write_document, write_node, WriteOptions};

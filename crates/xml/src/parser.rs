@@ -33,11 +33,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply elements may nest (libxml2's default, too). The parser
+/// recurses once per element, so without a bound deeply nested input
+/// overflows the stack of the thread parsing it (and aborts the
+/// process); past it, parsing fails with a [`ParseError`].
+pub const MAX_NESTING: usize = 256;
+
 /// Parse an XML string into a [`Document`].
 pub fn parse(input: &str) -> Result<Document, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
         doc: Document::new(),
     };
     p.parse_document()?;
@@ -47,6 +54,8 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements open at `pos`.
+    depth: usize,
     doc: Document,
 }
 
@@ -176,6 +185,16 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_element(&mut self, parent: NodeId) -> Result<NodeId, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("elements nest deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let el = self.parse_element_body(parent);
+        self.depth -= 1;
+        el
+    }
+
+    fn parse_element_body(&mut self, parent: NodeId) -> Result<NodeId, ParseError> {
         self.expect("<")?;
         let name = self.parse_name()?.to_string();
         let el = self.doc.create_element(&name);
@@ -500,5 +519,16 @@ mod tests {
         }
         let d = parse(&s).unwrap();
         assert_eq!(d.string_value(d.root_element().unwrap()), "x");
+    }
+
+    /// Past `MAX_NESTING` elements the parser returns its typed error
+    /// instead of overflowing the stack.
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nest = |levels: usize| format!("{}{}", "<a>".repeat(levels), "</a>".repeat(levels));
+        let e = parse(&nest(100_000)).unwrap_err();
+        assert!(e.message.contains("nest deeper"), "{e}");
+        assert!(parse(&nest(MAX_NESTING)).is_ok());
+        assert!(parse(&nest(MAX_NESTING + 1)).is_err());
     }
 }

@@ -44,7 +44,7 @@ echo "==> concurrent buffer-pool stress"
 RUST_BACKTRACE=1 cargo test -p mct-storage --test concurrent_pool --offline -q
 
 echo "==> metrics JSON well-formedness (mctq + bench report)"
-bench_out=$(cargo run --release --offline -p mct-bench --bin table1 -- \
+bench_out=$(cargo run --release --offline -p mct-bench --bin table2 -- \
     --scale 0.05 --metrics-json)
 if command -v python3 >/dev/null 2>&1; then
     # The JSON dump is the final block of stdout, starting at the first
