@@ -478,55 +478,69 @@ pub fn update_complexity(u: &UpdateStmt) -> Complexity {
 }
 
 fn walk(e: &Expr, c: &mut Complexity) {
-    match e {
-        Expr::Path(p) => {
-            c.path_exprs += 1;
-            for s in &p.steps {
-                for pred in &s.predicates {
-                    walk(pred, c);
+    e.visit(&mut |e| match e {
+        Expr::Path(_) => c.path_exprs += 1,
+        Expr::Flwor(f) => c.var_bindings += f.clauses.len(),
+        _ => {}
+    });
+}
+
+impl Expr {
+    /// Call `f` on this expression and every expression inside it —
+    /// step predicates and constructor content included — parents
+    /// before children.
+    pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        match self {
+            Expr::Path(p) => {
+                for pred in p.steps.iter().flat_map(|s| &s.predicates) {
+                    pred.visit(f);
                 }
             }
-        }
-        Expr::Lit(_) => {}
-        Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-            walk(a, c);
-            walk(b, c);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                walk(a, c);
+            Expr::Lit(_) => {}
+            Expr::Cmp(a, _, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.visit(f);
+                b.visit(f);
             }
-        }
-        Expr::Flwor(f) => {
-            for cl in &f.clauses {
-                c.var_bindings += 1;
-                match cl {
-                    FlworClause::For(_, e) | FlworClause::Let(_, e) => walk(e, c),
+            Expr::Call(_, args) | Expr::Sequence(args) => {
+                for a in args {
+                    a.visit(f);
                 }
             }
-            if let Some(w) = &f.where_ {
-                walk(w, c);
+            Expr::Flwor(fl) => {
+                for cl in &fl.clauses {
+                    match cl {
+                        FlworClause::For(_, e) | FlworClause::Let(_, e) => e.visit(f),
+                    }
+                }
+                if let Some(w) = &fl.where_ {
+                    w.visit(f);
+                }
+                for (k, _) in &fl.order_by {
+                    k.visit(f);
+                }
+                fl.ret.visit(f);
             }
-            for (k, _) in &f.order_by {
-                walk(k, c);
-            }
-            walk(&f.ret, c);
+            Expr::Ctor(ct) => ct.visit(f),
         }
-        Expr::Ctor(ct) => walk_ctor(ct, c),
-        Expr::Sequence(items) => {
-            for i in items {
-                walk(i, c);
-            }
-        }
+    }
+
+    /// Whether the expression calls the function `name` anywhere in it.
+    pub fn calls(&self, name: &str) -> bool {
+        let mut hit = false;
+        self.visit(&mut |e| hit |= matches!(e, Expr::Call(n, _) if n == name));
+        hit
     }
 }
 
-fn walk_ctor(ct: &Constructor, c: &mut Complexity) {
-    for item in &ct.children {
-        match item {
-            ConstructorItem::Text(_) => {}
-            ConstructorItem::Enclosed(e) => walk(e, c),
-            ConstructorItem::Element(inner) => walk_ctor(inner, c),
+impl Constructor {
+    fn visit(&self, f: &mut impl FnMut(&Expr)) {
+        for item in &self.children {
+            match item {
+                ConstructorItem::Text(_) => {}
+                ConstructorItem::Enclosed(e) => e.visit(f),
+                ConstructorItem::Element(inner) => inner.visit(f),
+            }
         }
     }
 }
@@ -542,6 +556,18 @@ mod tests {
             test: NodeTest::Name(name.into()),
             predicates: Vec::new(),
         }
+    }
+
+    #[test]
+    fn calls_finds_a_function_anywhere_in_the_expression() {
+        let q = crate::parser::parse_query(
+            r#"for $m in document("m")/{red}child::a[not(empty({red}child::b))]
+               return <x>{ createColor("k", $m) }</x>"#,
+        )
+        .unwrap();
+        assert!(q.calls("createColor"));
+        assert!(q.calls("empty"), "inside a step predicate");
+        assert!(!q.calls("createCopy"));
     }
 
     #[test]

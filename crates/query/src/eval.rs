@@ -12,30 +12,78 @@
 //!   inherits the context's default color) and navigates that tree;
 //!   step results come back in the step color's local order;
 //! * enclosed expressions **retain node identity** (§4.2);
-//! * `createCopy` makes fresh copies; `createColor` adds a color to a
-//!   constructed (or existing) sequence and materializes it under that
-//!   colored tree's document root — all of it, or none on an error;
+//! * element constructors and `createCopy` build [`Built`] elements:
+//!   a constructor's result is a query answer, not document state, so
+//!   a query reads the store and never writes it;
+//! * `createColor` is the one form that changes the store: it makes
+//!   the built elements of a sequence stored nodes and materializes the
+//!   sequence under that colored tree's document root; a duplicate is
+//!   refused before anything is attached. It needs a context made by
+//!   [`EvalContext::new`]; on one made by [`EvalContext::shared`] it is
+//!   [`EvalError::ReadOnly`];
 //! * attaching one node twice into the same colored tree raises the
 //!   paper's *dynamic error* (the `dupl-problem` example).
 
 use crate::ast::*;
-use mct_storage::{DiskManager, MemDisk};
 use mct_core::{AttachError, ColorId, McNodeId, Palette, StoredDb};
+use mct_storage::{DiskManager, MemDisk};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// An item in the XQuery data model sense. Nodes remember the color
 /// of the step that located them (used by updates and ordering).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Item {
-    /// A node plus its provenance color.
+    /// A stored node plus its provenance color.
     Node(McNodeId, Option<ColorId>),
+    /// An element a constructor or `createCopy` built.
+    Built(Arc<Built>),
     /// A string value.
     Str(String),
     /// A number.
     Num(f64),
     /// A boolean.
     Bool(bool),
+}
+
+/// An element an element constructor or `createCopy` built: a value of
+/// the query, not part of the store (§4.2). It has no color, so every
+/// colored axis from it is empty. Its identity is its allocation: `=`
+/// holds between two built elements only when they are the same one,
+/// and `createColor` makes one stored node of it however often it
+/// occurs.
+#[derive(Debug)]
+pub struct Built {
+    /// Element name.
+    pub name: String,
+    /// Text content.
+    pub content: Option<String>,
+    /// Attributes, in constructor order.
+    pub attrs: Vec<(String, String)>,
+    /// Stored nodes, which keep their identity, and nested built
+    /// elements, in order.
+    pub children: Vec<Item>,
+}
+
+impl Built {
+    /// Attribute value by name (the last one set, as on a stored node).
+    fn attr(&self, name: &str) -> Option<&str> {
+        self.attrs
+            .iter()
+            .rev()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Identity, not structure: see [`Built`].
+impl PartialEq for Built {
+    fn eq(&self, other: &Built) -> bool {
+        std::ptr::eq(self, other)
+    }
 }
 
 /// A sequence of items — every MCXQuery value.
@@ -59,6 +107,9 @@ pub enum EvalError {
     /// `createColor` into a new color when the palette already holds
     /// [`Palette::CAPACITY`] colors.
     PaletteFull(String),
+    /// `createColor` on a context that reads the store through a shared
+    /// borrow ([`EvalContext::shared`]). The store is unchanged.
+    ReadOnly,
     /// Anything else (type errors, unsupported forms).
     Dynamic(String),
 }
@@ -79,6 +130,9 @@ impl fmt::Display for EvalError {
                 "cannot create color {{{c}}}: the palette holds {} colors already",
                 Palette::CAPACITY
             ),
+            EvalError::ReadOnly => {
+                f.write_str("createColor changes the store, and this context only reads it")
+            }
             EvalError::Dynamic(m) => write!(f, "dynamic error: {m}"),
         }
     }
@@ -107,31 +161,113 @@ impl From<AttachError> for EvalError {
 /// Result alias.
 pub type EvalResult<T> = Result<T, EvalError>;
 
-/// Evaluation context: the stored database, variable bindings, the
-/// context item, and the pending construction edges.
+/// How an [`EvalContext`] holds its store. Every read goes through the
+/// shared side ([`Deref`]); only `createColor` needs `Exclusive`.
+pub enum Store<'a, D: DiskManager> {
+    /// Read through a shared borrow.
+    Shared(&'a StoredDb<D>),
+    /// Held exclusively, so `createColor` may change it.
+    Exclusive(&'a mut StoredDb<D>),
+}
+
+impl<D: DiskManager> Deref for Store<'_, D> {
+    type Target = StoredDb<D>;
+
+    fn deref(&self) -> &StoredDb<D> {
+        match self {
+            Store::Shared(s) => s,
+            Store::Exclusive(s) => s,
+        }
+    }
+}
+
+/// The stored nodes made of built elements, each made once: a built
+/// element is one node however often it is attached (§4.2 identity).
+/// `edges` holds the children of every node made, the fragment
+/// [`StoredDb::attach`] walks.
+#[derive(Default)]
+pub(crate) struct Materializer {
+    /// By address; the `Arc` keeps the address from being reused.
+    made: HashMap<usize, (Arc<Built>, McNodeId)>,
+    pub(crate) edges: HashMap<McNodeId, Vec<McNodeId>>,
+}
+
+impl Materializer {
+    /// The stored node of a node item: a stored node is itself, a
+    /// built element becomes a new element with no color yet
+    /// ([`StoredDb::new_element`]), its children first. `None` for an
+    /// atomic item.
+    pub(crate) fn node<D: DiskManager>(
+        &mut self,
+        stored: &mut StoredDb<D>,
+        item: &Item,
+    ) -> Option<McNodeId> {
+        match item {
+            Item::Node(n, _) => Some(*n),
+            Item::Built(b) => Some(self.make(stored, b)),
+            _ => None,
+        }
+    }
+
+    /// The stored node made of `b`, made now if it was not yet.
+    pub(crate) fn make<D: DiskManager>(
+        &mut self,
+        stored: &mut StoredDb<D>,
+        b: &Arc<Built>,
+    ) -> McNodeId {
+        let key = Arc::as_ptr(b) as usize;
+        if let Some(&(_, n)) = self.made.get(&key) {
+            return n;
+        }
+        let kids: Vec<McNodeId> = b
+            .children
+            .iter()
+            .filter_map(|k| self.node(stored, k))
+            .collect();
+        let n = stored.new_element(&b.name, b.content.as_deref(), &b.attrs);
+        if !kids.is_empty() {
+            self.edges.insert(n, kids);
+        }
+        self.made.insert(key, (Arc::clone(b), n));
+        n
+    }
+}
+
+/// Evaluation context: the stored database, variable bindings and the
+/// context item.
 pub struct EvalContext<'a, D: DiskManager = MemDisk> {
-    /// The database queried and (for constructors, `createColor` and
-    /// updates) changed, through its mutators.
-    pub stored: &'a mut StoredDb<D>,
+    /// The database queried and, by `createColor` alone, changed.
+    pub stored: Store<'a, D>,
     /// Default color for steps without a `{color}` (plain XQuery over
     /// a single-colored database).
     pub default_color: Option<ColorId>,
     vars: HashMap<String, Sequence>,
     context_item: Option<Item>,
-    /// Children attached by element constructors, not yet materialized
-    /// in any colored tree (until `createColor`).
-    pending: HashMap<McNodeId, Vec<McNodeId>>,
+    /// What `createColor` made of built elements.
+    made: Materializer,
 }
 
 impl<'a, D: DiskManager> EvalContext<'a, D> {
-    /// Fresh context over a stored database.
+    /// A context that may run `createColor`, the one form that changes
+    /// the store.
     pub fn new(stored: &'a mut StoredDb<D>) -> Self {
+        Self::over(Store::Exclusive(stored))
+    }
+
+    /// A context that reads the store through a shared borrow: every
+    /// query but one calling `createColor`, which is
+    /// [`EvalError::ReadOnly`].
+    pub fn shared(stored: &'a StoredDb<D>) -> Self {
+        Self::over(Store::Shared(stored))
+    }
+
+    fn over(stored: Store<'a, D>) -> Self {
         EvalContext {
             stored,
             default_color: None,
             vars: HashMap::new(),
             context_item: None,
-            pending: HashMap::new(),
+            made: Materializer::default(),
         }
     }
 
@@ -173,10 +309,13 @@ impl<'a, D: DiskManager> EvalContext<'a, D> {
         }
     }
 
-    /// Take (and clear) the pending construction edges — used by
-    /// update execution to capture a constructed fragment's structure.
-    pub fn take_pending(&mut self) -> HashMap<McNodeId, Vec<McNodeId>> {
-        std::mem::take(&mut self.pending)
+    /// The store for writing, with what `createColor` made so far;
+    /// [`EvalError::ReadOnly`] on a shared context.
+    fn exclusive(&mut self) -> EvalResult<(&mut StoredDb<D>, &mut Materializer)> {
+        match &mut self.stored {
+            Store::Exclusive(s) => Ok((&mut **s, &mut self.made)),
+            Store::Shared(_) => Err(EvalError::ReadOnly),
+        }
     }
 
     fn resolve_color(&self, spec: &Option<String>) -> EvalResult<ColorId> {
@@ -199,8 +338,21 @@ pub fn eval<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResul
         Expr::Path(p) => eval_path(ctx, p),
         Expr::Cmp(l, op, r) => {
             let lv = eval(ctx, l)?;
-            let rv = eval(ctx, r)?;
-            Ok(vec![Item::Bool(general_compare(ctx, &lv, *op, &rv))])
+            let hit = match &**r {
+                // A literal compares as its text; no sequence is built.
+                Expr::Lit(lit) => {
+                    let text = match lit {
+                        Literal::Str(s) => Cow::Borrowed(s.as_str()),
+                        Literal::Num(n) => Cow::Owned(format_num(*n)),
+                    };
+                    lv.iter().any(|a| op.holds(&atomize_in(&ctx.stored, a), &text))
+                }
+                _ => {
+                    let rv = eval(ctx, r)?;
+                    general_compare(ctx, &lv, *op, &rv)
+                }
+            };
+            Ok(vec![Item::Bool(hit)])
         }
         Expr::And(l, r) => {
             let lv = eval(ctx, l)?;
@@ -220,10 +372,7 @@ pub fn eval<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResul
         }
         Expr::Call(name, args) => eval_call(ctx, name, args),
         Expr::Flwor(f) => eval_flwor(ctx, f),
-        Expr::Ctor(c) => {
-            let n = eval_ctor(ctx, c)?;
-            Ok(vec![Item::Node(n, None)])
-        }
+        Expr::Ctor(c) => Ok(vec![Item::Built(eval_ctor(ctx, c)?)]),
         Expr::Sequence(items) => {
             let mut out = Vec::new();
             for i in items {
@@ -239,60 +388,92 @@ pub fn eval<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResul
 // ---------------------------------------------------------------------------
 
 fn eval_path<D: DiskManager>(ctx: &mut EvalContext<'_, D>, p: &PathExpr) -> EvalResult<Sequence> {
-    let mut current: Sequence = match &p.start {
-        PathStart::Document(_) => vec![Item::Node(McNodeId::DOCUMENT, None)],
-        PathStart::Var(v) => ctx
-            .vars
-            .get(v)
-            .cloned()
-            .ok_or_else(|| EvalError::UnknownVar(v.clone()))?,
-        PathStart::Context => ctx
-            .context_item
-            .clone()
-            .map(|i| vec![i])
-            .unwrap_or_default(),
+    match &p.start {
+        PathStart::Document(_) => {
+            eval_steps(ctx, &[Item::Node(McNodeId::DOCUMENT, None)], &p.steps)
+        }
+        PathStart::Var(v) => {
+            let start = ctx
+                .vars
+                .get(v)
+                .cloned()
+                .ok_or_else(|| EvalError::UnknownVar(v.clone()))?;
+            eval_steps(ctx, &start, &p.steps)
+        }
+        PathStart::Context => {
+            let item = ctx.context_item.clone();
+            eval_steps(ctx, item.as_slice(), &p.steps)
+        }
+    }
+}
+
+fn eval_steps<D: DiskManager>(
+    ctx: &mut EvalContext<'_, D>,
+    start: &[Item],
+    steps: &[Step],
+) -> EvalResult<Sequence> {
+    let Some((first, rest)) = steps.split_first() else {
+        return Ok(start.to_vec());
     };
-    for step in &p.steps {
+    let mut current = eval_step(ctx, start, first)?;
+    for step in rest {
         current = eval_step(ctx, &current, step)?;
     }
     Ok(current)
 }
 
-fn eval_step<D: DiskManager>(ctx: &mut EvalContext<'_, D>, input: &Sequence, step: &Step) -> EvalResult<Sequence> {
+fn eval_step<D: DiskManager>(ctx: &mut EvalContext<'_, D>, input: &[Item], step: &Step) -> EvalResult<Sequence> {
     // Attribute steps produce strings and need no tree.
     if step.axis == Axis::Attribute {
         let NodeTest::Name(aname) = &step.test else {
             return Err(EvalError::Dynamic("attribute step needs a name".into()));
         };
+        let db = &ctx.stored.db;
         let mut out = Vec::new();
         for item in input {
-            if let Item::Node(n, _) = item {
-                if let Some(v) = ctx.stored.db.attr(*n, aname) {
-                    out.push(Item::Str(v.to_string()));
-                }
+            let value = match item {
+                Item::Node(n, _) => db.attr(*n, aname),
+                Item::Built(b) => b.attr(aname),
+                _ => None,
+            };
+            if let Some(v) = value {
+                out.push(Item::Str(v.to_string()));
             }
         }
         return Ok(out);
     }
     let c = ctx.resolve_color(&step.color)?;
+    let db = &ctx.stored.db;
+    // A name test compares symbols; a name the store never interned
+    // names no node.
+    let want = match &step.test {
+        NodeTest::Name(name) => match db.names.get(name) {
+            Some(sym) => Some(sym),
+            None => return Ok(Vec::new()),
+        },
+        _ => None,
+    };
     let mut nodes: Vec<McNodeId> = Vec::new();
+    let mut inputs = 0;
+    // A built element has no color: every colored axis from it is empty.
     for item in input {
         let Item::Node(n, _) = item else { continue };
         let n = *n;
+        inputs += 1;
         match step.axis {
-            Axis::Child => nodes.extend(ctx.stored.db.children(n, c)),
-            Axis::Descendant => nodes.extend(ctx.stored.db.descendants(n, c)),
-            Axis::DescendantOrSelf => nodes.extend(ctx.stored.db.descendants_or_self(n, c)),
-            Axis::Parent => nodes.extend(ctx.stored.db.parent(n, c)),
-            Axis::Ancestor => nodes.extend(ctx.stored.db.ancestors(n, c)),
+            Axis::Child => nodes.extend(db.children(n, c)),
+            Axis::Descendant => nodes.extend(db.descendants(n, c)),
+            Axis::DescendantOrSelf => nodes.extend(db.descendants_or_self(n, c)),
+            Axis::Parent => nodes.extend(db.parent(n, c)),
+            Axis::Ancestor => nodes.extend(db.ancestors(n, c)),
             Axis::AncestorOrSelf => {
-                if ctx.stored.db.colors(n).contains(c) || n == McNodeId::DOCUMENT {
+                if db.colors(n).contains(c) || n == McNodeId::DOCUMENT {
                     nodes.push(n);
                 }
-                nodes.extend(ctx.stored.db.ancestors(n, c));
+                nodes.extend(db.ancestors(n, c));
             }
             Axis::SelfAxis => {
-                if ctx.stored.db.colors(n).contains(c) || n == McNodeId::DOCUMENT {
+                if db.colors(n).contains(c) || n == McNodeId::DOCUMENT {
                     nodes.push(n);
                 }
             }
@@ -307,14 +488,22 @@ fn eval_step<D: DiskManager>(ctx: &mut EvalContext<'_, D>, input: &Sequence, ste
         }
     }
     // Node test.
-    nodes.retain(|&n| match &step.test {
-        NodeTest::AnyNode => true,
-        NodeTest::AnyElement => ctx.stored.db.name_str(n).is_some(),
-        NodeTest::Name(want) => ctx.stored.db.name_str(n) == Some(want.as_str()),
-    });
-    // Local order of the step color + dedup (path semantics).
-    nodes.sort_by_key(|&n| ctx.stored.db.code(n, c).map(|cd| cd.start).unwrap_or(0));
-    nodes.dedup();
+    match &step.test {
+        NodeTest::AnyNode => {}
+        NodeTest::AnyElement => nodes.retain(|&n| db.node(n).name.is_some()),
+        NodeTest::Name(_) => nodes.retain(|&n| db.node(n).name == want),
+    }
+    // Local order of the step color + dedup (path semantics). From one
+    // node, these axes yield distinct nodes in that order already.
+    let ordered = inputs <= 1
+        && matches!(
+            step.axis,
+            Axis::Child | Axis::Descendant | Axis::DescendantOrSelf | Axis::SelfAxis | Axis::Parent
+        );
+    if !ordered {
+        nodes.sort_by_key(|&n| db.code(n, c).map(|cd| cd.start).unwrap_or(0));
+        nodes.dedup();
+    }
     // Predicates. A predicate evaluating to a single number is a
     // POSITION test (XPath: `movie[2]` = the second movie), applied
     // against the sequence surviving the previous predicates.
@@ -347,29 +536,39 @@ fn eval_step<D: DiskManager>(ctx: &mut EvalContext<'_, D>, input: &Sequence, ste
 // ---------------------------------------------------------------------------
 
 /// Atomize an item to a string (nodes use their string value in their
-/// provenance color, falling back to direct content).
+/// provenance color, falling back to direct content; a built element
+/// has no color, so its content or nothing).
 pub fn atomize<D: DiskManager>(ctx: &EvalContext<'_, D>, item: &Item) -> String {
+    atomize_in(&ctx.stored, item).into_owned()
+}
+
+/// [`atomize`], borrowing what it can: a string item and a node's own
+/// content are not copied.
+fn atomize_in<'s, D: DiskManager>(stored: &'s StoredDb<D>, item: &'s Item) -> Cow<'s, str> {
     match item {
-        Item::Str(s) => s.clone(),
-        Item::Num(n) => format_num(*n),
-        Item::Bool(b) => b.to_string(),
+        Item::Str(s) => Cow::Borrowed(s),
+        Item::Num(n) => Cow::Owned(format_num(*n)),
+        Item::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+        Item::Built(b) => Cow::Borrowed(b.content.as_deref().unwrap_or("")),
         Item::Node(n, c) => {
-            let db = &ctx.stored.db;
+            let db = &stored.db;
             // In this data model an element's text is a single content
             // record (see mct-core's physical modeling note), so a node
             // with direct content atomizes to exactly that — its
             // children are separate elements, not text fragments.
             if let Some(content) = db.content(*n) {
-                return content.to_string();
+                return Cow::Borrowed(content);
             }
             // Content-less elements atomize to their subtree text in
             // the provenance color (classic string-value), falling
             // back to the node's other colors.
-            c.iter()
-                .copied()
-                .chain(db.colors(*n).iter())
-                .find_map(|c| db.string_value(*n, c))
-                .unwrap_or_default()
+            Cow::Owned(
+                c.iter()
+                    .copied()
+                    .chain(db.colors(*n).iter())
+                    .find_map(|c| db.string_value(*n, c))
+                    .unwrap_or_default(),
+            )
         }
     }
 }
@@ -387,28 +586,29 @@ pub(crate) fn format_num(n: f64) -> String {
 /// XPath general comparison: existential over both sequences, each
 /// pair of atomized values compared by [`CmpOp::holds`].
 pub fn general_compare<D: DiskManager>(ctx: &EvalContext<'_, D>, l: &Sequence, op: CmpOp, r: &Sequence) -> bool {
-    for a in l {
-        for b in r {
+    l.iter().any(|a| {
+        r.iter().any(|b| match same_node(a, b) {
             // Two nodes compare by identity — the comparison the
             // paper's Q3 `{red}descendant::movie[. = $m]` relies on
             // (a multi-colored node is the *same* node in every tree).
-            if let (Item::Node(na, _), Item::Node(nb, _)) = (a, b) {
-                let hit = match op {
-                    CmpOp::Eq => na == nb,
-                    CmpOp::Ne => na != nb,
-                    _ => false,
-                };
-                if hit {
-                    return true;
-                }
-                continue;
-            }
-            if op.holds(&atomize(ctx, a), &atomize(ctx, b)) {
-                return true;
-            }
-        }
+            Some(same) => match op {
+                CmpOp::Eq => same,
+                CmpOp::Ne => !same,
+                _ => false,
+            },
+            None => op.holds(&atomize_in(&ctx.stored, a), &atomize_in(&ctx.stored, b)),
+        })
+    })
+}
+
+/// Whether two node items are one node; `None` unless both are nodes.
+fn same_node(a: &Item, b: &Item) -> Option<bool> {
+    match (a, b) {
+        (Item::Node(x, _), Item::Node(y, _)) => Some(x == y),
+        (Item::Built(x), Item::Built(y)) => Some(Arc::ptr_eq(x, y)),
+        (Item::Node(..), Item::Built(_)) | (Item::Built(_), Item::Node(..)) => Some(false),
+        _ => None,
     }
-    false
 }
 
 /// XPath effective boolean value.
@@ -433,7 +633,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             let hay = eval(ctx, &args[0])?;
             let needle = eval(ctx, &args[1])?;
             let needle = needle.first().map(|i| atomize(ctx, i)).unwrap_or_default();
-            let hit = hay.iter().any(|h| atomize(ctx, h).contains(&needle));
+            let hit = hay.iter().any(|h| atomize_in(&ctx.stored, h).contains(&needle));
             Ok(vec![Item::Bool(hit)])
         }
         "count" => {
@@ -463,7 +663,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             let v = eval(ctx, &args[0])?;
             let n = v
                 .first()
-                .and_then(|i| as_number(&atomize(ctx, i)))
+                .and_then(|i| as_number(&atomize_in(&ctx.stored, i)))
                 .unwrap_or(f64::NAN);
             Ok(vec![Item::Num(n)])
         }
@@ -472,7 +672,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             let hay = eval(ctx, &args[0])?;
             let prefix = eval(ctx, &args[1])?;
             let prefix = prefix.first().map(|i| atomize(ctx, i)).unwrap_or_default();
-            let hit = hay.iter().any(|h| atomize(ctx, h).starts_with(&prefix));
+            let hit = hay.iter().any(|h| atomize_in(&ctx.stored, h).starts_with(&prefix));
             Ok(vec![Item::Bool(hit)])
         }
         "string-length" => {
@@ -480,7 +680,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             let v = eval(ctx, &args[0])?;
             let len = v
                 .first()
-                .map(|i| atomize(ctx, i).chars().count())
+                .map(|i| atomize_in(&ctx.stored, i).chars().count())
                 .unwrap_or(0);
             Ok(vec![Item::Num(len as f64)])
         }
@@ -489,7 +689,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             for a in args {
                 let v = eval(ctx, a)?;
                 for i in &v {
-                    out.push_str(&atomize(ctx, i));
+                    out.push_str(&atomize_in(&ctx.stored, i));
                 }
             }
             Ok(vec![Item::Str(out)])
@@ -499,7 +699,7 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             let v = eval(ctx, &args[0])?;
             let nums: Vec<f64> = v
                 .iter()
-                .filter_map(|i| as_number(&atomize(ctx, i)))
+                .filter_map(|i| as_number(&atomize_in(&ctx.stored, i)))
                 .collect();
             if nums.is_empty() {
                 return Ok(if name == "sum" {
@@ -532,52 +732,54 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
         "createCopy" => {
             expect_args(name, args, 1)?;
             let v = eval(ctx, &args[0])?;
-            let mut out = Vec::new();
-            for item in v {
-                match item {
-                    Item::Node(n, c) => {
-                        let copy = deep_copy(ctx, n, c)?;
-                        out.push(Item::Node(copy, None));
-                    }
-                    other => out.push(other),
-                }
-            }
-            Ok(out)
+            v.iter().map(|item| deep_copy(&ctx.stored, item)).collect()
         }
         "createColor" => {
             expect_args(name, args, 2)?;
+            // Refused before anything is evaluated: a shared context
+            // changes nothing.
+            ctx.exclusive()?;
             let color_name = color_literal(ctx, &args[0])?;
             let palette = &ctx.stored.db.palette;
             if palette.get(&color_name).is_none() && palette.len() >= Palette::CAPACITY {
                 return Err(EvalError::PaletteFull(color_name));
             }
             let v = eval(ctx, &args[1])?;
-            let c = ctx.stored.add_color(&color_name)?;
-            // Each item not in `c` yet goes under the document node, the
-            // root every colored tree shares (Definition 3.2), unless
-            // another item's constructed content holds it.
+            let (stored, made) = ctx.exclusive()?;
+            let c = stored.add_color(&color_name)?;
+            // Built elements become stored nodes. Each item not in `c`
+            // yet goes under the document node, the root every colored
+            // tree shares (Definition 3.2), unless another item's
+            // constructed content holds it.
+            let out: Sequence = v
+                .into_iter()
+                .map(|item| match item {
+                    Item::Built(b) => Item::Node(made.make(stored, &b), None),
+                    other => other,
+                })
+                .collect();
             let mut seen = HashSet::new();
-            let mut roots: Vec<McNodeId> = v
+            let mut roots: Vec<McNodeId> = out
                 .iter()
                 .filter_map(|item| match *item {
                     Item::Node(n, _) => Some(n),
                     _ => None,
                 })
-                .filter(|&n| n != McNodeId::DOCUMENT && ctx.stored.db.parent(n, c).is_none())
+                .filter(|&n| n != McNodeId::DOCUMENT && stored.db.parent(n, c).is_none())
                 .filter(|&n| seen.insert(n))
                 .collect();
             let mut held = HashSet::new();
             let mut stack = roots.clone();
             while let Some(n) = stack.pop() {
-                for &k in ctx.pending.get(&n).into_iter().flatten() {
+                for &k in made.edges.get(&n).into_iter().flatten() {
                     if held.insert(k) {
                         stack.push(k);
                     }
                 }
             }
             roots.retain(|n| !held.contains(n));
-            ctx.stored.attach(McNodeId::DOCUMENT, &roots, &ctx.pending, c)?;
-            Ok(v)
+            stored.attach(McNodeId::DOCUMENT, &roots, &made.edges, c)?;
+            Ok(out)
         }
         other => Err(EvalError::Dynamic(format!("unknown function {other}()"))),
     }
@@ -625,70 +827,84 @@ fn color_literal<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> Eval
 // Constructors
 // ---------------------------------------------------------------------------
 
-fn eval_ctor<D: DiskManager>(ctx: &mut EvalContext<'_, D>, ctor: &Constructor) -> EvalResult<McNodeId> {
+fn eval_ctor<D: DiskManager>(
+    ctx: &mut EvalContext<'_, D>,
+    ctor: &Constructor,
+) -> EvalResult<Arc<Built>> {
     let mut text = String::new();
-    let mut children: Vec<McNodeId> = Vec::new();
+    let mut children = Vec::new();
     for item in &ctor.children {
         match item {
             ConstructorItem::Text(t) => text.push_str(t),
             ConstructorItem::Element(inner) => {
-                children.push(eval_ctor(ctx, inner)?);
+                children.push(Item::Built(eval_ctor(ctx, inner)?));
             }
             ConstructorItem::Enclosed(e) => {
                 // Identity-preserving: node items become children with
                 // their existing identity (§4.2); atomic items become
                 // text content.
-                let v = eval(ctx, e)?;
-                for it in v {
+                for it in eval(ctx, e)? {
                     match it {
-                        Item::Node(n, _) => children.push(n),
-                        other => {
-                            let ctx_ref = &*ctx;
-                            text.push_str(&atomize(ctx_ref, &other));
-                        }
+                        Item::Node(..) | Item::Built(_) => children.push(it),
+                        other => text.push_str(&atomize_in(&ctx.stored, &other)),
                     }
                 }
             }
         }
     }
-    let content = (!text.is_empty()).then_some(text.as_str());
-    let el = ctx.stored.new_element(&ctor.name, content, &ctor.attrs);
-    if !children.is_empty() {
-        ctx.pending.insert(el, children);
-    }
-    Ok(el)
+    Ok(Arc::new(Built {
+        name: ctor.name.clone(),
+        content: (!text.is_empty()).then_some(text),
+        attrs: ctor.attrs.clone(),
+        children,
+    }))
 }
 
-fn deep_copy<D: DiskManager>(
-    ctx: &mut EvalContext<'_, D>,
-    n: McNodeId,
-    color: Option<ColorId>,
-) -> EvalResult<McNodeId> {
-    let db = &ctx.stored.db;
-    let name = db
-        .name_str(n)
-        .ok_or_else(|| EvalError::Dynamic("createCopy of a non-element".into()))?
-        .to_string();
-    let attrs: Vec<(String, String)> = db
-        .node(n)
-        .attrs
-        .iter()
-        .map(|(s, v)| (db.names.resolve(*s).to_string(), v.to_string()))
-        .collect();
-    let content = db.content(n).map(str::to_string);
-    let copy = ctx.stored.new_element(&name, content.as_deref(), &attrs);
-    // Copy the subtree structure in the provenance color, if any.
-    if let Some(c) = color {
-        let children: Vec<McNodeId> = ctx.stored.db.children(n, c).collect();
-        let mut copies = Vec::with_capacity(children.len());
-        for child in children {
-            copies.push(deep_copy(ctx, child, Some(c))?);
+/// `createCopy` of one item: a node becomes a new built element with
+/// its name, content and attributes and copies of its children — a
+/// built element's, or a stored node's in its provenance color (none
+/// without one). Atomic items stay as they are.
+fn deep_copy<D: DiskManager>(stored: &StoredDb<D>, item: &Item) -> EvalResult<Item> {
+    let built = match item {
+        Item::Built(b) => Built {
+            name: b.name.clone(),
+            content: b.content.clone(),
+            attrs: b.attrs.clone(),
+            children: b
+                .children
+                .iter()
+                .map(|k| deep_copy(stored, k))
+                .collect::<EvalResult<_>>()?,
+        },
+        Item::Node(n, color) => {
+            let db = &stored.db;
+            let name = db
+                .name_str(*n)
+                .ok_or_else(|| EvalError::Dynamic("createCopy of a non-element".into()))?
+                .to_string();
+            let node = db.node(*n);
+            let attrs = node
+                .attrs
+                .iter()
+                .map(|(s, v)| (db.names.resolve(*s).to_string(), v.to_string()))
+                .collect();
+            let children = match *color {
+                Some(c) => db
+                    .children(*n, c)
+                    .map(|k| deep_copy(stored, &Item::Node(k, Some(c))))
+                    .collect::<EvalResult<_>>()?,
+                None => Vec::new(),
+            };
+            Built {
+                name,
+                content: node.content.as_deref().map(str::to_string),
+                attrs,
+                children,
+            }
         }
-        if !copies.is_empty() {
-            ctx.pending.insert(copy, copies);
-        }
-    }
-    Ok(copy)
+        atomic => return Ok(atomic.clone()),
+    };
+    Ok(Item::Built(Arc::new(built)))
 }
 
 // ---------------------------------------------------------------------------
@@ -746,29 +962,18 @@ fn bind_clauses<D: DiskManager>(
         FlworClause::For(var, src) => {
             let items = eval(ctx, src)?;
             for item in items {
-                let old = ctx.vars.insert(var.clone(), vec![item]);
+                let old = ctx.set_var(var, vec![item]);
                 bind_clauses(ctx, f, depth + 1, out)?;
-                restore(ctx, var, old);
+                ctx.restore_var(var, old);
             }
             Ok(())
         }
         FlworClause::Let(var, src) => {
             let v = eval(ctx, src)?;
-            let old = ctx.vars.insert(var.clone(), v);
+            let old = ctx.set_var(var, v);
             bind_clauses(ctx, f, depth + 1, out)?;
-            restore(ctx, var, old);
+            ctx.restore_var(var, old);
             Ok(())
-        }
-    }
-}
-
-fn restore<D: DiskManager>(ctx: &mut EvalContext<'_, D>, var: &str, old: Option<Sequence>) {
-    match old {
-        Some(v) => {
-            ctx.vars.insert(var.to_string(), v);
-        }
-        None => {
-            ctx.vars.remove(var);
         }
     }
 }
@@ -994,6 +1199,55 @@ mod tests {
                 "copy must be a fresh node"
             );
         }
+    }
+
+    /// On a shared context, `createColor` is the typed `ReadOnly`
+    /// error, refused before anything changes.
+    #[test]
+    fn create_color_on_a_shared_context_is_read_only() {
+        let s = movie_db();
+        let before = (s.db.len(), s.generation(), s.snapshot_catalog());
+        let e = parse_query(
+            r#"createColor("black", <m>{ document("m")/{green}descendant::movie }</m>)"#,
+        )
+        .unwrap();
+        let err = eval(&mut EvalContext::shared(&s), &e).unwrap_err();
+        assert!(matches!(err, EvalError::ReadOnly), "{err}");
+        assert!((s.db.len(), s.generation(), s.snapshot_catalog()) == before);
+        assert!(s.db.color("black").is_none());
+    }
+
+    /// A constructor on a shared context builds a value: stored
+    /// children keep their identity, the element has its attributes and
+    /// content but no color, and it equals only itself.
+    #[test]
+    fn constructors_build_values_on_a_shared_context() {
+        let s = movie_db();
+        let len = s.db.len();
+        let mut ctx = EvalContext::shared(&s);
+        let q = r#"document("m")/{green}descendant::movie/{green}child::name"#;
+        let names = eval(&mut ctx, &parse_query(q).unwrap()).unwrap();
+        let e = parse_query(
+            r#"for $m in document("m")/{green}descendant::movie
+               let $r := <r k="v">{ $m/{green}child::name } { 7 }</r>
+               return ($r, $r/@k, count($r/{green}child::node()),
+                       $r = $r, $r = <r/>, createCopy($r))"#,
+        )
+        .unwrap();
+        let out = eval(&mut ctx, &e).unwrap();
+        assert_eq!(out.len(), 12, "{out:?}");
+        let Item::Built(r) = &out[0] else { panic!("{:?}", out[0]) };
+        assert_eq!((r.name.as_str(), r.content.as_deref()), ("r", Some("7")));
+        assert_eq!(r.children, vec![names[0].clone()], "the child is the stored name node");
+        assert_eq!(out[1], Item::Str("v".into()));
+        assert_eq!(out[2], Item::Num(0.0), "a built element has no color");
+        assert_eq!(out[3..5], [Item::Bool(true), Item::Bool(false)]);
+        let Item::Built(copy) = &out[5] else { panic!("{:?}", out[5]) };
+        assert!(out[5] != out[0], "a copy is a new element");
+        let Item::Built(name_copy) = &copy.children[0] else { panic!("{copy:?}") };
+        assert_eq!(name_copy.name, "name");
+        assert_eq!(name_copy.content.as_deref(), Some("All About Eve"));
+        assert_eq!(s.db.len(), len, "reads write no node");
     }
 
     #[test]

@@ -443,7 +443,9 @@ fn apply_pred<D: DiskManager>(
 
 /// Keep the tuples whose `col` element passes `test` on its value in
 /// `color` (`child: None`), or has a child of the child step's tag, in
-/// that step's color, that does on its value there.
+/// that step's color, that does on its value there. Tuples of one node
+/// arrive together from a join, so the last node's outcome is reused
+/// rather than its value read again.
 fn filter_by_value<D: DiskManager>(
     s: &StoredDb<D>,
     tuples: Vec<Tuple>,
@@ -453,11 +455,13 @@ fn filter_by_value<D: DiskManager>(
     test: impl Fn(&str) -> bool,
 ) -> mct_storage::Result<Vec<Tuple>> {
     let mut out = Vec::new();
+    let mut last: Option<(McNodeId, bool)> = None;
     for t in tuples {
         let n = t[col].node;
-        let hit = match child {
-            None => test(&value_of(s, n, color)?),
-            Some((cc, name)) => {
+        let hit = match (last, child) {
+            (Some((seen, hit)), _) if seen == n => hit,
+            (_, None) => test(&value_of(s, n, color)?),
+            (_, Some((cc, name))) => {
                 let mut hit = false;
                 for ch in s.db.children(n, *cc) {
                     if s.db.name_str(ch) == Some(name) && test(&value_of(s, ch, *cc)?) {
@@ -468,6 +472,7 @@ fn filter_by_value<D: DiskManager>(
                 hit
             }
         };
+        last = Some((n, hit));
         if hit {
             out.push(t);
         }

@@ -18,19 +18,20 @@
 
 use crate::ast::{FlworClause, UpdateAction, UpdateStmt};
 use mct_storage::DiskManager;
-use crate::eval::{atomize, effective_boolean, eval, EvalContext, EvalError, EvalResult, Item};
+use crate::eval::{
+    atomize, effective_boolean, eval, EvalContext, EvalError, EvalResult, Item, Materializer,
+};
 use mct_core::{ColorId, McNodeId, StoredDb};
-use std::collections::HashMap;
 
 /// One concrete pending update.
 #[derive(Debug)]
 enum Pending {
     Delete(McNodeId, ColorId),
+    /// The fragment's roots: stored nodes and built elements.
     Insert {
         target: McNodeId,
         color: ColorId,
-        roots: Vec<McNodeId>,
-        edges: HashMap<McNodeId, Vec<McNodeId>>,
+        roots: Vec<Item>,
     },
     Replace(McNodeId, String),
 }
@@ -93,7 +94,9 @@ fn apply_update<D: DiskManager>(
             _ => 1,
         })
         .sum();
-    // Phase 2: apply.
+    // Phase 2: apply. Built elements become stored nodes here, each
+    // once across the statement.
+    let mut made = Materializer::default();
     for p in pending {
         match p {
             Pending::Replace(n, v) => stored.update_content(n, &v)?,
@@ -102,8 +105,11 @@ fn apply_update<D: DiskManager>(
                 target,
                 color,
                 roots,
-                edges,
-            } => stored.attach(target, &roots, &edges, color)?,
+            } => {
+                let roots: Vec<McNodeId> =
+                    roots.iter().filter_map(|r| made.node(stored, r)).collect();
+                stored.attach(target, &roots, &made.edges, color)?
+            }
         }
     }
     Ok(UpdateOutcome { tuples, elements })
@@ -169,21 +175,13 @@ fn collect<D: DiskManager>(
                 }
                 UpdateAction::Insert(what) => {
                     let c = target_color.ok_or(EvalError::NoColor)?;
-                    let roots: Vec<McNodeId> = eval(ctx, what)?
-                        .into_iter()
-                        .filter_map(|item| match item {
-                            Item::Node(n, _) => Some(n),
-                            _ => None,
-                        })
-                        .collect();
+                    let mut roots = eval(ctx, what)?;
+                    roots.retain(|item| matches!(item, Item::Node(..) | Item::Built(_)));
                     if !roots.is_empty() {
-                        // One fragment: the constructed edges of every
-                        // node the action made.
                         out.push(Pending::Insert {
                             target,
                             color: c,
                             roots,
-                            edges: ctx.take_pending(),
                         });
                         emitted = true;
                     }

@@ -44,6 +44,10 @@ pub struct Prepared {
     pub expr: Expr,
     /// Physical plan, when the planner's fragment covers the query.
     pub plan: Option<PathPlan>,
+    /// The query calls `createColor`, the one query form that changes
+    /// the store: it runs under the write lock, every other query under
+    /// the read lock.
+    pub creates_color: bool,
 }
 
 struct Entry {
@@ -174,6 +178,7 @@ mod tests {
         Arc::new(Prepared {
             expr: mct_query::parse_query("document(\"d\")/{red}child::a").unwrap(),
             plan: None,
+            creates_color: false,
         })
     }
 

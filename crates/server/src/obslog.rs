@@ -46,8 +46,12 @@ const FLUSH_INTERVAL: Duration = Duration::from_millis(250);
 pub enum ExecKind {
     /// Compiled [`PathPlan`](mct_query::plan::PathPlan) under the read lock.
     Plan,
-    /// Tree-walking interpreter under the write lock.
+    /// Tree-walking interpreter over a shared borrow, under the read
+    /// lock.
     Interp,
+    /// Tree-walking interpreter with exclusive access, under the write
+    /// lock: a query calling `createColor`.
+    CreateColor,
     /// No query execution (e.g. `/metrics`, `/healthz`, parse errors).
     None,
 }
@@ -57,6 +61,7 @@ impl ExecKind {
         match self {
             ExecKind::Plan => "plan",
             ExecKind::Interp => "interp",
+            ExecKind::CreateColor => "interp_exclusive",
             ExecKind::None => "-",
         }
     }

@@ -54,12 +54,18 @@ pub fn rows_from_tuples<D: DiskManager>(s: &StoredDb<D>, tuples: &[Tuple]) -> Ve
     tuples.iter().map(|t| node_row(s, t[0].node)).collect()
 }
 
-/// Rows for an interpreter result sequence.
+/// Rows for an interpreter result sequence. A built element renders
+/// as the node it would be: its name and content, and no colors.
 pub fn rows_from_items<D: DiskManager>(s: &StoredDb<D>, items: &[Item]) -> Vec<Row> {
     items
         .iter()
         .map(|item| match item {
             Item::Node(n, _) => node_row(s, *n),
+            Item::Built(b) => Row::Node {
+                name: b.name.clone(),
+                content: b.content.clone().unwrap_or_default(),
+                colors: Vec::new(),
+            },
             Item::Str(v) => Row::Str(v.clone()),
             Item::Num(v) => Row::Num(*v),
             Item::Bool(v) => Row::Bool(*v),

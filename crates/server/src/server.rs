@@ -16,11 +16,16 @@
 //!
 //! The database sits in one [`RwLock`]:
 //!
-//! * planner-covered queries execute under the **read** lock via
-//!   [`PathPlan::execute_shared`], so cached plans run concurrently on
-//!   all workers;
-//! * interpreter queries and updates take the **write** lock
-//!   (`EvalContext` needs `&mut` for construction and updates).
+//! * every `/query` that calls no `createColor` runs and renders under
+//!   the **read** lock, so queries run concurrently on all workers:
+//!   planner-covered ones via `PathPlan::execute_shared`, the rest in
+//!   the interpreter over [`EvalContext::shared`] (an element
+//!   constructor builds a value and writes nothing);
+//! * a `/query` calling `createColor` (§4.3 — it adds a colored tree)
+//!   and every `/update` take the **write** lock. Which lock a query
+//!   takes is decided once, from its parsed expression
+//!   ([`Prepared::creates_color`]), and counted in
+//!   `server.query.read_lock` / `server.query.write_lock`.
 //!
 //! ## Cancellation
 //!
@@ -165,6 +170,12 @@ pub struct ServerMetrics {
     pub lat_stats: Histogram,
     /// `/slow` latency.
     pub lat_slow: Histogram,
+    /// `/query` executions under the read lock: planned ones and
+    /// interpreted ones without `createColor`.
+    pub query_read_lock: Counter,
+    /// `/query` executions under the write lock: those calling
+    /// `createColor`.
+    pub query_write_lock: Counter,
 }
 
 impl ServerMetrics {
@@ -183,6 +194,8 @@ impl ServerMetrics {
             lat_check: mct_obs::histogram("server.latency.check"),
             lat_stats: mct_obs::histogram("server.latency.stats"),
             lat_slow: mct_obs::histogram("server.latency.slow"),
+            query_read_lock: mct_obs::counter("server.query.read_lock"),
+            query_write_lock: mct_obs::counter("server.query.write_lock"),
         }
     }
 }
@@ -713,13 +726,19 @@ fn handle_query<D: DiskManager>(
                 },
                 _ => None,
             };
-            let prepared = Arc::new(Prepared { expr, plan });
+            let creates_color = expr.calls("createColor");
+            let prepared = Arc::new(Prepared {
+                expr,
+                plan,
+                creates_color,
+            });
             state.cache.insert(text, generation, Arc::clone(&prepared));
             prepared
         }
     };
 
     if let Some(plan) = &prepared.plan {
+        state.metrics.query_read_lock.inc();
         // The analyze variant instruments every stage (two clock
         // reads and a pool-stats delta per stage) so a slow run is
         // captured with its own per-operator tree — no re-run.
@@ -740,29 +759,44 @@ fn handle_query<D: DiskManager>(
     }
 
     // Interpreter path: FLWOR, constructors, predicates outside the
-    // planner fragment. Needs `&mut` (construction mutates the
-    // store), so it serializes on the write lock.
+    // planner fragment. It only reads the store, so it stays under the
+    // read lock — unless it calls `createColor`, which adds a colored
+    // tree and so serializes on the write lock.
+    if !prepared.creates_color {
+        state.metrics.query_read_lock.inc();
+        ctx.record.exec = ExecKind::Interp;
+        return interpret(state, EvalContext::shared(&db), &prepared.expr, cancel, ctx, json);
+    }
     drop(db);
     let mut db = state.db.write().unwrap_or_else(PoisonError::into_inner);
-    if let Some(c) = &cancel {
-        if c.is_cancelled() {
-            state.metrics.timeouts.inc();
-            return Response::text(408, "deadline exceeded\n");
-        }
+    state.metrics.query_write_lock.inc();
+    ctx.record.exec = ExecKind::CreateColor;
+    interpret(state, EvalContext::new(&mut db), &prepared.expr, cancel, ctx, json)
+}
+
+/// Evaluate `expr` in the interpreter and render its answer, both
+/// under the lock `ectx` holds.
+fn interpret<D: DiskManager>(
+    state: &AppState<D>,
+    mut ectx: EvalContext<'_, D>,
+    expr: &Expr,
+    cancel: Option<CancelToken>,
+    ctx: &mut RequestCtx,
+    json: bool,
+) -> Response {
+    if cancel.is_some_and(|c| c.is_cancelled()) {
+        state.metrics.timeouts.inc();
+        return Response::text(408, "deadline exceeded\n");
     }
-    ctx.record.exec = ExecKind::Interp;
-    let items = {
-        let mut ectx = EvalContext::new(&mut db);
-        match eval(&mut ectx, &prepared.expr) {
-            Ok(items) => items,
-            Err(EvalError::Storage(e)) => {
-                return Response::text(500, format!("execution failed: {e}\n"))
-            }
-            Err(e) => return Response::text(400, format!("query error: {e}\n")),
+    let items = match eval(&mut ectx, expr) {
+        Ok(items) => items,
+        Err(EvalError::Storage(e)) => {
+            return Response::text(500, format!("execution failed: {e}\n"))
         }
+        Err(e) => return Response::text(400, format!("query error: {e}\n")),
     };
     ctx.record.rows = items.len() as u64;
-    let rows = render::rows_from_items(&db, &items);
+    let rows = render::rows_from_items(&ectx.stored, &items);
     respond_rows(&rows, json)
 }
 

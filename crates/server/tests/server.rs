@@ -7,13 +7,19 @@
 
 use mct_core::StoredDb;
 use mct_query::{eval, parse_query, plan_path, EvalContext, Expr};
+use mct_server::server::handle_request;
 use mct_server::{
-    render_xml, rows_from_items, rows_from_tuples, serve, Client, Json, ServerConfig, ServerHandle,
+    render_xml, rows_from_items, rows_from_tuples, serve, AppState, Client, Json, Request,
+    ServerConfig, ServerHandle,
 };
-use mct_workloads::movies;
+use mct_workloads::{
+    all_queries, movies, Dataset, Params, QueryKind, SigmodConfig, SigmodData, TpcwConfig,
+    TpcwData,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 const POOL: usize = 16 * 1024 * 1024;
@@ -776,5 +782,142 @@ fn request_log_writes_one_parseable_line_per_request_with_unique_ids() {
         assert!(v.get("latency_us").unwrap().as_u64().is_some());
         assert!(v.get("ts_ms").unwrap().as_u64().unwrap() > 1_500_000_000_000);
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A small TPC-W store (MCT design) and its `TQ1..TQ16` texts.
+fn tpcw_reads() -> (StoredDb, Vec<(&'static str, String)>) {
+    let data = TpcwData::generate(&TpcwConfig { scale: 0.05, seed: 1 });
+    let sigmod = SigmodData::generate(&SigmodConfig { scale: 0.02, seed: 1 });
+    let params = Params::derive(&data, &sigmod);
+    let reads = all_queries(&params)
+        .into_iter()
+        .filter(|q| q.dataset == Dataset::Tpcw && q.kind == QueryKind::Read)
+        .map(|q| (q.id, q.mct_text))
+        .collect();
+    let stored = StoredDb::build(data.build_mct(), POOL).expect("build tpcw");
+    (stored, reads)
+}
+
+fn post_query(text: &str) -> Request {
+    Request {
+        method: "POST".to_string(),
+        path: "/query".to_string(),
+        query: None,
+        headers: Vec::new(),
+        body: text.as_bytes().to_vec(),
+    }
+}
+
+/// Send `text` to `/query` through the handler on a thread of its own;
+/// the receiver gets the reply's status.
+fn query_on_thread(state: &Arc<AppState>, text: &'static str) -> Receiver<u16> {
+    let (tx, rx) = mpsc::channel();
+    let state = Arc::clone(state);
+    std::thread::spawn(move || {
+        let _ = tx.send(handle_request(&state, &post_query(text)).status);
+    });
+    rx
+}
+
+/// An interpreted read that constructs elements runs beside a reader
+/// holding the lock; only `createColor` waits for the write lock.
+#[test]
+fn constructing_reads_run_under_a_held_read_lock_and_create_color_waits() {
+    let _guard = test_lock();
+    let handle = start(ServerConfig::default());
+    let state = handle.state();
+    let held = state.db.read().unwrap();
+    let flwor = query_on_thread(
+        state,
+        r#"for $m in document("m")/{green}descendant::movie
+           return <m>{ $m/{green}child::name }</m>"#,
+    );
+    assert_eq!(
+        flwor.recv_timeout(Duration::from_secs(10)),
+        Ok(200),
+        "a FLWOR query must not wait for another reader"
+    );
+    let create = query_on_thread(state, CREATE_BYV);
+    assert!(
+        create.recv_timeout(Duration::from_millis(300)).is_err(),
+        "createColor must wait for the write lock"
+    );
+    drop(held);
+    assert_eq!(create.recv_timeout(Duration::from_secs(10)), Ok(200));
+    handle.shutdown();
+}
+
+/// TQ16 builds a `<group>` per expensive item. Its runs through the
+/// read path leave the store exactly as it was.
+#[test]
+fn constructing_reads_leave_the_store_unchanged() {
+    let _guard = test_lock();
+    let (stored, reads) = tpcw_reads();
+    let tq16 = &reads.iter().find(|(id, _)| *id == "TQ16").expect("TQ16").1;
+    let handle = serve(stored, ServerConfig::default()).expect("server starts");
+    let state = handle.state();
+    let fingerprint = || {
+        let db = state.db.read().unwrap();
+        (db.db.len(), db.generation(), db.snapshot_catalog())
+    };
+    let before = fingerprint();
+    let first = handle_request(state, &post_query(tq16));
+    let body = String::from_utf8_lossy(&first.body).into_owned();
+    assert_eq!(first.status, 200, "{body}");
+    assert!(body.contains("<node name=\"group\" colors=\"\">"), "{body}");
+    for _ in 1..1000 {
+        assert_eq!(handle_request(state, &post_query(tq16)).status, 200);
+    }
+    assert!(fingerprint() == before, "a read changed the store");
+    handle.shutdown();
+}
+
+/// A round of `TQ1..TQ16` counts only read-lock executions and logs
+/// them as shared interpreter runs; `createColor` counts one write-lock
+/// execution, logged as exclusive.
+#[test]
+fn queries_count_and_log_the_lock_they_took() {
+    let _guard = test_lock();
+    let dir = std::env::temp_dir().join(format!("mctd-locklog-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("requests.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let (stored, reads) = tpcw_reads();
+    let handle = serve(
+        stored,
+        ServerConfig {
+            log_json: Some(path.to_string_lossy().into_owned()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let client = Client::new("127.0.0.1", handle.port());
+    let metrics = &handle.state().metrics;
+    let counts = || (metrics.query_read_lock.get(), metrics.query_write_lock.get());
+
+    let (read0, write0) = counts();
+    for (id, text) in &reads {
+        let reply = client.query(text).expect("reply");
+        assert_eq!(reply.status, 200, "{id}: {}", reply.body_str());
+    }
+    assert_eq!(counts(), (read0 + reads.len() as u64, write0));
+    let created = client
+        .query(r#"createColor("k", <k>{ document("tpcw")/{auth}descendant::author[1] }</k>)"#)
+        .expect("createColor");
+    assert_eq!(created.status, 200, "{}", created.body_str());
+    assert_eq!(counts(), (read0 + reads.len() as u64, write0 + 1));
+    handle.shutdown();
+
+    let text = std::fs::read_to_string(&path).expect("request log written");
+    let exec: Vec<String> = text
+        .lines()
+        .map(|l| Json::parse(l).expect("log line is JSON"))
+        .map(|v| v.get("exec").unwrap().as_str().unwrap().to_string())
+        .collect();
+    assert_eq!(exec.len(), reads.len() + 1, "{text}");
+    assert!(exec[..reads.len()].iter().all(|e| e == "interp" || e == "plan"), "{exec:?}");
+    assert!(exec.contains(&"interp".to_string()), "{exec:?}");
+    assert_eq!(exec[reads.len()], "interp_exclusive");
     let _ = std::fs::remove_file(&path);
 }

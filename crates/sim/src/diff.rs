@@ -258,16 +258,27 @@ pub fn digest(db: &MctDatabase) -> String {
     out
 }
 
-fn canon_items(items: &[Item]) -> Vec<String> {
-    items
-        .iter()
-        .map(|it| match it {
-            Item::Node(n, _) => format!("n{}", n.0),
-            Item::Str(s) => format!("s:{s}"),
-            Item::Num(v) => format!("f:{v}"),
-            Item::Bool(b) => format!("b:{b}"),
-        })
-        .collect()
+/// Items as comparable text: see [`canon_item`].
+pub(crate) fn canon_items(items: &[Item]) -> Vec<String> {
+    items.iter().map(canon_item).collect()
+}
+
+/// A stored node by id; a built element, which has none, by its
+/// structure.
+fn canon_item(it: &Item) -> String {
+    match it {
+        Item::Node(n, _) => format!("n{}", n.0),
+        Item::Built(b) => format!(
+            "e:<{}>[{}]a{:?}{:?}",
+            b.name,
+            b.content.as_deref().unwrap_or(""),
+            b.attrs,
+            canon_items(&b.children)
+        ),
+        Item::Str(s) => format!("s:{s}"),
+        Item::Num(v) => format!("f:{v}"),
+        Item::Bool(b) => format!("b:{b}"),
+    }
 }
 
 fn node_set(tuples: &[Tuple]) -> Vec<u32> {
@@ -514,10 +525,14 @@ fn run_query(
     at: Option<usize>,
 ) -> Result<(), Divergence> {
     let text = e.to_string();
+    let before = digest(&oracle.db);
     let oracle_items = {
         let mut ctx = EvalContext::new(oracle);
         eval(&mut ctx, e)
     };
+    if digest(&oracle.db) != before {
+        return Err(div("oracle", at, format!("the read {text:?} changed the store")));
+    }
     let oracle_canon = match &oracle_items {
         Ok(items) => Ok(canon_items(items)),
         Err(err) => Err(err.to_string()),
@@ -661,6 +676,9 @@ fn run_query(
                         format!("served body differs for {text:?}:\n--- got ---\n{body}\n--- want ---\n{want_body}"),
                     ));
                 }
+            }
+            if digest(&rig.shared.read().unwrap().db) != before {
+                return Err(div("served", at, format!("the read {text:?} changed the store")));
             }
             if let Some(rep) = rig.replica.as_ref() {
                 let rr = rep

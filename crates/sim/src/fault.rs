@@ -19,7 +19,7 @@ use mct_query::{execute_update_with, EvalError};
 use mct_storage::{BufferPool, FaultDisk, FaultInjector, MemDisk, StorageError, Wal};
 use mct_workloads::rng::XorShiftRng;
 
-use crate::diff::{digest, CaseOp, Divergence, POOL_BYTES};
+use crate::diff::{canon_items, digest, CaseOp, Divergence, POOL_BYTES};
 
 fn div(op: Option<usize>, detail: String) -> Divergence {
     Divergence {
@@ -83,8 +83,10 @@ pub fn run_fault_case(
                     let mut ctx = mct_query::EvalContext::new(&mut faulted);
                     mct_query::eval(&mut ctx, e).map_err(|err| err.to_string())
                 };
+                // Built elements compare by identity, so results from
+                // two evaluations compare by their canonical text.
                 let same = match (&a, &b) {
-                    (Ok(x), Ok(y)) => x == y,
+                    (Ok(x), Ok(y)) => canon_items(x) == canon_items(y),
                     (Err(x), Err(y)) => x == y,
                     _ => false,
                 };

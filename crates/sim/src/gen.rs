@@ -340,7 +340,7 @@ fn gen_flwor(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
     } else {
         Vec::new()
     };
-    let ret = Box::new(match rng.gen_range(0..4u8) {
+    let ret = Box::new(match rng.gen_range(0..6u8) {
         0 => Expr::Path(PathExpr {
             start: PathStart::Var("x".to_string()),
             steps: Vec::new(),
@@ -353,9 +353,27 @@ fn gen_flwor(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
                 steps: Vec::new(),
             })],
         ),
-        _ => Expr::Call(
+        3 => Expr::Call(
             "count".to_string(),
             vec![Expr::Path(gen_rel_path(rng, doc, Some("x")))],
+        ),
+        // Constructed and copied elements: query answers, never
+        // document state.
+        4 => Expr::Ctor(Constructor {
+            name: "r".to_string(),
+            attrs: Vec::new(),
+            children: vec![ConstructorItem::Enclosed(Expr::Path(gen_rel_path(
+                rng,
+                doc,
+                Some("x"),
+            )))],
+        }),
+        _ => Expr::Call(
+            "createCopy".to_string(),
+            vec![Expr::Path(PathExpr {
+                start: PathStart::Var("x".to_string()),
+                steps: Vec::new(),
+            })],
         ),
     });
     Expr::Flwor(Flwor {
@@ -366,9 +384,10 @@ fn gen_flwor(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
     })
 }
 
-/// A random read-only query: 75% color-decorated paths, 25% FLWOR.
-/// No constructors and no `createColor`/`createCopy` — reads must not
-/// mutate, so every surface can evaluate them repeatedly.
+/// A random read-only query: 75% color-decorated paths, 25% FLWOR,
+/// whose return may construct or copy elements. No `createColor`: a
+/// read never changes the store, so every surface can evaluate it
+/// repeatedly.
 pub fn gen_query(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
     if rng.gen_bool(0.25) {
         gen_flwor(rng, doc)

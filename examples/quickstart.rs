@@ -68,6 +68,7 @@ fn run(stored: &mut StoredDb, label: &str, text: &str) {
                 .content(*n)
                 .unwrap_or("<element>")
                 .to_string(),
+            Item::Built(b) => b.content.clone().unwrap_or_else(|| "<element>".into()),
             Item::Str(s) => s.clone(),
             Item::Num(n) => n.to_string(),
             Item::Bool(b) => b.to_string(),

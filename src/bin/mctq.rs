@@ -285,7 +285,8 @@ fn main() {
     println!("{} item(s):", out.len());
     for item in out.iter().take(50) {
         match item {
-            Item::Node(n, _) => print_node(ctx.stored, *n),
+            Item::Node(n, _) => print_node(&ctx.stored, *n),
+            Item::Built(b) => print_element(&b.name, b.content.as_deref().unwrap_or(""), &[]),
             Item::Str(s) => println!("  \"{s}\""),
             Item::Num(n) => println!("  {n}"),
             Item::Bool(b) => println!("  {b}"),
@@ -298,14 +299,20 @@ fn main() {
 }
 
 fn print_node(s: &StoredDb, n: colorful_xml::core::McNodeId) {
-    let name = s.db.name_str(n).unwrap_or("?");
-    let content = s.db.content(n).unwrap_or("");
     let colors: Vec<&str> = s
         .db
         .colors(n)
         .iter()
         .map(|c| s.db.palette.name(c))
         .collect();
+    print_element(
+        s.db.name_str(n).unwrap_or("?"),
+        s.db.content(n).unwrap_or(""),
+        &colors,
+    );
+}
+
+fn print_element(name: &str, content: &str, colors: &[&str]) {
     if content.is_empty() {
         println!("  <{name}> {colors:?}");
     } else {
