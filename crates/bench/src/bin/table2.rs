@@ -17,7 +17,7 @@
 //! page accesses behind these times, and the paper's shape over them,
 //! are the root test `tests/paper_shape.rs`.
 
-use mct_bench::{secs, time_once, time_paper_protocol, Fixtures};
+use mct_bench::{ms, time_once, time_paper_protocol, Fixtures};
 use mct_workloads::{all_queries, run_read, run_update, QueryKind, SchemaKind};
 use std::time::Duration;
 
@@ -79,13 +79,13 @@ fn main() {
     let queries = all_queries(&fx.params);
 
     println!(
-        "\nTable 2: Query Processing Time in Seconds (scale {scale}, {} cache)",
+        "\nTable 2: Query Processing Time in Milliseconds (scale {scale}, {} cache)",
         if cold { "cold" } else { "warm" }
     );
     println!("{}", "=".repeat(100));
     println!(
-        "{:<7} {:>9} {:>10} {:>10} {:>10}   {:>6} {:>5}  Description",
-        "Query", "Results", "MCT", "Shallow", "Deep", "Colors", "Trees"
+        "{:<7} {:>9} {:>12} {:>12} {:>12}   {:>6} {:>5}  Description",
+        "Query", "Results", "MCT (ms)", "Shallow (ms)", "Deep (ms)", "Colors", "Trees"
     );
 
     for wq in &queries {
@@ -115,12 +115,12 @@ fn main() {
                     }
                 }
                 println!(
-                    "{:<7} {:>9} {:>10} {:>10} {:>10}   {:>6} {:>5}  {}",
+                    "{:<7} {:>9} {:>12} {:>12} {:>12}   {:>6} {:>5}  {}",
                     wq.id,
                     results,
-                    secs(times[0].unwrap()),
-                    secs(times[1].unwrap()),
-                    secs(times[2].unwrap()),
+                    ms(times[0].unwrap()),
+                    ms(times[1].unwrap()),
+                    ms(times[2].unwrap()),
                     wq.colors,
                     wq.trees,
                     wq.description
@@ -134,12 +134,12 @@ fn main() {
                         run_read(db, wq.id, SchemaKind::Deep, &p, false).expect("plan")
                     });
                     println!(
-                        "{:<7} {:>9} {:>10} {:>10} {:>10}   {:>6} {:>5}  (deep, no dup-elim)",
+                        "{:<7} {:>9} {:>12} {:>12} {:>12}   {:>6} {:>5}  (deep, no dup-elim)",
                         format!("{}D", wq.id),
                         out.results,
                         "",
                         "",
-                        secs(d),
+                        ms(d),
                         "",
                         ""
                     );
@@ -157,12 +157,12 @@ fn main() {
                     updated[i] = out.updated;
                 }
                 println!(
-                    "{:<7} {:>9} {:>10} {:>10} {:>10}   {:>6} {:>5}  {} [elements: mct={} shallow={} deep={}]",
+                    "{:<7} {:>9} {:>12} {:>12} {:>12}   {:>6} {:>5}  {} [elements: mct={} shallow={} deep={}]",
                     wq.id,
                     updated[0],
-                    secs(times[0].unwrap()),
-                    secs(times[1].unwrap()),
-                    secs(times[2].unwrap()),
+                    ms(times[0].unwrap()),
+                    ms(times[1].unwrap()),
+                    ms(times[2].unwrap()),
                     wq.colors,
                     wq.trees,
                     wq.description,
@@ -194,7 +194,7 @@ fn scaling_sweep(seed: Option<u64>) {
     println!("\nScaling sweep (§7.2): linear structural plan vs quadratic inequality join");
     println!(
         "{:<8} {:>12} {:>14} {:>16}",
-        "scale", "orderlines", "TQ13 (s)", "ineq-join (s)"
+        "scale", "orderlines", "TQ13 (ms)", "ineq-join (ms)"
     );
     for scale in [0.05, 0.1, 0.2, 0.4] {
         let mut fx = Fixtures::build_seeded(scale, seed);
@@ -218,8 +218,8 @@ fn scaling_sweep(seed: Option<u64>) {
             "{:<8} {:>12} {:>14} {:>16}",
             scale,
             lines,
-            secs(linear),
-            secs(quad)
+            ms(linear),
+            ms(quad)
         );
     }
     println!("(expect the last column to grow ~4x per scale doubling, the others ~2x)");

@@ -2,7 +2,6 @@
 //!
 //! * `table2` — query/update processing times (Table 2), with
 //!   `--sweep` for the §7.2 scaling note and `--cold` for cold-cache;
-//! * `loadgen` — closed-loop load against a running or embedded `mctd`;
 //! * `cargo bench` groups: `btree`, `joins` (ablation A1), `queries`,
 //!   `serialize`, `updates` and `scaling`.
 //!
@@ -128,10 +127,11 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     (t0.elapsed(), r)
 }
 
-/// Format a duration in seconds with 4 decimals (modern hardware is
-/// far faster than the paper's Pentium IIIM).
-pub fn secs(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64())
+/// Format a duration in milliseconds with 3 decimals (the paper
+/// reports seconds, but modern hardware is far faster than its
+/// Pentium IIIM, so most times here are well under one).
+pub fn ms(d: Duration) -> String {
+    format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]

@@ -851,6 +851,38 @@ impl<D: DiskManager> StoredDb<D> {
         }
     }
 
+    /// Everything a read can observe, as one comparable text: the
+    /// palette, then per node its tag, its content and attributes read
+    /// through the heaps, its colors, and in each of them its interval
+    /// code and parent. Stores that applied the same changes to one
+    /// base share node ids, so their digests compare directly; a failed
+    /// heap read shows as a difference, not a panic.
+    pub fn digest(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for (c, name) in self.db.palette.iter() {
+            let _ = writeln!(out, "c{} {name}", c.index());
+        }
+        for i in 0..self.db.len() {
+            let n = McNodeId(i as u32);
+            let colors = self.db.colors(n);
+            let _ = write!(
+                out,
+                "n{i} {:?} {:?} {:?} {colors:?}",
+                self.db.name_str(n),
+                self.fetch_content(n),
+                self.fetch_attrs(n),
+            );
+            for c in colors.iter() {
+                let code = self.db.code(n, c).map(|k| (k.start, k.end, k.level));
+                let parent = self.db.parent(n, c).map(|p| p.0);
+                let _ = write!(out, " c{}:{code:?}<-{parent:?}", c.index());
+            }
+            out.push('\n');
+        }
+        out
+    }
+
     /// The color-link probe (§6.2): interval code of `n` in tree `to`,
     /// through the per-color link index — one B+-tree descent plus one
     /// structural-record fetch per call, which is what makes a color
@@ -1438,34 +1470,16 @@ mod tests {
         pool
     }
 
-    /// Everything a query can observe, as one comparable value.
-    fn fingerprint<D: DiskManager>(s: &mut StoredDb<D>) -> Vec<String> {
-        let mut out = Vec::new();
-        for (c, name) in s.db.palette.iter().map(|(c, n)| (c, n.to_string())).collect::<Vec<_>>() {
-            for tag in ["movie-genre", "movie-award", "movie", "name"] {
-                for r in s.postings_named(c, tag).unwrap() {
-                    out.push(format!(
-                        "{name}/{tag}: n{} [{},{}]@{}",
-                        r.node.0, r.code.start, r.code.end, r.code.level
-                    ));
-                    out.push(format!("content: {:?}", s.fetch_content(r.node).unwrap()));
-                    out.push(format!("attrs: {:?}", s.fetch_attrs(r.node).unwrap()));
-                }
-            }
-        }
-        out
-    }
-
     #[test]
     fn sync_open_roundtrip_in_memory() {
         let mut s = StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         s.sync().unwrap();
         let (data, wal) = s.pool.into_parts();
-        let mut r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
+        let r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
             .unwrap()
             .expect("committed state recovered");
-        assert_eq!(fingerprint(&mut r), before);
+        assert_eq!(r.digest(), before);
         // Recovered database still answers value lookups and probes.
         let green = r.db.color("green").unwrap();
         let hits = r.content_lookup("Movie 3").unwrap();
@@ -1489,7 +1503,7 @@ mod tests {
         // same observable store.
         let mut s = StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap();
         s.sync().unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         let catalog = s.snapshot_catalog();
         let mut shipped = MemDisk::new();
         for p in 0..s.pool.num_pages() {
@@ -1501,7 +1515,7 @@ mod tests {
             shipped.write(mct_storage::PageId(p), &buf).unwrap();
         }
         let mut r = StoredDb::from_snapshot(shipped, &catalog, 4 * 1024 * 1024).unwrap();
-        assert_eq!(fingerprint(&mut r), before);
+        assert_eq!(r.digest(), before);
         assert!(!r.pool.has_wal(), "replicas have no log of their own");
 
         // Replicated-commit apply: mutate the source, commit, ship the
@@ -1509,7 +1523,7 @@ mod tests {
         let n = s.content_lookup("Movie 3").unwrap()[0];
         s.update_content(n, "Shipped Edit").unwrap();
         s.sync().unwrap();
-        let after = fingerprint(&mut s);
+        let after = s.digest();
         let mut cursor = mct_storage::TailCursor::new();
         let (records, remaining) = s
             .pool
@@ -1528,7 +1542,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(fingerprint(&mut r), after);
+        assert_eq!(r.digest(), after);
         assert_eq!(r.content_lookup("Shipped Edit").unwrap(), vec![n]);
         assert!(r.generation() > 0, "replicated commit bumps the generation");
     }
@@ -1549,15 +1563,15 @@ mod tests {
     fn changes_after_sync_roll_back_on_reopen() {
         let mut s = StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap();
         s.sync().unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         let hits = s.content_lookup("Movie 3").unwrap();
         s.update_content(hits[0], "Unsynced Edit").unwrap();
         s.pool.flush_all().unwrap(); // even flushed-but-uncommitted pages roll back
         let (data, wal) = s.pool.into_parts();
-        let mut r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
+        let r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
             .unwrap()
             .unwrap();
-        assert_eq!(fingerprint(&mut r), before);
+        assert_eq!(r.digest(), before);
         assert!(r.content_lookup("Unsynced Edit").unwrap().is_empty());
         assert_eq!(r.content_lookup("Movie 3").unwrap().len(), 1);
     }
@@ -1575,12 +1589,12 @@ mod tests {
         let before = {
             let mut s = StoredDb::create(&dir, small_db(), 4 * 1024 * 1024).unwrap();
             s.sync().unwrap();
-            fingerprint(&mut s)
+            s.digest()
         };
         let mut r = StoredDb::open(&dir, 4 * 1024 * 1024)
             .unwrap()
             .expect("durable database reopened");
-        assert_eq!(fingerprint(&mut r), before);
+        assert_eq!(r.digest(), before);
         // A second sync after an update survives another reopen.
         let n = r.content_lookup("Movie 1").unwrap()[0];
         r.update_content(n, "Second Life").unwrap();
@@ -1667,12 +1681,12 @@ mod tests {
     #[test]
     fn txn_abort_restores_fingerprint_without_wal() {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         let txn = s.begin_txn().unwrap();
         mutate_everything(&mut s).unwrap();
-        assert_ne!(fingerprint(&mut s), before, "mutations visible inside the txn");
+        assert_ne!(s.digest(), before, "mutations visible inside the txn");
         s.abort_txn(txn).unwrap();
-        assert_eq!(fingerprint(&mut s), before, "abort restores everything");
+        assert_eq!(s.digest(), before, "abort restores everything");
         assert!(s.content_lookup("Txn Edit").unwrap().is_empty());
         assert_eq!(s.content_lookup("Movie 3").unwrap().len(), 1);
     }
@@ -1681,17 +1695,17 @@ mod tests {
     fn txn_abort_restores_fingerprint_with_wal() {
         let mut s = StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap();
         s.sync().unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         let txn = s.begin_txn().unwrap();
         mutate_everything(&mut s).unwrap();
         s.abort_txn(txn).unwrap();
-        assert_eq!(fingerprint(&mut s), before);
+        assert_eq!(s.digest(), before);
         // The aborted state is also what a reopen recovers.
         let (data, wal) = s.pool.into_parts();
-        let mut r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
+        let r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
             .unwrap()
             .unwrap();
-        assert_eq!(fingerprint(&mut r), before);
+        assert_eq!(r.digest(), before);
     }
 
     /// An abort puts back the begin-time catalog byte for byte, with a
@@ -1832,12 +1846,12 @@ mod tests {
         let txn = s.begin_txn().unwrap();
         mutate_everything(&mut s).unwrap();
         s.commit_txn(txn).unwrap();
-        let after = fingerprint(&mut s);
+        let after = s.digest();
         let (data, wal) = s.pool.into_parts();
-        let mut r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
+        let r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
             .unwrap()
             .unwrap();
-        assert_eq!(fingerprint(&mut r), after);
+        assert_eq!(r.digest(), after);
         assert_eq!(r.content_lookup("Txn Edit").unwrap().len(), 1);
     }
 
@@ -1845,7 +1859,7 @@ mod tests {
     fn crash_mid_txn_recovers_to_pre_txn_state() {
         let mut s = StoredDb::build_on(walled_pool(4 * 1024 * 1024), small_db()).unwrap();
         s.sync().unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         let txn = s.begin_txn().unwrap();
         mutate_everything(&mut s).unwrap();
         // Crash: neither commit nor abort; even force the loser's
@@ -1853,32 +1867,32 @@ mod tests {
         s.pool.flush_all().unwrap();
         drop(txn);
         let (data, wal) = s.pool.into_parts();
-        let mut r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
+        let r = StoredDb::open_with(data, wal.unwrap().into_disk(), 4 * 1024 * 1024)
             .unwrap()
             .unwrap();
-        assert_eq!(fingerprint(&mut r), before, "loser txn fully undone");
+        assert_eq!(r.digest(), before, "loser txn fully undone");
     }
 
     #[test]
     fn with_txn_commits_on_ok_and_aborts_on_err() {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         let r: Result<(), mct_storage::StorageError> = s.with_txn(|s| {
             mutate_everything(s)?;
             Err(mct_storage::StorageError::Cancelled)
         });
         assert!(matches!(r, Err(mct_storage::StorageError::Cancelled)));
-        assert_eq!(fingerprint(&mut s), before, "Err path aborts");
+        assert_eq!(s.digest(), before, "Err path aborts");
 
         let r: Result<(), mct_storage::StorageError> = s.with_txn(mutate_everything);
         assert!(r.is_ok());
-        assert_ne!(fingerprint(&mut s), before, "Ok path commits");
+        assert_ne!(s.digest(), before, "Ok path commits");
     }
 
     #[test]
     fn with_txn_aborts_on_panic_and_stays_usable() {
         let mut s = StoredDb::build(small_db(), 4 * 1024 * 1024).unwrap();
-        let before = fingerprint(&mut s);
+        let before = s.digest();
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _: Result<(), mct_storage::StorageError> = s.with_txn(|s| {
                 mutate_everything(s)?;
@@ -1886,7 +1900,7 @@ mod tests {
             });
         }));
         assert!(unwound.is_err(), "the panic must propagate");
-        assert_eq!(fingerprint(&mut s), before, "panic path aborts");
+        assert_eq!(s.digest(), before, "panic path aborts");
         assert!(!s.pool.txn_active(), "no transaction left dangling");
         // The database remains fully serviceable: a later txn works.
         let r: Result<(), mct_storage::StorageError> = s.with_txn(mutate_everything);

@@ -1,9 +1,9 @@
 //! A minimal JSON reader (and escape helper) for the observability
-//! surface — `mcttop` and `loadgen` parse `/stats` and `/slow` bodies
-//! with it, and the integration tests use it to assert the server's
-//! JSON output is well-formed. In-tree by the repo's zero-dependency
-//! rule; it parses the full JSON grammar but keeps numbers as `f64`
-//! and objects as ordered pairs, which is all our payloads need.
+//! surface — `mcttop` parses `/stats` and `/slow` bodies with it, and
+//! the integration tests use it to assert the server's JSON output is
+//! well-formed. In-tree by the repo's zero-dependency rule; it parses
+//! the full JSON grammar but keeps numbers as `f64` and objects as
+//! ordered pairs, which is all our payloads need.
 
 use std::fmt;
 

@@ -18,9 +18,11 @@
 //! * `createColor` is the one form that changes the store: it makes
 //!   the built elements of a sequence stored nodes and materializes the
 //!   sequence under that colored tree's document root; a duplicate is
-//!   refused before anything is attached. It needs a context made by
-//!   [`EvalContext::new`]; on one made by [`EvalContext::shared`] it is
-//!   [`EvalError::ReadOnly`];
+//!   refused before anything is attached, but after the color and the
+//!   built nodes are made, so a caller that wants a refusal to leave
+//!   no trace runs the query inside `StoredDb::with_txn`, as `mctd`
+//!   does. It needs a context made by [`EvalContext::new`]; on one
+//!   made by [`EvalContext::shared`] it is [`EvalError::ReadOnly`];
 //! * attaching one node twice into the same colored tree raises the
 //!   paper's *dynamic error* (the `dupl-problem` example).
 

@@ -481,24 +481,6 @@ mod tests {
         (s, injector)
     }
 
-    /// Full logical-state fingerprint: every node's tag, content,
-    /// colors, and red-tree parent.
-    fn digest(s: &StoredDb<FaultDisk<MemDisk>>) -> String {
-        let red = s.db.color("red").unwrap();
-        let mut out = String::new();
-        for i in 0..s.db.len() {
-            let n = McNodeId(i as u32);
-            out.push_str(&format!(
-                "{i}:{:?}/{:?}/{:?}/{:?};",
-                s.db.name_str(n),
-                s.db.content(n),
-                s.db.colors(n),
-                s.db.parent(n, red).map(|p| p.0)
-            ));
-        }
-        out
-    }
-
     /// Tentpole acceptance: a storage failure at ANY write boundary
     /// during an update leaves the store exactly as it was — typed
     /// error out, rollback applied, deep check clean — and with the
@@ -514,12 +496,12 @@ mod tests {
             let (mut s, _) = faulted_stored();
             let u = parse_update(text).unwrap();
             assert_eq!(execute_update(&mut s, &u).unwrap(), 1);
-            digest(&s)
+            s.digest()
         };
         let mut rollbacks = 0u32;
         for k in 0..10_000 {
             let (mut s, injector) = faulted_stored();
-            let before = digest(&s);
+            let before = s.digest();
             let u = parse_update(text).unwrap();
             injector.fail_at_write(injector.writes() + k);
             match execute_update(&mut s, &u) {
@@ -528,7 +510,7 @@ mod tests {
                     // Atomicity: fully absent (abort before the WAL
                     // commit point) or fully applied (flush I/O error
                     // after it) — never in between.
-                    let now = digest(&s);
+                    let now = s.digest();
                     assert!(
                         now == before || now == after,
                         "partial state at write {k}:\n{now}"
@@ -546,7 +528,7 @@ mod tests {
                 Ok(tuples) => {
                     assert_eq!(tuples, 1);
                     assert!(rollbacks > 0, "no write boundary ever rolled back");
-                    assert_eq!(digest(&s), after);
+                    assert_eq!(s.digest(), after);
                     assert!(s.check().unwrap().is_ok());
                     return;
                 }
@@ -561,7 +543,7 @@ mod tests {
     #[test]
     fn panicking_update_path_aborts_cleanly() {
         let (mut s, _injector) = faulted_stored();
-        let before = digest(&s);
+        let before = s.digest();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             s.with_txn(|inner| -> Result<(), mct_storage::StorageError> {
                 let n = inner.content_lookup("Movie 1").unwrap()[0];
@@ -570,7 +552,7 @@ mod tests {
             })
         }));
         assert!(r.is_err());
-        assert_eq!(digest(&s), before);
+        assert_eq!(s.digest(), before);
         assert!(s.check().unwrap().is_ok());
         let u = parse_update(
             r#"for $m in document("d")/{red}descendant::movie

@@ -1,7 +1,6 @@
 //! Shared fixtures for the replication integration tests: a small
 //! movie database (the persist-layer test store, rebuilt on the public
-//! API), a WAL-backed pool, committed mutations, and a fingerprint
-//! that captures everything a query can observe.
+//! API), a WAL-backed pool and committed mutations.
 
 use mct_core::{MctDatabase, McNodeId, StoredDb};
 use mct_storage::{BufferPool, DiskManager, MemDisk, Wal};
@@ -53,28 +52,4 @@ pub fn commit_edit<D: DiskManager>(s: &mut StoredDb<D>, text: &str) -> u64 {
     let res: Result<(), mct_storage::StorageError> = s.with_txn(|s| s.update_content(n, text));
     res.unwrap();
     s.pool.with_wal(|w| Ok(w.committed_lsn())).unwrap()
-}
-
-/// Everything a query can observe, as one comparable value.
-pub fn fingerprint<D: DiskManager>(s: &StoredDb<D>) -> Vec<String> {
-    let mut out = Vec::new();
-    let palette: Vec<_> = s
-        .db
-        .palette
-        .iter()
-        .map(|(c, n)| (c, n.to_string()))
-        .collect();
-    for (c, name) in palette {
-        for tag in ["movie-genre", "movie-award", "movie", "name"] {
-            for r in s.postings_named(c, tag).unwrap() {
-                out.push(format!(
-                    "{name}/{tag}: n{} [{},{}]@{}",
-                    r.node.0, r.code.start, r.code.end, r.code.level
-                ));
-                out.push(format!("content: {:?}", s.fetch_content(r.node).unwrap()));
-                out.push(format!("attrs: {:?}", s.fetch_attrs(r.node).unwrap()));
-            }
-        }
-    }
-    out
 }

@@ -12,9 +12,9 @@
 
 mod common;
 
-use common::{commit_edit, fingerprint, primary_store, POOL};
+use common::{commit_edit, primary_store, POOL};
 use mct_repl::proto::{self, Frame};
-use mct_repl::{start_primary, start_replica, PrimaryCfg, ReplicaCfg, ReplicaHandle};
+use mct_repl::{start_primary, start_replica, PrimaryCfg, ReplicaCfg};
 use mct_storage::{DiskManager, MemDisk, PageId, ReplRecord, StorageError, TailCursor, PAGE_SIZE};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -50,12 +50,6 @@ fn commit_on(db: &SharedDb, text: &str) -> u64 {
     commit_edit(&mut w, text)
 }
 
-fn replica_fingerprint(r: &ReplicaHandle) -> Vec<String> {
-    let db = r.db();
-    let w = db.read().unwrap_or_else(PoisonError::into_inner);
-    fingerprint(&w)
-}
-
 /// Serializes the tests of this binary over the global registry.
 fn registry_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -86,11 +80,8 @@ fn snapshot_bootstrap_then_streaming_catchup() {
     assert!(replica.applied_lsn() > 0, "bootstrap carries the snapshot LSN");
 
     // Bootstrap state matches the primary exactly.
-    let primary_fp = {
-        let w = db.read().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&w)
-    };
-    assert_eq!(replica_fingerprint(&replica), primary_fp);
+    let primary_fp = db.read().unwrap().digest();
+    assert_eq!(replica.db().read().unwrap().digest(), primary_fp);
 
     // Stream three committed edits; the replica converges to each.
     for i in 0..3 {
@@ -100,11 +91,8 @@ fn snapshot_bootstrap_then_streaming_catchup() {
             "replica stuck below LSN {lsn}"
         );
     }
-    let primary_fp = {
-        let w = db.read().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&w)
-    };
-    assert_eq!(replica_fingerprint(&replica), primary_fp);
+    let primary_fp = db.read().unwrap().digest();
+    assert_eq!(replica.db().read().unwrap().digest(), primary_fp);
 
     // The replica's store passes the deep checker.
     let rep = {
@@ -168,11 +156,8 @@ fn reconnect_resumes_from_applied_lsn_without_snapshot() {
         replica.wait_applied(lsn, Duration::from_secs(10)),
         "replica never caught up after reconnect"
     );
-    let primary_fp = {
-        let w = db.read().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&w)
-    };
-    assert_eq!(replica_fingerprint(&replica), primary_fp);
+    let primary_fp = db.read().unwrap().digest();
+    assert_eq!(replica.db().read().unwrap().digest(), primary_fp);
     assert!(
         mct_obs::counter("repl.reconnects").get() > reconnects_before,
         "reconnect was not counted"
@@ -227,11 +212,8 @@ fn checkpoint_truncation_outruns_replica_and_forces_rebootstrap() {
         replica.wait_applied(lsn, Duration::from_secs(10)),
         "replica never re-bootstrapped"
     );
-    let primary_fp = {
-        let w = db.read().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&w)
-    };
-    assert_eq!(replica_fingerprint(&replica), primary_fp);
+    let primary_fp = db.read().unwrap().digest();
+    assert_eq!(replica.db().read().unwrap().digest(), primary_fp);
     assert!(
         mct_obs::counter("repl.snapshots").get() >= snapshots_before + 2,
         "expected a fresh snapshot on both ends (primary cut + replica apply)"
@@ -261,12 +243,9 @@ fn two_replicas_converge_independently() {
     assert!(r1.wait_applied(lsn, Duration::from_secs(10)));
     assert!(r2.wait_applied(lsn, Duration::from_secs(10)));
 
-    let primary_fp = {
-        let w = db.read().unwrap_or_else(PoisonError::into_inner);
-        fingerprint(&w)
-    };
-    assert_eq!(replica_fingerprint(&r1), primary_fp);
-    assert_eq!(replica_fingerprint(&r2), primary_fp);
+    let primary_fp = db.read().unwrap().digest();
+    assert_eq!(r1.db().read().unwrap().digest(), primary_fp);
+    assert_eq!(r2.db().read().unwrap().digest(), primary_fp);
     assert_eq!(primary.replicas().len(), 2);
 
     r1.shutdown();
@@ -394,7 +373,7 @@ fn delta_on_a_foreign_base_is_refused_and_forces_rebootstrap() {
     };
     let replica = start_replica(fast_replica_cfg(&addr, "fenced")).unwrap();
     let (listener, mut conn) = bootstrap.join().unwrap();
-    let booted = replica_fingerprint(&replica);
+    let booted = replica.db().read().unwrap().digest();
     let base = committed_lsn(&db.read().unwrap());
     commit_on(&db, "lost on the way");
     let lsn = commit_on(&db, "arrives");
@@ -412,14 +391,14 @@ fn delta_on_a_foreign_base_is_refused_and_forces_rebootstrap() {
     let (mut conn2, hello_lsn) = accept_hello(&listener);
     assert_eq!(hello_lsn, 0, "after a refused delta the replica asks for a snapshot");
     assert_eq!(
-        replica_fingerprint(&replica),
+        replica.db().read().unwrap().digest(),
         booted,
         "nothing of the refused batch was installed"
     );
     assert_eq!(send_snapshot(&mut conn2, &db), lsn);
     assert!(replica.wait_applied(lsn, Duration::from_secs(10)), "no re-bootstrap");
-    let primary_fp = fingerprint(&db.read().unwrap());
-    assert_eq!(replica_fingerprint(&replica), primary_fp);
+    let primary_fp = db.read().unwrap().digest();
+    assert_eq!(replica.db().read().unwrap().digest(), primary_fp);
     let rep = {
         let rdb = replica.db();
         let r = rdb.read().unwrap_or_else(PoisonError::into_inner);

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{commit_edit, fingerprint, primary_store, POOL};
+use common::{commit_edit, primary_store, POOL};
 use mct_repl::{start_primary, start_replica, PrimaryCfg, ReplicaCfg};
 use mct_storage::MemDisk;
 use std::net::TcpListener;
@@ -15,11 +15,6 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 type SharedDb = Arc<RwLock<mct_core::StoredDb<MemDisk>>>;
-
-fn fp_of(db: &SharedDb) -> Vec<String> {
-    let w = db.read().unwrap_or_else(PoisonError::into_inner);
-    fingerprint(&w)
-}
 
 /// Number of edits committed while the replica is (maybe) streaming.
 const EDITS: u64 = 3;
@@ -33,7 +28,7 @@ fn kill_at_every_frame_boundary_leaves_a_committed_prefix() {
     for budget in 1..=MAX_FRAMES {
         let db: SharedDb = Arc::new(RwLock::new(primary_store()));
         // Committed-prefix fingerprints the replica may legally hold.
-        let mut prefixes = vec![fp_of(&db)];
+        let mut prefixes = vec![db.read().unwrap().digest()];
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -72,7 +67,7 @@ fn kill_at_every_frame_boundary_leaves_a_committed_prefix() {
             let mut w = db.write().unwrap_or_else(PoisonError::into_inner);
             final_lsn = commit_edit(&mut w, &format!("crash edit {i}"));
             drop(w);
-            prefixes.push(fp_of(&db));
+            prefixes.push(db.read().unwrap().digest());
         }
 
         // Run until the injected crash fires or the replica fully
@@ -98,10 +93,7 @@ fn kill_at_every_frame_boundary_leaves_a_committed_prefix() {
         }
 
         let replica_db = replica.db();
-        let replica_fp = {
-            let w = replica_db.read().unwrap_or_else(PoisonError::into_inner);
-            fingerprint(&w)
-        };
+        let replica_fp = replica_db.read().unwrap().digest();
         assert!(
             prefixes.contains(&replica_fp),
             "budget {budget}: replica state is not a committed prefix (applied={applied})"

@@ -282,7 +282,7 @@ pub struct MultiClient {
 }
 
 /// Split `"host:port"`.
-pub fn split_endpoint(s: &str) -> io::Result<(String, u16)> {
+fn split_endpoint(s: &str) -> io::Result<(String, u16)> {
     let (host, port) = s
         .rsplit_once(':')
         .ok_or_else(|| io::Error::other(format!("endpoint '{s}' is not host:port")))?;
@@ -434,6 +434,20 @@ fn transient(e: &io::Error) -> bool {
     )
 }
 
+/// Value of a counter/gauge line in a Prometheus text exposition.
+/// `metric` is the dotted registry name (`server.plan_cache.hits`).
+pub fn prom_value(text: &str, metric: &str) -> Option<u64> {
+    let flat: String = metric
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    text.lines().find_map(|l| {
+        let rest = l.strip_prefix(&flat)?;
+        let rest = rest.strip_prefix(' ')?;
+        rest.trim().parse().ok()
+    })
+}
+
 /// Parse a full `Connection: close` response capture.
 fn parse_reply(raw: &[u8]) -> io::Result<Reply> {
     let header_end = raw
@@ -479,6 +493,16 @@ mod tests {
         assert_eq!(r.header("content-type"), Some("text/plain"));
         assert_eq!(r.body_str(), "ok\n");
         assert!(r.is_ok());
+    }
+
+    #[test]
+    fn prom_value_finds_flat_counter_lines() {
+        let text = "# TYPE server_plan_cache_hits counter\nserver_plan_cache_hits 42\n\
+                    server_plan_cache_misses 7\nserver_inflight 0\n";
+        assert_eq!(prom_value(text, "server.plan_cache.hits"), Some(42));
+        assert_eq!(prom_value(text, "server.plan_cache.misses"), Some(7));
+        assert_eq!(prom_value(text, "server.inflight"), Some(0));
+        assert_eq!(prom_value(text, "absent.metric"), None);
     }
 
     /// What the scripted server does with the n-th connection.

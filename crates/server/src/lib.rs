@@ -19,17 +19,16 @@
 //! * [`render`] — one `Row` shape for planner and interpreter results,
 //!   rendered as XML or JSON; shared with tests so "server response ≡
 //!   direct execution" is a byte comparison.
-//! * [`client`] — `mct-client`, a tiny blocking HTTP helper.
-//! * [`load`] — closed-loop load generation (used by
-//!   `bench/src/bin/loadgen.rs`).
+//! * [`client`] — `mct-client`, a tiny blocking HTTP helper, and
+//!   [`prom_value`] for reading one line of `GET /metrics`.
 //! * [`obslog`] — structured JSON request log (`--log-json`) and the
 //!   bounded slow-query capture ring behind `GET /slow`.
 //! * [`stats`] — windowed time-series derivation for `GET /stats`
 //!   (qps, error rate, latency quantiles, pool hit ratio per sampler
 //!   interval), fed by the [`mct_obs::Sampler`] ring.
-//! * [`json`] — `mct_obs::json`, re-exported: the JSON reader `mcttop`,
-//!   `loadgen` and the tests use to consume the observability
-//!   endpoints, and the escaper behind every JSON body.
+//! * [`json`] — `mct_obs::json`, re-exported: the JSON reader `mcttop`
+//!   and the tests use to consume the observability endpoints, and the
+//!   escaper behind every JSON body.
 //!
 //! Replication (`mct-repl`) plugs in beside the server: `mctd
 //! --repl-listen` streams the WAL to replicas, `mctd --replica-of`
@@ -48,18 +47,16 @@
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod load;
 pub mod obslog;
 pub mod render;
 pub mod server;
 pub mod stats;
 
 pub use cache::{PlanCache, Prepared};
-pub use client::{split_endpoint, Client, MultiClient, Reply};
+pub use client::{prom_value, Client, MultiClient, Reply};
 pub use http::{Request, Response};
 pub use mct_obs::json;
 pub use json::Json;
-pub use load::{prom_value, LoadReport, LoadSpec};
 pub use obslog::{ExecKind, RequestLog, RequestRecord, SlowLog};
 pub use render::{render_json, render_xml, rows_from_items, rows_from_tuples, Row};
 pub use server::{serve, serve_shared, AppState, ObsState, ServerConfig, ServerHandle, ServerMetrics};

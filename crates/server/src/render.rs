@@ -49,7 +49,7 @@ pub fn node_row<D: DiskManager>(s: &StoredDb<D>, n: McNodeId) -> Row {
 }
 
 /// Rows for a planner result set (first column of each tuple, matching
-/// `mctq --plan-exec` output).
+/// `mctq` output for a planned path).
 pub fn rows_from_tuples<D: DiskManager>(s: &StoredDb<D>, tuples: &[Tuple]) -> Vec<Row> {
     tuples.iter().map(|t| node_row(s, t[0].node)).collect()
 }

@@ -25,7 +25,9 @@
 //!   and every `/update` take the **write** lock. Which lock a query
 //!   takes is decided once, from its parsed expression
 //!   ([`Prepared::creates_color`]), and counted in
-//!   `server.query.read_lock` / `server.query.write_lock`.
+//!   `server.query.read_lock` / `server.query.write_lock`. Both writes
+//!   run as one store transaction, and a replica refuses both with
+//!   `421` before it takes any lock.
 //!
 //! ## Cancellation
 //!
@@ -51,7 +53,7 @@ use mct_obs::{Counter, Gauge, Histogram, Sampler, SamplerHandle};
 use mct_query::plan::plan_path;
 use mct_query::{
     eval, execute_update_with, parse_query, parse_update, CancelToken, EvalContext, EvalError,
-    Expr, PlanError,
+    Expr, Item, PlanError,
 };
 use mct_storage::{DiskManager, StorageError};
 use std::io::BufReader;
@@ -631,18 +633,8 @@ fn route<D: DiskManager>(state: &AppState<D>, req: &Request, ctx: &mut RequestCt
         }
         ("POST", "/update") => {
             let _t = state.metrics.lat_update.start_timer();
-            // A replica never executes writes: misdirect the client to
-            // the primary (421 + X-Primary, the same address a
-            // multi-endpoint client uses to re-route).
             if let Some(primary) = &state.cfg.primary_http {
-                return Response::text(
-                    421,
-                    format!(
-                        "{{\"error\":\"read-only replica\",\"primary\":\"{primary}\"}}\n"
-                    ),
-                )
-                .content_type("application/json")
-                .header("X-Primary", primary);
+                return misdirect(primary);
             }
             handle_update(state, req, ctx)
         }
@@ -658,6 +650,30 @@ fn route<D: DiskManager>(state: &AppState<D>, req: &Request, ctx: &mut RequestCt
         }
         _ => Response::text(404, "not found\n"),
     }
+}
+
+/// A replica never executes writes: misdirect the client to the
+/// primary (421 + X-Primary, the same address a multi-endpoint client
+/// uses to re-route).
+fn misdirect(primary: &str) -> Response {
+    Response::text(
+        421,
+        format!("{{\"error\":\"read-only replica\",\"primary\":\"{primary}\"}}\n"),
+    )
+    .content_type("application/json")
+    .header("X-Primary", primary)
+}
+
+/// `408` once the request's deadline has passed.
+fn past_deadline<D: DiskManager>(
+    state: &AppState<D>,
+    cancel: Option<&CancelToken>,
+) -> Option<Response> {
+    if !cancel.is_some_and(CancelToken::is_cancelled) {
+        return None;
+    }
+    state.metrics.timeouts.inc();
+    Some(Response::text(408, "deadline exceeded\n"))
 }
 
 /// The request's cancel token: `X-Deadline-Ms` wins over the server
@@ -700,6 +716,14 @@ fn handle_query<D: DiskManager>(
     }
     ctx.query = Some(text.to_string());
     ctx.record.query_hash = fnv1a(text);
+    // `createColor` is a write, so a replica refuses it as it refuses
+    // `/update`, before it takes any lock. The substring test spares
+    // every other query a second parse.
+    if let Some(primary) = &state.cfg.primary_http {
+        if text.contains("createColor") && parse_query(text).is_ok_and(|e| e.calls("createColor")) {
+            return misdirect(primary);
+        }
+    }
     let json = wants_json(req);
     let cancel = request_cancel(state, req);
 
@@ -765,30 +789,34 @@ fn handle_query<D: DiskManager>(
     if !prepared.creates_color {
         state.metrics.query_read_lock.inc();
         ctx.record.exec = ExecKind::Interp;
-        return interpret(state, EvalContext::shared(&db), &prepared.expr, cancel, ctx, json);
+        if let Some(r) = past_deadline(state, cancel.as_ref()) {
+            return r;
+        }
+        let items = eval(&mut EvalContext::shared(&db), &prepared.expr);
+        return respond_items(&db, items, ctx, json);
     }
     drop(db);
     let mut db = state.db.write().unwrap_or_else(PoisonError::into_inner);
     state.metrics.query_write_lock.inc();
     ctx.record.exec = ExecKind::CreateColor;
-    interpret(state, EvalContext::new(&mut db), &prepared.expr, cancel, ctx, json)
+    if let Some(r) = past_deadline(state, cancel.as_ref()) {
+        return r;
+    }
+    // One transaction, as an update is: a refused `createColor` leaves
+    // the store as it was, and a successful one is committed — durable
+    // under a WAL and shipped to replicas.
+    let items = db.with_txn(|s| eval(&mut EvalContext::new(s), &prepared.expr));
+    respond_items(&db, items, ctx, json)
 }
 
-/// Evaluate `expr` in the interpreter and render its answer, both
-/// under the lock `ectx` holds.
-fn interpret<D: DiskManager>(
-    state: &AppState<D>,
-    mut ectx: EvalContext<'_, D>,
-    expr: &Expr,
-    cancel: Option<CancelToken>,
+/// Render the interpreter's answer, or its error.
+fn respond_items<D: DiskManager>(
+    stored: &StoredDb<D>,
+    items: Result<Vec<Item>, EvalError>,
     ctx: &mut RequestCtx,
     json: bool,
 ) -> Response {
-    if cancel.is_some_and(|c| c.is_cancelled()) {
-        state.metrics.timeouts.inc();
-        return Response::text(408, "deadline exceeded\n");
-    }
-    let items = match eval(&mut ectx, expr) {
+    let items = match items {
         Ok(items) => items,
         Err(EvalError::Storage(e)) => {
             return Response::text(500, format!("execution failed: {e}\n"))
@@ -796,7 +824,7 @@ fn interpret<D: DiskManager>(
         Err(e) => return Response::text(400, format!("query error: {e}\n")),
     };
     ctx.record.rows = items.len() as u64;
-    let rows = render::rows_from_items(&ectx.stored, &items);
+    let rows = render::rows_from_items(stored, &items);
     respond_rows(&rows, json)
 }
 
@@ -832,11 +860,8 @@ fn handle_update<D: DiskManager>(
     // Deadline is only honored before the update starts; once running,
     // the statement either commits whole or rolls back whole (the
     // update executor wraps both phases in a store transaction).
-    if let Some(c) = &cancel {
-        if c.is_cancelled() {
-            state.metrics.timeouts.inc();
-            return Response::text(408, "deadline exceeded\n");
-        }
+    if let Some(r) = past_deadline(state, cancel.as_ref()) {
+        return r;
     }
     let out = match execute_update_with(&mut db, &stmt, None) {
         Ok(o) => o,

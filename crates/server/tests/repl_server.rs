@@ -1,8 +1,9 @@
 //! Two-node serving: a replication primary and a live replica, each
 //! behind its own in-process HTTP front end. Covers the read path
 //! (byte-identical query results once the replica catches up), the
-//! write path (`/update` on the replica is misdirected to the primary
-//! with `421` + `X-Primary`), and the `role` field on `/healthz`.
+//! write path (`/update` and `createColor` on the replica are
+//! misdirected to the primary with `421` + `X-Primary`), and the `role`
+//! field on `/healthz`.
 
 use mct_core::StoredDb;
 use mct_repl::{start_primary, start_replica, PrimaryCfg, ReplicaCfg};
@@ -138,4 +139,36 @@ fn two_node_cluster_misdirects_writes_and_converges_reads() {
     replica.shutdown();
     primary_http.shutdown();
     primary.shutdown();
+}
+
+/// `createColor` writes a colored tree, so a replica's front end
+/// refuses it as it refuses `/update`: `421` + `X-Primary` before it
+/// takes any lock (the store's write lock is held throughout), and the
+/// replicated store keeps its palette.
+#[test]
+fn create_color_on_a_replica_is_misdirected_before_any_lock() {
+    let db = Arc::new(RwLock::new(wal_movies_store()));
+    let primary = "127.0.0.1:8642";
+    let replica_http = serve_shared(
+        Arc::clone(&db),
+        ServerConfig {
+            primary_http: Some(primary.to_string()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("replica http");
+    let client = Client::new("127.0.0.1", replica_http.port()).with_timeout(Duration::from_secs(5));
+    let colors = db.read().unwrap().db.palette.len();
+
+    let held = db.write().unwrap();
+    let create = r#"createColor("byv", <byv>{ document("m")/{green}descendant::movie }</byv>)"#;
+    let reply = client.query(create).expect("a reply under the write lock");
+    drop(held);
+    assert_eq!(reply.status, 421, "{}", reply.body_str());
+    assert_eq!(reply.header("X-Primary"), Some(primary));
+    let db = db.read().unwrap();
+    assert_eq!(db.db.palette.len(), colors);
+    assert!(db.db.palette.get("byv").is_none());
+    drop(db);
+    replica_http.shutdown();
 }

@@ -297,6 +297,50 @@ fn create_color_over_http_keeps_the_store_checkable_and_queryable() {
     handle.shutdown();
 }
 
+/// The paper's dupl-problem (§4.2): each tree would hold a movie's name
+/// twice, so `createColor` refuses it.
+const DUPL_PROBLEM: &str = r#"for $m in document("m")/{green}descendant::movie[{green}child::votes > 10]
+    return createColor("black", <dupl-problem>
+        <m1> { $m/{green}child::name } </m1>
+        <m2> { $m/{green}child::name } </m2>
+    </dupl-problem>)"#;
+
+/// A refused `createColor` runs as one transaction that rolls back: a
+/// 4xx, and not a node, color or catalog byte changed.
+#[test]
+fn a_refused_create_color_leaves_the_store_unchanged() {
+    let _guard = test_lock();
+    let handle = start(ServerConfig::default());
+    let client = Client::new("127.0.0.1", handle.port());
+    let observe = || {
+        let db = handle.state().db.read().unwrap();
+        let palette: Vec<String> = db.db.palette.iter().map(|(_, n)| n.to_string()).collect();
+        (db.db.len(), palette, db.snapshot_catalog())
+    };
+    let before = observe();
+    let refused = client.query(DUPL_PROBLEM).expect("reply");
+    assert!((400..500).contains(&refused.status), "{}", refused.body_str());
+    assert!(observe() == before, "a refused createColor changed the store");
+    handle.shutdown();
+}
+
+/// A successful `createColor` on a WAL-backed store is committed by the
+/// request that ran it, not left for the next `/update` to sync.
+#[test]
+fn create_color_on_a_wal_store_is_committed() {
+    let _guard = test_lock();
+    let (stored, _injector) = faulted_store();
+    let handle = serve(stored, ServerConfig::default()).expect("server starts");
+    let client = Client::new("127.0.0.1", handle.port());
+    let created = client.query(CREATE_BYV).expect("createColor");
+    assert_eq!(created.status, 200, "{}", created.body_str());
+    let db = handle.state().db.read().unwrap();
+    assert!(db.db.palette.get("byv").is_some());
+    assert!(db.is_synced(), "createColor left uncommitted changes");
+    drop(db);
+    handle.shutdown();
+}
+
 /// A `createColor` past the 32-color palette is a query error: `400`,
 /// the store unchanged and still checkable, the server serviceable.
 #[test]

@@ -27,7 +27,7 @@ use std::net::TcpListener;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use mct_core::{McNodeId, MctDatabase, StoredDb};
+use mct_core::{MctDatabase, StoredDb};
 use mct_query::ast::{Expr, UpdateStmt};
 use mct_query::{
     eval, execute_update_with, plan_path, EvalContext, EvalError, Item, PlanError, Tuple,
@@ -218,44 +218,6 @@ impl Default for DiffConfig {
             surfaces: SurfaceSet::all(),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Logical digest
-// ---------------------------------------------------------------------------
-
-/// Order-independent logical digest of a database: per node, its tag,
-/// content, attributes, color set, and per-color parent. Two stores
-/// that applied the same ops to clones of one base have identical node
-/// ids, so digests compare directly.
-pub fn digest(db: &MctDatabase) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for i in 0..db.len() {
-        let n = McNodeId(i as u32);
-        let node = db.node(n);
-        let name = node
-            .name
-            .map(|s| db.names.resolve(s).to_string())
-            .unwrap_or_default();
-        let content = node.content.as_deref().unwrap_or("");
-        let mut attrs: Vec<String> = node
-            .attrs
-            .iter()
-            .map(|(k, v)| format!("{}={}", db.names.resolve(*k), v))
-            .collect();
-        attrs.sort();
-        let mut colors: Vec<&str> = node.colors.iter().map(|c| db.palette.name(c)).collect();
-        colors.sort_unstable();
-        let _ = write!(out, "n{i} <{name}> [{content}] a{attrs:?} c{colors:?}");
-        for (c, cname) in db.palette.iter() {
-            if let Some(p) = db.parent(n, c) {
-                let _ = write!(out, " {cname}<-n{}", p.0);
-            }
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// Items as comparable text: see [`canon_item`].
@@ -452,10 +414,10 @@ pub fn run_case(base: &MctDatabase, ops: &[CaseOp], cfg: &DiffConfig) -> Result<
     let result = result.and_then(|()| {
         // Final sweep: mctck every store, cross-check digests.
         check_store(&oracle, "oracle")?;
-        let want = digest(&oracle.db);
+        let want = oracle.digest();
         if let Some(pl) = planned.as_ref() {
             check_store(pl, "planned")?;
-            if digest(&pl.db) != want {
+            if pl.digest() != want {
                 return Err(div(
                     "planned",
                     None,
@@ -466,7 +428,7 @@ pub fn run_case(base: &MctDatabase, ops: &[CaseOp], cfg: &DiffConfig) -> Result<
         if let Some(rig) = rig.as_ref() {
             let g = rig.shared.read().unwrap();
             check_store(&g, "served")?;
-            if digest(&g.db) != want {
+            if g.digest() != want {
                 return Err(div(
                     "served",
                     None,
@@ -477,7 +439,7 @@ pub fn run_case(base: &MctDatabase, ops: &[CaseOp], cfg: &DiffConfig) -> Result<
             if let Some(rep) = rig.replica.as_ref() {
                 let g = rep.db.read().unwrap();
                 check_store(&g, "replica")?;
-                if digest(&g.db) != want {
+                if g.digest() != want {
                     return Err(div(
                         "replica",
                         None,
@@ -525,12 +487,12 @@ fn run_query(
     at: Option<usize>,
 ) -> Result<(), Divergence> {
     let text = e.to_string();
-    let before = digest(&oracle.db);
+    let before = oracle.digest();
     let oracle_items = {
         let mut ctx = EvalContext::new(oracle);
         eval(&mut ctx, e)
     };
-    if digest(&oracle.db) != before {
+    if oracle.digest() != before {
         return Err(div("oracle", at, format!("the read {text:?} changed the store")));
     }
     let oracle_canon = match &oracle_items {
@@ -677,7 +639,7 @@ fn run_query(
                     ));
                 }
             }
-            if digest(&rig.shared.read().unwrap().db) != before {
+            if rig.shared.read().unwrap().digest() != before {
                 return Err(div("served", at, format!("the read {text:?} changed the store")));
             }
             if let Some(rep) = rig.replica.as_ref() {
@@ -718,7 +680,7 @@ fn run_update(
         Ok(o) => Ok((o.tuples, o.elements)),
         Err(e) => Err(e.to_string()),
     };
-    let want_digest = digest(&oracle.db);
+    let want_digest = oracle.digest();
 
     if let Some(pl) = planned {
         let out = execute_update_with(pl, u, None);
@@ -733,7 +695,7 @@ fn run_update(
                 format!("update outcome {canon:?} != oracle {oracle_canon:?} for {text:?}"),
             ));
         }
-        if digest(&pl.db) != want_digest {
+        if pl.digest() != want_digest {
             return Err(div(
                 "planned",
                 at,
@@ -783,7 +745,7 @@ fn run_update(
         }
         let served_digest = {
             let g = rig.shared.read().unwrap();
-            digest(&g.db)
+            g.digest()
         };
         if served_digest != want_digest {
             return Err(div(
@@ -798,7 +760,7 @@ fn run_update(
             loop {
                 let got = {
                     let g = rep.db.read().unwrap();
-                    digest(&g.db)
+                    g.digest()
                 };
                 if got == want_digest {
                     break;

@@ -19,7 +19,7 @@ use mct_query::{execute_update_with, EvalError};
 use mct_storage::{BufferPool, FaultDisk, FaultInjector, MemDisk, StorageError, Wal};
 use mct_workloads::rng::XorShiftRng;
 
-use crate::diff::{canon_items, digest, CaseOp, Divergence, POOL_BYTES};
+use crate::diff::{canon_items, CaseOp, Divergence, POOL_BYTES};
 
 fn div(op: Option<usize>, detail: String) -> Divergence {
     Divergence {
@@ -105,8 +105,8 @@ pub fn run_fault_case(
 
     injector.disarm();
     check_clean(&faulted, None, "at end of case")?;
-    let committed = digest(&faulted.db);
-    if committed != digest(&oracle.db) {
+    let committed = faulted.digest();
+    if committed != oracle.digest() {
         return Err(div(
             None,
             "final faulted-store state differs from oracle".to_string(),
@@ -125,7 +125,7 @@ fn recover_and_compare(faulted: Faulted, committed: &str) -> Result<(), Divergen
         .map_err(|e| recovery(e.to_string()))?
         .ok_or_else(|| recovery("no durable commit".to_string()))?;
     check_clean(&recovered, None, "after recovery")?;
-    if digest(&recovered.db) != committed {
+    if recovered.digest() != committed {
         return Err(div(
             None,
             "recovered store differs from the last committed state".to_string(),
@@ -142,13 +142,13 @@ fn run_faulted_update(
     rng: &mut XorShiftRng,
     at: Option<usize>,
 ) -> Result<(), Divergence> {
-    let pre = digest(&faulted.db);
+    let pre = faulted.digest();
     let oracle_out = execute_update_with(oracle, u, None);
     let oracle_canon = match &oracle_out {
         Ok(o) => Ok((o.tuples, o.elements)),
         Err(e) => Err(e.to_string()),
     };
-    let post = digest(&oracle.db);
+    let post = oracle.digest();
 
     // Apply `u` cleanly and require agreement with the oracle.
     let apply_clean = |faulted: &mut Faulted| -> Result<(), Divergence> {
@@ -163,7 +163,7 @@ fn run_faulted_update(
                 format!("update outcome {canon:?} != oracle {oracle_canon:?}"),
             ));
         }
-        if digest(&faulted.db) != post {
+        if faulted.digest() != post {
             return Err(div(at, "state digest differs from oracle".to_string()));
         }
         Ok(())
@@ -185,7 +185,7 @@ fn run_faulted_update(
                 if r.is_ok() {
                     return Err(div(at, "injected txn abort was swallowed".to_string()));
                 }
-                if digest(&faulted.db) != pre {
+                if faulted.digest() != pre {
                     return Err(div(
                         at,
                         "aborted txn left a visible state change".to_string(),
@@ -205,7 +205,7 @@ fn run_faulted_update(
                     // fewer writes) — it must still match the oracle.
                     injector.disarm();
                     let canon: Result<(usize, usize), String> = Ok((out.tuples, out.elements));
-                    if canon != oracle_canon || digest(&faulted.db) != post {
+                    if canon != oracle_canon || faulted.digest() != post {
                         return Err(div(
                             at,
                             format!("update outcome {canon:?} != oracle {oracle_canon:?} (fault unarmed path)"),
@@ -214,7 +214,7 @@ fn run_faulted_update(
                 }
                 Err(EvalError::Storage(_)) => {
                     injector.disarm();
-                    let now = digest(&faulted.db);
+                    let now = faulted.digest();
                     if now != pre && now != post {
                         return Err(div(
                             at,
@@ -245,7 +245,7 @@ fn run_faulted_update(
                             format!("faulted store errored ({e}) where oracle succeeded"),
                         ));
                     }
-                    if digest(&faulted.db) != pre {
+                    if faulted.digest() != pre {
                         return Err(div(
                             at,
                             "failed update left a visible state change".to_string(),

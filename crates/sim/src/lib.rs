@@ -22,7 +22,7 @@ pub mod fault;
 pub mod gen;
 pub mod shrink;
 
-pub use diff::{digest, run_case, CaseOp, DiffConfig, Divergence, SurfaceSet};
+pub use diff::{run_case, CaseOp, DiffConfig, Divergence, SurfaceSet};
 pub use fault::run_fault_case;
 pub use gen::{gen_doc, gen_query, gen_soup, gen_update, DocSpec, NodeSpec};
 pub use shrink::{live_elements, max_steps, minimize, Shrunk};

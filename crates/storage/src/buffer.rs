@@ -315,9 +315,6 @@ pub struct BufferPool<D: DiskManager> {
     txn_active: AtomicBool,
 }
 
-/// Default pool capacity: 256 MiB, the paper's configuration.
-pub const DEFAULT_POOL_BYTES: usize = 256 * 1024 * 1024;
-
 impl<D: DiskManager> BufferPool<D> {
     /// Create a pool of `capacity_bytes / PAGE_SIZE` frames (min 8).
     pub fn new(disk: D, capacity_bytes: usize) -> Self {
@@ -344,11 +341,6 @@ impl<D: DiskManager> BufferPool<D> {
             txn: Mutex::new(None),
             txn_active: AtomicBool::new(false),
         }
-    }
-
-    /// Pool with the paper's default 256 MiB capacity.
-    pub fn with_default_capacity(disk: D) -> Self {
-        Self::new(disk, DEFAULT_POOL_BYTES)
     }
 
     /// Maximum number of frames.

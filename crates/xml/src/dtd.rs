@@ -213,11 +213,6 @@ impl Dtd {
         self.elements.get(name)
     }
 
-    /// Iterate element declarations (unordered).
-    pub fn element_decls(&self) -> impl Iterator<Item = &ElementDecl> {
-        self.elements.values()
-    }
-
     // ----- validation -------------------------------------------------------
 
     /// Validate a document against this DTD: root name, content models

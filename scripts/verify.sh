@@ -32,9 +32,9 @@ echo "$analyze_out" | grep -q "^total: .* rows" \
 
 echo "==> parallel execution smoke (4 threads == 1 thread)"
 seq_out=$(cargo run --release --offline --bin mctq -- \
-    --db tpcw --scale 0.05 --plan-exec --threads 1 "$ANALYZE_QUERY" 2>/dev/null)
+    --db tpcw --scale 0.05 --threads 1 "$ANALYZE_QUERY" 2>/dev/null)
 par_out=$(cargo run --release --offline --bin mctq -- \
-    --db tpcw --scale 0.05 --plan-exec --threads 4 "$ANALYZE_QUERY" 2>/dev/null)
+    --db tpcw --scale 0.05 --threads 4 "$ANALYZE_QUERY" 2>/dev/null)
 [ "$seq_out" = "$par_out" ] \
     || { echo "FAIL: --threads 4 output differs from --threads 1"; exit 1; }
 echo "$par_out" | grep -q "result(s) via planner" \

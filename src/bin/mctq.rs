@@ -11,34 +11,34 @@
 //! * `--db movies|tpcw|sigmod` — which built-in database to load
 //!   (default `movies`, the paper's Figure 2).
 //! * `--scale X` — generator scale for tpcw/sigmod (default 0.05).
-//! * `--explain` — show the physical plan when the heuristic planner
-//!   covers the query (bare colored paths); the interpreter is used
-//!   for execution either way unless `--plan-exec` is given.
-//! * `--plan-exec` — execute through the planner's pipeline instead of
-//!   the interpreter (bare paths only).
-//! * `--analyze` — EXPLAIN ANALYZE: execute through the planner and
-//!   print the plan tree annotated with per-operator actual rows,
-//!   elapsed time, and buffer-pool hit/miss deltas (bare paths only).
-//! * `--threads N` — execute planner pipelines (`--plan-exec` /
-//!   `--analyze`) with N worker threads via the morsel-driven parallel
-//!   executor; output is identical to `--threads 1` (default 1).
+//! * `--explain` — show the physical plan when the planner covers the
+//!   query, or why it does not.
+//! * `--analyze` — EXPLAIN ANALYZE: print the plan tree annotated with
+//!   per-operator actual rows, elapsed time, and buffer-pool hit/miss
+//!   deltas (plannable bare paths only).
+//! * `--threads N` — run planner pipelines with N worker threads via
+//!   the morsel-driven parallel executor; output is identical to
+//!   `--threads 1` (default 1).
 //! * `--metrics-json` / `--metrics-prom` — after the query, dump the
 //!   global metrics registry as JSON / Prometheus text to stdout.
 //! * `--update` — treat the input as an update statement.
+//!
+//! A query runs as `mctd` runs it: a bare path the planner covers runs
+//! on the planner, anything else in the interpreter.
 //!
 //! Exit codes distinguish failure classes for scripting:
 //! * `0` — success.
 //! * `2` — usage error (bad flags, unknown database, missing query).
 //! * `3` — the query/update text failed to parse.
-//! * `4` — the planner rejected the query (`--analyze`/`--plan-exec`
-//!   on an expression outside the plannable fragment).
+//! * `4` — the planner rejected the query (an unknown color, or
+//!   `--analyze` on an expression outside the plannable fragment).
 //! * `5` — I/O or execution failure (store build, storage layer,
 //!   runtime evaluation).
 
 use colorful_xml::core::StoredDb;
 use colorful_xml::query::plan::plan_path;
 use colorful_xml::query::{
-    eval, execute_update_with, parse_query, parse_update, EvalContext, Expr, Item,
+    eval, execute_update_with, parse_query, parse_update, EvalContext, Expr, Item, PlanError,
 };
 use colorful_xml::workloads::{movies, SigmodConfig, SigmodData, TpcwConfig, TpcwData};
 use std::io::Read;
@@ -59,7 +59,6 @@ struct Opts {
     db: String,
     scale: f64,
     explain: bool,
-    plan_exec: bool,
     analyze: bool,
     threads: usize,
     metrics_json: bool,
@@ -73,7 +72,6 @@ fn parse_opts() -> Opts {
         db: "movies".into(),
         scale: 0.05,
         explain: false,
-        plan_exec: false,
         analyze: false,
         threads: 1,
         metrics_json: false,
@@ -93,7 +91,6 @@ fn parse_opts() -> Opts {
                     .unwrap_or_else(|| usage_error("--scale needs a number"))
             }
             "--explain" => opts.explain = true,
-            "--plan-exec" => opts.plan_exec = true,
             "--analyze" => opts.analyze = true,
             "--threads" => {
                 opts.threads = it
@@ -108,11 +105,12 @@ fn parse_opts() -> Opts {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: mctq [--db movies|tpcw|sigmod] [--scale X] [--explain] \
-                     [--plan-exec] [--analyze] [--threads N] [--metrics-json] \
-                     [--metrics-prom] [--update] [QUERY]"
+                     [--analyze] [--threads N] [--metrics-json] [--metrics-prom] \
+                     [--update] [QUERY]"
                 );
                 std::process::exit(0);
             }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
             q => opts.query = Some(q.to_string()),
         }
     }
@@ -214,66 +212,54 @@ fn main() {
         std::process::exit(EXIT_PARSE);
     });
 
-    if opts.explain || opts.plan_exec || opts.analyze {
-        if let Expr::Path(p) = &expr {
-            match plan_path(&stored, p, true) {
-                Ok(plan) => {
-                    if opts.explain {
-                        eprintln!("-- physical plan --");
-                        eprint!("{}", plan.explain(&stored));
-                        eprintln!("-------------------");
-                    }
-                    if opts.analyze {
-                        let (out, report) = plan
-                            .execute_shared_analyze(&stored, opts.threads, None)
-                            .unwrap_or_else(|e| {
-                                eprintln!("plan execution failed: {e}");
-                                std::process::exit(EXIT_EXEC);
-                            });
+    let plan = match &expr {
+        Expr::Path(p) => plan_path(&stored, p, true),
+        _ => Err(PlanError::Unsupported("not a bare path".into())),
+    };
+    match plan {
+        Ok(plan) => {
+            if opts.explain {
+                eprintln!("-- physical plan --");
+                eprint!("{}", plan.explain(&stored));
+                eprintln!("-------------------");
+            }
+            let out = if opts.analyze {
+                plan.execute_shared_analyze(&stored, opts.threads, None)
+                    .map(|(out, report)| {
                         println!("-- EXPLAIN ANALYZE --");
                         print!("{}", report.render());
                         println!("---------------------");
-                        println!("{} result(s) via planner:", out.len());
-                        for t in out.iter().take(50) {
-                            print_node(&stored, t[0].node);
-                        }
-                        if out.len() > 50 {
-                            println!("... ({} more)", out.len() - 50);
-                        }
-                        dump_metrics(&opts);
-                        return;
-                    }
-                    if opts.plan_exec {
-                        let out = plan
-                            .execute_shared(&stored, opts.threads, None)
-                            .unwrap_or_else(|e| {
-                                eprintln!("plan execution failed: {e}");
-                                std::process::exit(EXIT_EXEC);
-                            });
-                        println!("{} result(s) via planner:", out.len());
-                        for t in out.iter().take(50) {
-                            print_node(&stored, t[0].node);
-                        }
-                        if out.len() > 50 {
-                            println!("... ({} more)", out.len() - 50);
-                        }
-                        dump_metrics(&opts);
-                        return;
-                    }
-                }
-                Err(e) => {
-                    if opts.analyze {
-                        eprintln!("--analyze requires a plannable bare path: {e}");
-                        std::process::exit(EXIT_PLAN);
-                    }
-                    eprintln!("(planner fallback to interpreter: {e})");
-                }
+                        out
+                    })
+            } else {
+                plan.execute_shared(&stored, opts.threads, None)
+            };
+            let out = out.unwrap_or_else(|e| {
+                eprintln!("plan execution failed: {e}");
+                std::process::exit(EXIT_EXEC);
+            });
+            println!("{} result(s) via planner:", out.len());
+            for t in out.iter().take(50) {
+                print_node(&stored, t[0].node);
             }
-        } else if opts.plan_exec || opts.analyze {
-            eprintln!("--plan-exec/--analyze require a bare path expression; using interpreter");
+            if out.len() > 50 {
+                println!("... ({} more)", out.len() - 50);
+            }
+            dump_metrics(&opts);
+            return;
+        }
+        Err(PlanError::Unsupported(why)) => {
             if opts.analyze {
+                eprintln!("--analyze requires a plannable bare path: {why}");
                 std::process::exit(EXIT_PLAN);
             }
+            if opts.explain {
+                eprintln!("(not covered by the planner, running in the interpreter: {why})");
+            }
+        }
+        Err(e) => {
+            eprintln!("plan error: {e}");
+            std::process::exit(EXIT_PLAN);
         }
     }
 

@@ -16,13 +16,12 @@
 //! a store that keeps answering from the pre-update state without any
 //! recovery step.
 
-use mct_core::{ColorId, MctDatabase, StoredDb};
+use mct_core::{MctDatabase, StoredDb};
 use mct_storage::{DiskManager, FaultDisk, FaultInjector, FileDisk, PAGE_SIZE};
 use mct_workloads::{
     all_queries, run_update, Dataset, Params, QueryKind, SchemaKind, SigmodConfig, SigmodData,
     TpcwConfig, TpcwData, WorkloadQuery,
 };
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Enough frames that a small-scale store fits, small enough that the
@@ -39,34 +38,6 @@ fn datasets() -> (TpcwData, SigmodData) {
         seed: 42,
     });
     (tpcw, sigmod)
-}
-
-/// Full logical-state fingerprint: palette, then every node's tag,
-/// content, attributes, color set, and per-color interval code.
-fn digest<D: DiskManager>(s: &StoredDb<D>) -> String {
-    let mut out = String::new();
-    for (c, name) in s.db.palette.iter() {
-        writeln!(out, "c{} {name}", c.index()).unwrap();
-    }
-    for i in 0..s.db.len() {
-        let n = mct_core::McNodeId(i as u32);
-        write!(
-            out,
-            "n{i} {:?} {:?} {:?} {:?}",
-            s.db.name_str(n),
-            s.db.content(n),
-            s.fetch_attrs(n).ok(),
-            s.db.colors(n)
-        )
-        .unwrap();
-        for ci in 0..s.db.palette.len() {
-            if let Some(code) = s.db.code(n, ColorId(ci as u8)) {
-                write!(out, " c{ci}:[{},{}]@{}", code.start, code.end, code.level).unwrap();
-            }
-        }
-        out.push('\n');
-    }
-    out
 }
 
 fn test_dir(name: &str) -> PathBuf {
@@ -140,7 +111,7 @@ fn crash_loop_one(wq: &WorkloadQuery, base: &Path, work: &Path, pre_digest: &str
     run_update(&mut s, wq, SchemaKind::Mct).expect("clean update run");
     let total = injector.writes() - writes_before;
     assert!(total > 0, "{}: an update must cross write boundaries", wq.id);
-    let post_digest = digest(&s);
+    let post_digest = s.digest();
     // At this scale some statements match zero tuples; their commit
     // framing (begin/commit records, sync) still crosses write
     // boundaries and is still crash-tested below.
@@ -149,7 +120,7 @@ fn crash_loop_one(wq: &WorkloadQuery, base: &Path, work: &Path, pre_digest: &str
     drop(s);
     // The committed update survives a plain reopen.
     let reopened = recover(work).unwrap().expect("committed update is durable");
-    assert_eq!(digest(&reopened), post_digest, "{}: durability", wq.id);
+    assert_eq!(reopened.digest(), post_digest, "{}: durability", wq.id);
     drop(reopened);
 
     let (mut rolled_back, mut replayed) = (0u64, 0u64);
@@ -171,7 +142,7 @@ fn crash_loop_one(wq: &WorkloadQuery, base: &Path, work: &Path, pre_digest: &str
         let mut recovered = recover(work)
             .unwrap_or_else(|e| panic!("{} write {k}: recovery failed: {e}", wq.id))
             .unwrap_or_else(|| panic!("{} write {k}: base commit lost", wq.id));
-        let now = digest(&recovered);
+        let now = recovered.digest();
         if now == pre_digest {
             rolled_back += 1;
         } else if now == post_digest {
@@ -207,7 +178,7 @@ fn crash_loop_one(wq: &WorkloadQuery, base: &Path, work: &Path, pre_digest: &str
 fn build_base(dir: &Path, db: MctDatabase) -> String {
     let mut s = StoredDb::create(dir, db, POOL).expect("create base store");
     s.sync().expect("sync base store");
-    let d = digest(&s);
+    let d = s.digest();
     assert_clean(&s, "pristine base");
     d
 }
@@ -271,7 +242,7 @@ fn every_crash_point_through_a_checkpoint_recovers_atomically() {
         clone_store(&base, &work);
         let mut s = recover(&work).unwrap().expect("probe open");
         run_update(&mut s, &wq, SchemaKind::Mct).expect("probe update");
-        if digest(&s) != pre_digest {
+        if s.digest() != pre_digest {
             updates.push(wq);
         }
     }
@@ -309,7 +280,7 @@ fn every_crash_point_through_a_checkpoint_recovers_atomically() {
     let mut chain = vec![pre_digest.clone()];
     for wq in &updates {
         run_update(&mut s, wq, SchemaKind::Mct).expect("clean checkpointed update");
-        chain.push(digest(&s));
+        chain.push(s.digest());
     }
     let total = injector.writes() - before;
     assert_clean(&s, "clean checkpointed run");
@@ -326,7 +297,7 @@ fn every_crash_point_through_a_checkpoint_recovers_atomically() {
         wal_size(&work)
     );
     let reopened = recover(&work).unwrap().expect("durable");
-    assert_eq!(digest(&reopened), *chain.last().unwrap(), "durability");
+    assert_eq!(reopened.digest(), *chain.last().unwrap(), "durability");
     drop(reopened);
 
     let (mut at_pre, mut at_post) = (0u64, 0u64);
@@ -346,7 +317,7 @@ fn every_crash_point_through_a_checkpoint_recovers_atomically() {
         let mut recovered = recover(&work)
             .unwrap_or_else(|e| panic!("write {k}: recovery failed: {e}"))
             .unwrap_or_else(|| panic!("write {k}: base commit lost"));
-        let now = digest(&recovered);
+        let now = recovered.digest();
         assert!(
             chain.contains(&now),
             "write {k}: recovered to a state off the committed chain"
@@ -406,10 +377,10 @@ fn clean_io_error_rolls_back_without_recovery() {
     );
     // Same live handle, no recovery: exact pre-update state, checker
     // clean, and the statement succeeds on retry.
-    assert_eq!(digest(&s), pre_digest, "rollback must be byte-exact");
+    assert_eq!(s.digest(), pre_digest, "rollback must be byte-exact");
     assert_clean(&s, "after clean I/O error rollback");
     run_update(&mut s, &wq, SchemaKind::Mct).expect("retry after rollback");
-    assert_ne!(digest(&s), pre_digest);
+    assert_ne!(s.digest(), pre_digest);
     assert_clean(&s, "after retry");
     for d in [&base, &work] {
         let _ = std::fs::remove_dir_all(d);

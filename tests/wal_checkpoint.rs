@@ -10,13 +10,12 @@
 //! (single `#[test]`, own process, so the process-global registry sees
 //! no other WAL traffic).
 
-use mct_core::{ColorId, StoredDb};
-use mct_storage::{DiskManager, PAGE_SIZE};
+use mct_core::StoredDb;
+use mct_storage::PAGE_SIZE;
 use mct_workloads::{
     all_queries, run_update, Dataset, Params, QueryKind, SchemaKind, SigmodConfig, SigmodData,
     TpcwConfig, TpcwData, WorkloadQuery,
 };
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 const POOL: usize = 256 * PAGE_SIZE;
@@ -38,33 +37,6 @@ fn test_dir(name: &str) -> PathBuf {
 
 fn wal_size(dir: &Path) -> u64 {
     std::fs::metadata(dir.join("wal.log")).unwrap().len()
-}
-
-/// Logical-state fingerprint (palette + every node), as in txn_crash.
-fn digest<D: DiskManager>(s: &StoredDb<D>) -> String {
-    let mut out = String::new();
-    for (c, name) in s.db.palette.iter() {
-        writeln!(out, "c{} {name}", c.index()).unwrap();
-    }
-    for i in 0..s.db.len() {
-        let n = mct_core::McNodeId(i as u32);
-        write!(
-            out,
-            "n{i} {:?} {:?} {:?} {:?}",
-            s.db.name_str(n),
-            s.db.content(n),
-            s.fetch_attrs(n).ok(),
-            s.db.colors(n)
-        )
-        .unwrap();
-        for ci in 0..s.db.palette.len() {
-            if let Some(code) = s.db.code(n, ColorId(ci as u8)) {
-                write!(out, " c{ci}:[{},{}]@{}", code.start, code.end, code.level).unwrap();
-            }
-        }
-        out.push('\n');
-    }
-    out
 }
 
 fn tpcw_updates(p: &Params) -> Vec<WorkloadQuery> {
@@ -148,7 +120,7 @@ fn sustained_updates_keep_the_wal_bounded_and_recovery_short() {
             .unwrap_or_else(|e| panic!("trailing update {i} ({}): {e}", wq.id));
     }
 
-    let before_restart = digest(&s);
+    let before_restart = s.digest();
     assert!(s.check().expect("checker").is_ok(), "pre-restart violations");
     drop(s);
 
@@ -176,7 +148,7 @@ fn sustained_updates_keep_the_wal_bounded_and_recovery_short() {
         images < 20 * per_commit_pages,
         "replay applied {images} page images; recovery is not short"
     );
-    assert_eq!(digest(&s), before_restart, "recovery changed the data");
+    assert_eq!(s.digest(), before_restart, "recovery changed the data");
     assert!(s.check().expect("checker").is_ok(), "post-restart violations");
     let _ = std::fs::remove_dir_all(&dir);
 }
