@@ -34,7 +34,7 @@
 //! otherwise checkpoint truncation has outrun the replica and a full
 //! snapshot is re-sent. See DESIGN.md §16.
 
-use mct_storage::crc32;
+use mct_storage::Crc32;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -354,7 +354,7 @@ fn frame_crc(typ: u8, payload: &[u8]) -> u32 {
     let mut head = [0u8; 5];
     head[0] = typ;
     head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    crc32(&[&head[..], payload].concat())
+    Crc32::new().update(&head).update(payload).finish()
 }
 
 /// Serialize and send one frame.

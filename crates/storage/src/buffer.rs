@@ -45,10 +45,10 @@
 //! the failed fetch never happened. With a [`Wal`] attached, the pool
 //! also tracks which pages were dirtied since the last commit;
 //! [`BufferPool::commit`] logs their images, writes a commit record,
-//! and enforces fsync-before-flush ordering so a crash at any write
-//! boundary is recoverable. Commit assumes the single-writer model
-//! (writes require `&mut` access at the database layer) and must not
-//! race other commits or writers.
+//! and fsyncs the log before it writes the pages back, so a crash at
+//! any write boundary is recoverable. Commit assumes the single-writer
+//! model (writes require `&mut` access at the database layer) and must
+//! not race other commits or writers.
 //!
 //! [`BufferPool::begin_txn`] opens a pool-level transaction: the
 //! first write to each pre-existing page captures its before-image
@@ -121,7 +121,8 @@ impl std::ops::Sub for PoolStats {
 
 /// Global-registry handles mirroring [`PoolStats`], shared by every
 /// pool in the process (`storage.pool.*`, `storage.corrupt_reads`,
-/// `storage.io_errors`).
+/// `storage.io_errors`), plus `storage.pool.fsyncs`: data-file fsyncs,
+/// which only [`BufferPool::checkpoint`] issues.
 struct PoolCounters {
     hits: Counter,
     misses: Counter,
@@ -129,6 +130,7 @@ struct PoolCounters {
     writebacks: Counter,
     corrupt_reads: Counter,
     io_errors: Counter,
+    fsyncs: Counter,
 }
 
 fn pool_counters() -> &'static PoolCounters {
@@ -140,6 +142,7 @@ fn pool_counters() -> &'static PoolCounters {
         writebacks: mct_obs::counter("storage.pool.writebacks"),
         corrupt_reads: mct_obs::counter("storage.corrupt_reads"),
         io_errors: mct_obs::counter("storage.io_errors"),
+        fsyncs: mct_obs::counter("storage.pool.fsyncs"),
     })
 }
 
@@ -901,11 +904,15 @@ impl<D: DiskManager> BufferPool<D> {
     /// 2. log a commit record carrying the data-file page count and
     ///    the caller's `catalog` blob;
     /// 3. fsync the log — the commit point;
-    /// 4. flush dirty frames and fsync the data file.
+    /// 4. write dirty frames back to the data file, without an fsync.
     ///
     /// A crash before step 3 recovers the previous commit; after it,
     /// this one (recovery replays the logged images over the data
-    /// file). Returns the commit record's LSN.
+    /// file). The log fsync is the commit's only one: between
+    /// checkpoints the data file is consistent only together with the
+    /// log, whose images since its start repair any write-back the
+    /// crash lost, and [`BufferPool::checkpoint`] fsyncs the data file
+    /// before the log drops them. Returns the commit record's LSN.
     ///
     /// Commit is an exclusive-writer operation: concurrent readers are
     /// fine, but racing it against writers or another commit is not
@@ -948,7 +955,6 @@ impl<D: DiskManager> BufferPool<D> {
             self.txn_active.store(false, Ordering::Release);
         }
         self.flush_all()?;
-        mlock(&self.disk).sync_data()?;
         Ok(lsn)
     }
 
@@ -980,14 +986,15 @@ impl<D: DiskManager> BufferPool<D> {
                 "checkpoint with uncommitted dirty pages",
             ));
         }
-        // 1. Make the committed state durable in the data file. After
-        // a successful commit this is usually a no-op (commit ends
-        // with the same flush + fsync), but checkpoint must not rely
-        // on who called it.
+        // 1. Make the committed state durable in the data file. Commit
+        // writes its pages back but never fsyncs them, so this fsync is
+        // what lets the log forget their images; the flush writes any
+        // frame a failed commit write-back left dirty.
         self.flush_all()?;
         let num_pages = {
             let mut disk = mlock(&self.disk);
             disk.sync_data()?;
+            pool_counters().fsyncs.inc();
             disk.num_pages()
         };
         // 2. Only now may the log advance its start pointer.

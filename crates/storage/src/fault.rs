@@ -9,6 +9,13 @@
 //!   seeded-pseudorandom prefix of the page reaches the media, the
 //!   call fails, and every later operation fails too (the process is
 //!   "dead"), modelling power loss mid-write;
+//! * **a volatile write cache** — when a disk that crashed is
+//!   dropped, each page written since its last successful
+//!   [`DiskManager::sync_data`] keeps its new bytes or reverts to the
+//!   bytes it had at that sync (a seeded coin per page), and pages
+//!   allocated since that sync may vanish from the end of the file.
+//!   So a crash test sees a missing fsync, not just a missing write.
+//!   Truncation is taken as durable at once;
 //! * **bit flips** — [`FaultDisk::flip_bit`] silently corrupts a bit
 //!   in the underlying store, modelling bit rot; checksums must catch
 //!   it on the next read.
@@ -23,6 +30,7 @@ use crate::disk::DiskManager;
 use crate::error::StorageError;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::Result;
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -133,16 +141,28 @@ impl FaultInjector {
 }
 
 /// A [`DiskManager`] wrapper that injects faults per its
-/// [`FaultInjector`] schedule.
+/// [`FaultInjector`] schedule. Dropped after a crash, it applies the
+/// volatile-cache model of the module doc to the inner disk.
 pub struct FaultDisk<D: DiskManager> {
     inner: D,
     injector: FaultInjector,
+    /// Page count at the last successful sync (or at wrapping).
+    synced_pages: u32,
+    /// Every page written since the last successful sync, with the
+    /// bytes it held then (zeros for a page allocated since).
+    unsynced: BTreeMap<u32, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl<D: DiskManager> FaultDisk<D> {
-    /// Wrap `inner`, drawing faults from `injector`.
+    /// Wrap `inner`, drawing faults from `injector`. Whatever `inner`
+    /// holds now counts as synced.
     pub fn new(inner: D, injector: FaultInjector) -> FaultDisk<D> {
-        FaultDisk { inner, injector }
+        FaultDisk {
+            synced_pages: inner.num_pages(),
+            inner,
+            injector,
+            unsynced: BTreeMap::new(),
+        }
     }
 
     /// The shared injector.
@@ -150,9 +170,18 @@ impl<D: DiskManager> FaultDisk<D> {
         self.injector.clone()
     }
 
-    /// Unwrap the inner disk.
-    pub fn into_inner(self) -> D {
-        self.inner
+    /// Remember the synced bytes of page `id` before its first write
+    /// since the last sync.
+    fn track(&mut self, id: PageId) -> Result<()> {
+        if self.unsynced.contains_key(&id.0) {
+            return Ok(());
+        }
+        let mut synced = Box::new([0u8; PAGE_SIZE]);
+        if id.0 < self.synced_pages {
+            self.inner.read(id, &mut synced[..])?;
+        }
+        self.unsynced.insert(id.0, synced);
+        Ok(())
     }
 
     /// Silently flip one bit of a stored page (bit rot). Bypasses the
@@ -214,6 +243,9 @@ impl<D: DiskManager> DiskManager for FaultDisk<D> {
                 Action::Pass
             }
         };
+        if !matches!(action, Action::FailClean) {
+            self.track(id)?;
+        }
         match action {
             Action::Pass => self.inner.write(id, buf),
             Action::FailClean => Err(FaultInjector::injected("write error")),
@@ -237,21 +269,50 @@ impl<D: DiskManager> DiskManager for FaultDisk<D> {
         if self.injector.state().dead {
             return Err(FaultInjector::injected("fsync on dead disk"));
         }
-        self.inner.sync_data()
+        self.inner.sync_data()?;
+        self.unsynced.clear();
+        self.synced_pages = self.inner.num_pages();
+        Ok(())
     }
 
     fn truncate(&mut self, num_pages: u32) -> Result<()> {
         if self.injector.state().dead {
             return Err(FaultInjector::injected("truncate on dead disk"));
         }
-        self.inner.truncate(num_pages)
+        self.inner.truncate(num_pages)?;
+        self.unsynced.retain(|&id, _| id < num_pages);
+        self.synced_pages = self.synced_pages.min(num_pages);
+        Ok(())
+    }
+}
+
+impl<D: DiskManager> Drop for FaultDisk<D> {
+    /// Power loss: when the disk crashed, lose part of what was never
+    /// synced. Errors are ignored — the process is "dead" anyway.
+    fn drop(&mut self) {
+        let mut s = self.injector.state();
+        if !s.dead {
+            return;
+        }
+        let pages = self.inner.num_pages();
+        if pages > self.synced_pages {
+            let span = u64::from(pages - self.synced_pages) + 1;
+            let keep = self.synced_pages + (s.next_rand() % span) as u32;
+            let _ = self.inner.truncate(keep);
+        }
+        let pages = self.inner.num_pages();
+        for (&id, synced) in &self.unsynced {
+            if id < pages && s.next_rand() & 1 == 0 {
+                let _ = self.inner.write(PageId(id), &synced[..]);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemDisk;
+    use crate::disk::{FileDisk, MemDisk};
 
     #[test]
     fn clean_write_failure_has_no_effect() {
@@ -327,6 +388,79 @@ mod tests {
         assert!(d.read(p, &mut buf).is_err());
         d.read(p, &mut buf).unwrap();
         assert_eq!(buf[0], 3);
+    }
+
+    /// A page file in the temp dir, fresh for `name`.
+    fn temp_file(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("mct-fault-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn a_crash_loses_only_unsynced_writes() {
+        let path = temp_file("volatile");
+        let (mut kept, mut reverted, mut vanished) = (0, 0, 0);
+        for seed in 0..16 {
+            let _ = std::fs::remove_file(&path);
+            let inj = FaultInjector::new(seed);
+            {
+                let mut d = FaultDisk::new(FileDisk::open(&path).unwrap(), inj.clone());
+                for _ in 0..4 {
+                    let p = d.allocate().unwrap();
+                    d.write(p, &[1u8; PAGE_SIZE]).unwrap();
+                }
+                d.sync_data().unwrap();
+                // Unsynced: an overwrite of each synced page, then four
+                // fresh pages.
+                for i in 0..4 {
+                    d.write(PageId(i), &[2u8; PAGE_SIZE]).unwrap();
+                }
+                for _ in 0..4 {
+                    let p = d.allocate().unwrap();
+                    d.write(p, &[2u8; PAGE_SIZE]).unwrap();
+                }
+                inj.crash_at_write(inj.writes());
+                assert!(d.write(PageId(7), &[3u8; PAGE_SIZE]).is_err());
+            }
+            let mut d = FileDisk::open(&path).unwrap();
+            let pages = d.num_pages();
+            assert!((4..=8).contains(&pages), "seed {seed}: {pages} pages");
+            vanished += 8 - pages;
+            let mut buf = [0u8; PAGE_SIZE];
+            for i in 0..pages {
+                d.read(PageId(i), &mut buf).unwrap();
+                let synced = if i < 4 { 1 } else { 0 };
+                if buf.iter().all(|&b| b == synced) {
+                    reverted += 1;
+                } else if i < 7 {
+                    assert!(buf.iter().all(|&b| b == 2), "seed {seed}: page {i} mixed");
+                    kept += 1;
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+        assert!(kept > 0 && reverted > 0 && vanished > 0, "{kept} {reverted} {vanished}");
+    }
+
+    #[test]
+    fn dropping_a_live_disk_keeps_every_write() {
+        let path = temp_file("live");
+        {
+            let mut d = FaultDisk::new(FileDisk::open(&path).unwrap(), FaultInjector::new(3));
+            for _ in 0..4 {
+                let p = d.allocate().unwrap();
+                d.write(p, &[5u8; PAGE_SIZE]).unwrap();
+            }
+        }
+        let mut d = FileDisk::open(&path).unwrap();
+        assert_eq!(d.num_pages(), 4);
+        let mut buf = [0u8; PAGE_SIZE];
+        for i in 0..4 {
+            d.read(PageId(i), &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 5));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod wal;
 
 pub use btree::BTree;
 pub use buffer::{BufferPool, PoolStats};
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use encoding::{IntervalCode, KeyEncoder};
 pub use error::StorageError;

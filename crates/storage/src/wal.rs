@@ -35,13 +35,16 @@
 //!
 //! The protocol in [`BufferPool::commit`](crate::BufferPool::commit)
 //! is: log images of all pages dirtied since the previous commit →
-//! log the commit record → fsync the log → flush the pool → fsync the
-//! data file. A crash at any point either recovers the previous commit
-//! (commit record not durable) or the new one (it is). Because every
-//! committed image is replayed on recovery, evicting an uncommitted
-//! dirty page to the data file between commits is safe: the overwrite
-//! is repaired by replay, and pages past the committed count are
-//! truncated away.
+//! log the commit record → fsync the log → flush the pool. The log
+//! fsync is the commit point and the only fsync a commit pays: the
+//! data file is not fsynced, so between checkpoints it is consistent
+//! only together with the log, whose images since its start redo any
+//! page write the crash lost. A crash at any point either recovers the
+//! previous commit (commit record not durable) or the new one (it is).
+//! Because every committed image is replayed on recovery, evicting an
+//! uncommitted dirty page to the data file between commits is safe:
+//! the overwrite is repaired by replay, and pages past the committed
+//! count are truncated away.
 //!
 //! The log is reset only by an explicit [`Wal::reset`] (a fresh
 //! database build); it is the authoritative copy of committed state.

@@ -36,6 +36,14 @@ fn encodes(kind: &str) -> u64 {
     mct_obs::counter(&format!("catalog.encodes.{kind}")).get()
 }
 
+/// Log and data-file fsyncs so far.
+fn fsyncs() -> (u64, u64) {
+    (
+        mct_obs::counter("wal.fsyncs").get(),
+        mct_obs::counter("storage.pool.fsyncs").get(),
+    )
+}
+
 /// One same-length replace-value commit at `scale`: the log bytes it
 /// appended, the bytes `begin_txn` alone appended, the size of the
 /// commit's catalog record, the store's node count and the size of its
@@ -56,6 +64,7 @@ fn one_update(s: &mut StoredDb) -> (u64, u64, usize, usize, usize) {
     new.push(if last == '9' { '8' } else { (last as u8 + 1) as char });
 
     let (full, delta) = (encodes("full"), encodes("delta"));
+    let (wal_fsyncs, pool_fsyncs) = fsyncs();
     let before = wal_len(s);
     let lsn = s.pool.with_wal(|w| Ok(w.committed_lsn())).unwrap();
     let txn = s.begin_txn().unwrap();
@@ -65,6 +74,11 @@ fn one_update(s: &mut StoredDb) -> (u64, u64, usize, usize, usize) {
     let committed = wal_len(s) - before;
     assert_eq!(encodes("full"), full, "begin + commit encoded a full catalog");
     assert_eq!(encodes("delta"), delta + 1, "the commit carries one delta");
+    assert_eq!(
+        fsyncs(),
+        (wal_fsyncs + 1, pool_fsyncs),
+        "a commit fsyncs the log once and the data file never"
+    );
     assert_eq!(s.fetch_content(cost).unwrap().as_deref(), Some(new.as_str()));
     let (records, _) = s
         .pool
@@ -157,5 +171,8 @@ fn one_value_commit_appends_o_change_to_the_log_at_any_scale() {
         }
         let report = s.check().unwrap();
         assert!(report.is_ok(), "scale {scale}: {report}");
+        let (_, pool_fsyncs) = fsyncs();
+        s.checkpoint().unwrap();
+        assert!(fsyncs().1 > pool_fsyncs, "scale {scale}: a checkpoint fsyncs the data file");
     }
 }
