@@ -118,9 +118,15 @@ impl CmpOp {
     /// so a NaN fails every operator but `!=`); otherwise they compare
     /// as strings, byte by byte.
     pub fn holds(self, l: &str, r: &str) -> bool {
-        let ord = match (as_number(l), as_number(r)) {
-            (Some(a), Some(b)) => a.partial_cmp(&b),
-            _ => Some(l.cmp(r)),
+        self.holds_parsed(l, r, as_number(r))
+    }
+
+    /// [`Self::holds`] with `r`'s number, `as_number(r)`, parsed once
+    /// by the caller: `l` is parsed only when `r` is a number.
+    pub fn holds_parsed(self, l: &str, r: &str, r_num: Option<f64>) -> bool {
+        let ord = match r_num.and_then(|b| Some((as_number(l)?, b))) {
+            Some((a, b)) => a.partial_cmp(&b),
+            None => Some(l.cmp(r)),
         };
         use std::cmp::Ordering::{Equal, Greater, Less};
         match self {
@@ -140,13 +146,49 @@ pub fn as_number(s: &str) -> Option<f64> {
     s.trim().parse::<f64>().ok()
 }
 
-/// Literal values.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Literal {
-    /// String literal.
-    Str(String),
-    /// Numeric literal.
-    Num(f64),
+/// A literal, with its text and its number fixed by the parser: the
+/// text a comparison sees (a number's as `atomize` writes it) and the
+/// number, when the text is one ([`as_number`]).
+#[derive(Clone, Debug)]
+pub struct Literal {
+    text: String,
+    num: Option<f64>,
+    quoted: bool,
+}
+
+impl Literal {
+    /// A string literal.
+    pub fn str(text: impl Into<String>) -> Literal {
+        let text = text.into();
+        Literal { num: as_number(&text), text, quoted: true }
+    }
+
+    /// A numeric literal.
+    pub fn num(n: f64) -> Literal {
+        Literal { text: crate::eval::format_num(n), num: Some(n), quoted: false }
+    }
+
+    /// Its text.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Its number, when its text is one.
+    pub fn number(&self) -> Option<f64> {
+        self.num
+    }
+
+    /// Whether it is a string literal.
+    pub fn is_str(&self) -> bool {
+        self.quoted
+    }
+}
+
+/// The number follows from the text.
+impl PartialEq for Literal {
+    fn eq(&self, other: &Literal) -> bool {
+        (self.quoted, &self.text) == (other.quoted, &other.text)
+    }
 }
 
 /// A FLWOR clause.
@@ -322,9 +364,10 @@ impl fmt::Display for CmpOp {
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Literal::Str(s) => write!(f, "\"{s}\""),
-            Literal::Num(n) => f.write_str(&crate::eval::format_num(*n)),
+        if self.quoted {
+            write!(f, "\"{}\"", self.text)
+        } else {
+            f.write_str(&self.text)
         }
     }
 }
@@ -595,7 +638,7 @@ mod tests {
                 steps: vec![name_step(None, Axis::Child, "name")],
             })),
             CmpOp::Eq,
-            Box::new(Expr::Lit(Literal::Str("Eve".into()))),
+            Box::new(Expr::Lit(Literal::str("Eve"))),
         );
         let outer = Expr::Path(PathExpr {
             start: PathStart::Document("mdb.xml".into()),
@@ -651,12 +694,12 @@ mod tests {
             where_: Some(Box::new(Expr::Cmp(
                 Box::new(path("m")),
                 CmpOp::Eq,
-                Box::new(Expr::Lit(Literal::Str("x".into()))),
+                Box::new(Expr::Lit(Literal::str("x"))),
             ))),
             target: "m".into(),
             actions: vec![UpdateAction::ReplaceValue(
                 path("m"),
-                Expr::Lit(Literal::Str("y".into())),
+                Expr::Lit(Literal::str("y")),
             )],
         };
         let c = update_complexity(&u);

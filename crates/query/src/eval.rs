@@ -1,10 +1,17 @@
 //! The MCXQuery interpreter.
 //!
 //! Navigational evaluation of parsed expressions against a
-//! [`StoredDb`]. This is the *specification-level* evaluator used by
-//! examples and tests; the benchmark queries run hand-picked physical
-//! plans from [`crate::ops`] instead, exactly as the paper did ("we
-//! manually specified the query plan").
+//! [`StoredDb`]. `mctd` serves every FLWOR and constructor with it,
+//! updates bind their tuples with its binding loop, and `mctfuzz`
+//! checks the planner against it, so it shares no code with the
+//! planner or the operators. Its cost rule: lookups are paid once per
+//! query and nothing is allocated per node. Each step resolves its
+//! `{color}` and name once per top-level [`eval`] (a memo cleared when
+//! `createColor` grows the palette or the interner); predicates,
+//! `where`, `and` and `or` evaluate to a `bool`; scratch sequences are
+//! pooled; variables live in a scope stack read by borrow. A
+//! [`CancelToken`] ([`EvalContext::with_cancel`]) is checked once per
+//! 256 tuples or step outputs.
 //!
 //! Semantics implemented from §4:
 //!
@@ -27,8 +34,10 @@
 //!   paper's *dynamic error* (the `dupl-problem` example).
 
 use crate::ast::*;
-use mct_core::{AttachError, ColorId, McNodeId, Palette, StoredDb};
+use crate::exec::CancelToken;
+use mct_core::{AttachError, ColorId, McNodeId, MctDatabase, Palette, StoredDb};
 use mct_storage::{DiskManager, MemDisk};
+use mct_xml::Sym;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -112,6 +121,9 @@ pub enum EvalError {
     /// `createColor` on a context that reads the store through a shared
     /// borrow ([`EvalContext::shared`]). The store is unchanged.
     ReadOnly,
+    /// The context's [`CancelToken`] fired: its deadline passed or it
+    /// was cancelled.
+    Cancelled,
     /// Anything else (type errors, unsupported forms).
     Dynamic(String),
 }
@@ -135,6 +147,7 @@ impl fmt::Display for EvalError {
             EvalError::ReadOnly => {
                 f.write_str("createColor changes the store, and this context only reads it")
             }
+            EvalError::Cancelled => f.write_str("query cancelled: deadline exceeded"),
             EvalError::Dynamic(m) => write!(f, "dynamic error: {m}"),
         }
     }
@@ -235,18 +248,61 @@ impl Materializer {
     }
 }
 
-/// Evaluation context: the stored database, variable bindings and the
-/// context item.
+/// A step as one query resolves it, once and not once per context
+/// node.
+#[derive(Clone, Copy)]
+enum Resolved {
+    /// An attribute step: its name's symbol, `None` when the store
+    /// never interned the name.
+    Attr(Option<Sym>),
+    /// A tree step: its color and node test.
+    Tree(ColorId, Test),
+}
+
+/// A node test over symbols.
+#[derive(Clone, Copy)]
+enum Test {
+    Any,
+    Element,
+    Name(Sym),
+    /// A name the store never interned names no node.
+    Never,
+}
+
+impl Test {
+    fn matches(self, db: &MctDatabase, n: McNodeId) -> bool {
+        match self {
+            Test::Any => true,
+            Test::Element => db.node(n).name.is_some(),
+            Test::Name(s) => db.node(n).name == Some(s),
+            Test::Never => false,
+        }
+    }
+}
+
+/// Evaluation context: the stored database, variable bindings, the
+/// context item, and the per-query memo and scratch space.
 pub struct EvalContext<'a, D: DiskManager = MemDisk> {
     /// The database queried and, by `createColor` alone, changed.
     pub stored: Store<'a, D>,
     /// Default color for steps without a `{color}` (plain XQuery over
     /// a single-colored database).
     pub default_color: Option<ColorId>,
-    vars: HashMap<String, Sequence>,
+    /// Variable bindings, innermost last. The first `bound` are live;
+    /// the rest keep their buffers for the next binding.
+    vars: Vec<(String, Sequence)>,
+    bound: usize,
     context_item: Option<Item>,
     /// What `createColor` made of built elements.
     made: Materializer,
+    /// The steps resolved in this top-level call, by address.
+    steps: Vec<(usize, Resolved)>,
+    /// Scratch sequences and node lists, reused.
+    seqs: Vec<Sequence>,
+    ids: Vec<Vec<McNodeId>>,
+    cancel: Option<CancelToken>,
+    /// Work done since the token was last checked.
+    ticks: usize,
 }
 
 impl<'a, D: DiskManager> EvalContext<'a, D> {
@@ -267,9 +323,15 @@ impl<'a, D: DiskManager> EvalContext<'a, D> {
         EvalContext {
             stored,
             default_color: None,
-            vars: HashMap::new(),
+            vars: Vec::new(),
+            bound: 0,
             context_item: None,
             made: Materializer::default(),
+            steps: Vec::new(),
+            seqs: Vec::new(),
+            ids: Vec::new(),
+            cancel: None,
+            ticks: 0,
         }
     }
 
@@ -284,30 +346,58 @@ impl<'a, D: DiskManager> EvalContext<'a, D> {
         Ok(self)
     }
 
-    /// Bind a variable.
-    pub fn bind(&mut self, name: &str, value: Sequence) {
-        self.vars.insert(name.to_string(), value);
+    /// End evaluation with [`EvalError::Cancelled`] once `cancel`
+    /// fires.
+    pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
+        self.cancel = cancel;
+        self
     }
 
     /// Read a variable binding.
     pub fn var(&self, name: &str) -> Option<&Sequence> {
-        self.vars.get(name)
+        self.var_slot(name).ok().map(|i| &self.vars[i].1)
     }
 
-    /// Set a variable, returning the previous binding.
-    pub fn set_var(&mut self, name: &str, value: Sequence) -> Option<Sequence> {
-        self.vars.insert(name.to_string(), value)
+    fn var_slot(&self, name: &str) -> EvalResult<usize> {
+        self.vars[..self.bound]
+            .iter()
+            .rposition(|(n, _)| n == name)
+            .ok_or_else(|| EvalError::UnknownVar(name.to_string()))
     }
 
-    /// Restore a previous binding from [`Self::set_var`].
-    pub fn restore_var(&mut self, name: &str, old: Option<Sequence>) {
-        match old {
-            Some(v) => {
-                self.vars.insert(name.to_string(), v);
-            }
-            None => {
-                self.vars.remove(name);
-            }
+    /// A new innermost binding of `name`, empty.
+    fn push_var(&mut self, name: &str) -> usize {
+        if self.bound == self.vars.len() {
+            self.vars.push(Default::default());
+        }
+        let (n, v) = &mut self.vars[self.bound];
+        n.clear();
+        n.push_str(name);
+        v.clear();
+        self.bound += 1;
+        self.bound - 1
+    }
+
+    fn scratch(&mut self) -> Sequence {
+        self.seqs.pop().unwrap_or_default()
+    }
+
+    fn recycle(&mut self, mut v: Sequence) {
+        v.clear();
+        self.seqs.push(v);
+    }
+
+    /// Counts `work` done and checks the token each time 256 more
+    /// units have passed, so no node pays a clock read.
+    fn tick(&mut self, work: usize) -> EvalResult<()> {
+        self.ticks += work;
+        if self.ticks < 256 {
+            return Ok(());
+        }
+        self.ticks = 0;
+        match &self.cancel {
+            Some(t) if t.is_cancelled() => Err(EvalError::Cancelled),
+            _ => Ok(()),
         }
     }
 
@@ -330,158 +420,231 @@ impl<'a, D: DiskManager> EvalContext<'a, D> {
             None => self.default_color.ok_or(EvalError::NoColor),
         }
     }
+
+    /// `step`'s color and node test, looked up once per top-level call.
+    fn resolve(&mut self, step: &Step) -> EvalResult<Resolved> {
+        let key = step as *const Step as usize;
+        if let Some(&(_, r)) = self.steps.iter().find(|(k, _)| *k == key) {
+            return Ok(r);
+        }
+        let sym = match &step.test {
+            NodeTest::Name(name) => self.stored.db.names.get(name),
+            _ => None,
+        };
+        let r = match (&step.test, step.axis) {
+            (NodeTest::Name(_), Axis::Attribute) => Resolved::Attr(sym),
+            (_, Axis::Attribute) => {
+                return Err(EvalError::Dynamic("attribute step needs a name".into()))
+            }
+            (test, _) => Resolved::Tree(
+                self.resolve_color(&step.color)?,
+                match test {
+                    NodeTest::AnyNode => Test::Any,
+                    NodeTest::AnyElement => Test::Element,
+                    NodeTest::Name(_) => sym.map_or(Test::Never, Test::Name),
+                },
+            ),
+        };
+        self.steps.push((key, r));
+        Ok(r)
+    }
 }
 
-/// Evaluate a parsed expression.
+/// Evaluate a parsed expression. This is one top-level call: each of
+/// its steps is resolved once, however many nodes it is applied to.
 pub fn eval<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResult<Sequence> {
+    ctx.steps.clear();
+    let bound = ctx.bound;
+    let out = value(ctx, e);
+    ctx.bound = bound;
+    out
+}
+
+/// `e`'s value as a new sequence, within the current top-level call.
+pub(crate) fn value<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResult<Sequence> {
+    let mut out = Vec::new();
+    expr_into(ctx, e, &mut out)?;
+    Ok(out)
+}
+
+/// Appends `e`'s value to `out`.
+fn expr_into<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr, out: &mut Sequence) -> EvalResult<()> {
     match e {
-        Expr::Lit(Literal::Str(s)) => Ok(vec![Item::Str(s.clone())]),
-        Expr::Lit(Literal::Num(n)) => Ok(vec![Item::Num(*n)]),
-        Expr::Path(p) => eval_path(ctx, p),
-        Expr::Cmp(l, op, r) => {
-            let lv = eval(ctx, l)?;
-            let hit = match &**r {
-                // A literal compares as its text; no sequence is built.
-                Expr::Lit(lit) => {
-                    let text = match lit {
-                        Literal::Str(s) => Cow::Borrowed(s.as_str()),
-                        Literal::Num(n) => Cow::Owned(format_num(*n)),
-                    };
-                    lv.iter().any(|a| op.holds(&atomize_in(&ctx.stored, a), &text))
-                }
-                _ => {
-                    let rv = eval(ctx, r)?;
-                    general_compare(ctx, &lv, *op, &rv)
-                }
-            };
-            Ok(vec![Item::Bool(hit)])
-        }
-        Expr::And(l, r) => {
-            let lv = eval(ctx, l)?;
-            if !effective_boolean(&lv) {
-                return Ok(vec![Item::Bool(false)]);
-            }
-            let rv = eval(ctx, r)?;
-            Ok(vec![Item::Bool(effective_boolean(&rv))])
-        }
-        Expr::Or(l, r) => {
-            let lv = eval(ctx, l)?;
-            if effective_boolean(&lv) {
-                return Ok(vec![Item::Bool(true)]);
-            }
-            let rv = eval(ctx, r)?;
-            Ok(vec![Item::Bool(effective_boolean(&rv))])
-        }
-        Expr::Call(name, args) => eval_call(ctx, name, args),
-        Expr::Flwor(f) => eval_flwor(ctx, f),
-        Expr::Ctor(c) => Ok(vec![Item::Built(eval_ctor(ctx, c)?)]),
+        Expr::Lit(lit) => out.push(match lit.number() {
+            Some(n) if !lit.is_str() => Item::Num(n),
+            _ => Item::Str(lit.text().to_string()),
+        }),
+        Expr::Path(p) => path_into(ctx, p, out)?,
+        Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) => out.push(Item::Bool(truth(ctx, e)?)),
+        Expr::Call(name, args) => call_into(ctx, name, args, out)?,
+        Expr::Flwor(f) => flwor_into(ctx, f, out)?,
+        Expr::Ctor(c) => out.push(Item::Built(eval_ctor(ctx, c)?)),
         Expr::Sequence(items) => {
-            let mut out = Vec::new();
             for i in items {
-                out.extend(eval(ctx, i)?);
+                expr_into(ctx, i, out)?;
             }
-            Ok(out)
         }
     }
+    Ok(())
+}
+
+/// `f` of `e`'s value, computed in a pooled sequence.
+fn with_value<D: DiskManager, T>(
+    ctx: &mut EvalContext<'_, D>,
+    e: &Expr,
+    f: impl FnOnce(&EvalContext<'_, D>, &[Item]) -> T,
+) -> EvalResult<T> {
+    let mut v = ctx.scratch();
+    expr_into(ctx, e, &mut v)?;
+    let t = f(ctx, &v);
+    ctx.recycle(v);
+    Ok(t)
+}
+
+/// The atomized first item of `e`'s value, `""` for the empty
+/// sequence; a literal's text is borrowed.
+fn first_string<'e, D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &'e Expr) -> EvalResult<Cow<'e, str>> {
+    if let Expr::Lit(lit) = e {
+        return Ok(Cow::Borrowed(lit.text()));
+    }
+    with_value(ctx, e, |ctx, v| {
+        Cow::Owned(v.first().map(|i| atomize(ctx, i)).unwrap_or_default())
+    })
+}
+
+/// `e`'s effective boolean value; a comparison, `and` and `or` build
+/// no sequence for it.
+fn truth<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResult<bool> {
+    match e {
+        Expr::Cmp(l, op, r) => compare(ctx, l, *op, r),
+        Expr::And(l, r) => Ok(truth(ctx, l)? && truth(ctx, r)?),
+        Expr::Or(l, r) => Ok(truth(ctx, l)? || truth(ctx, r)?),
+        _ => with_value(ctx, e, |_, v| effective_boolean(v)),
+    }
+}
+
+/// A general comparison. A literal's text and number were fixed by
+/// the parser, so only the other side is atomized and parsed.
+fn compare<D: DiskManager>(ctx: &mut EvalContext<'_, D>, l: &Expr, op: CmpOp, r: &Expr) -> EvalResult<bool> {
+    let mut lv = ctx.scratch();
+    expr_into(ctx, l, &mut lv)?;
+    let hit = match r {
+        Expr::Lit(lit) => lv.iter().any(|a| {
+            op.holds_parsed(&atomize_in(&ctx.stored, a), lit.text(), lit.number())
+        }),
+        _ => with_value(ctx, r, |ctx, rv| general_compare(ctx, &lv, op, rv))?,
+    };
+    ctx.recycle(lv);
+    Ok(hit)
 }
 
 // ---------------------------------------------------------------------------
 // Paths
 // ---------------------------------------------------------------------------
 
-fn eval_path<D: DiskManager>(ctx: &mut EvalContext<'_, D>, p: &PathExpr) -> EvalResult<Sequence> {
-    match &p.start {
-        PathStart::Document(_) => {
-            eval_steps(ctx, &[Item::Node(McNodeId::DOCUMENT, None)], &p.steps)
-        }
-        PathStart::Var(v) => {
-            let start = ctx
-                .vars
-                .get(v)
-                .cloned()
-                .ok_or_else(|| EvalError::UnknownVar(v.clone()))?;
-            eval_steps(ctx, &start, &p.steps)
-        }
-        PathStart::Context => {
-            let item = ctx.context_item.clone();
-            eval_steps(ctx, item.as_slice(), &p.steps)
-        }
-    }
-}
-
-fn eval_steps<D: DiskManager>(
-    ctx: &mut EvalContext<'_, D>,
-    start: &[Item],
-    steps: &[Step],
-) -> EvalResult<Sequence> {
-    let Some((first, rest)) = steps.split_first() else {
-        return Ok(start.to_vec());
-    };
-    let mut current = eval_step(ctx, start, first)?;
-    for step in rest {
-        current = eval_step(ctx, &current, step)?;
-    }
-    Ok(current)
-}
-
-fn eval_step<D: DiskManager>(ctx: &mut EvalContext<'_, D>, input: &[Item], step: &Step) -> EvalResult<Sequence> {
-    // Attribute steps produce strings and need no tree.
-    if step.axis == Axis::Attribute {
-        let NodeTest::Name(aname) = &step.test else {
-            return Err(EvalError::Dynamic("attribute step needs a name".into()));
-        };
-        let db = &ctx.stored.db;
-        let mut out = Vec::new();
-        for item in input {
-            let value = match item {
-                Item::Node(n, _) => db.attr(*n, aname),
-                Item::Built(b) => b.attr(aname),
-                _ => None,
-            };
-            if let Some(v) = value {
-                out.push(Item::Str(v.to_string()));
-            }
-        }
-        return Ok(out);
-    }
-    let c = ctx.resolve_color(&step.color)?;
-    let db = &ctx.stored.db;
-    // A name test compares symbols; a name the store never interned
-    // names no node.
-    let want = match &step.test {
-        NodeTest::Name(name) => match db.names.get(name) {
-            Some(sym) => Some(sym),
-            None => return Ok(Vec::new()),
-        },
+fn path_into<D: DiskManager>(ctx: &mut EvalContext<'_, D>, p: &PathExpr, out: &mut Sequence) -> EvalResult<()> {
+    let doc = [Item::Node(McNodeId::DOCUMENT, None)];
+    let var = match &p.start {
+        PathStart::Var(v) => Some(ctx.var_slot(v)?),
         _ => None,
     };
-    let mut nodes: Vec<McNodeId> = Vec::new();
+    if p.steps.is_empty() {
+        out.extend_from_slice(start_items(ctx, &p.start, var, &doc));
+        return Ok(());
+    }
+    let mut input = ctx.scratch();
+    for (i, step) in p.steps.iter().enumerate() {
+        let r = ctx.resolve(step)?;
+        let last = i + 1 == p.steps.len();
+        let mut output = if last { std::mem::take(out) } else { ctx.scratch() };
+        let mut nodes = ctx.ids.pop().unwrap_or_default();
+        let from = if i == 0 { start_items(ctx, &p.start, var, &doc) } else { &input };
+        let inputs = gather(&ctx.stored.db, step, r, from, &mut nodes, &mut output)?;
+        ctx.tick(nodes.len() + 1)?;
+        if let Resolved::Tree(c, _) = r {
+            select(ctx, step, c, inputs, &mut nodes)?;
+            output.extend(nodes.iter().map(|&n| Item::Node(n, Some(c))));
+        }
+        nodes.clear();
+        ctx.ids.push(nodes);
+        if last {
+            *out = output;
+        } else {
+            let done = std::mem::replace(&mut input, output);
+            ctx.recycle(done);
+        }
+    }
+    ctx.recycle(input);
+    Ok(())
+}
+
+/// Where a path starts, borrowed where it lives: a variable's items
+/// (at `var`, its slot) are not copied.
+fn start_items<'c, D: DiskManager>(
+    ctx: &'c EvalContext<'_, D>,
+    start: &PathStart,
+    var: Option<usize>,
+    doc: &'c [Item],
+) -> &'c [Item] {
+    match (start, var) {
+        (PathStart::Var(_), Some(i)) => &ctx.vars[i].1,
+        (PathStart::Context, _) => ctx.context_item.as_slice(),
+        _ => doc,
+    }
+}
+
+/// Appends what `step` reaches from `input` and passes its node test:
+/// node ids to `nodes` for a tree step, attribute values to `out` for
+/// an attribute step. Returns how many input items were nodes. A built
+/// element has no color, so every colored axis from it is empty.
+fn gather(
+    db: &MctDatabase,
+    step: &Step,
+    r: Resolved,
+    input: &[Item],
+    nodes: &mut Vec<McNodeId>,
+    out: &mut Sequence,
+) -> EvalResult<usize> {
+    let (c, test) = match r {
+        Resolved::Attr(sym) => {
+            let NodeTest::Name(name) = &step.test else {
+                return Ok(0);
+            };
+            for item in input {
+                let value = match item {
+                    Item::Node(n, _) => sym
+                        .and_then(|s| db.node(*n).attrs.iter().find(|(k, _)| *k == s))
+                        .map(|(_, v)| &**v),
+                    Item::Built(b) => b.attr(name),
+                    _ => None,
+                };
+                out.extend(value.map(|v| Item::Str(v.to_string())));
+            }
+            return Ok(0);
+        }
+        Resolved::Tree(_, Test::Never) => return Ok(0),
+        Resolved::Tree(c, test) => (c, test),
+    };
+    let keep = |n: &McNodeId| test.matches(db, *n);
+    let in_c = |n: McNodeId| db.colors(n).contains(c) || n == McNodeId::DOCUMENT;
     let mut inputs = 0;
-    // A built element has no color: every colored axis from it is empty.
     for item in input {
-        let Item::Node(n, _) = item else { continue };
-        let n = *n;
+        let Item::Node(n, _) = *item else { continue };
         inputs += 1;
         match step.axis {
-            Axis::Child => nodes.extend(db.children(n, c)),
-            Axis::Descendant => nodes.extend(db.descendants(n, c)),
-            Axis::DescendantOrSelf => nodes.extend(db.descendants_or_self(n, c)),
-            Axis::Parent => nodes.extend(db.parent(n, c)),
-            Axis::Ancestor => nodes.extend(db.ancestors(n, c)),
+            Axis::Child => nodes.extend(db.children(n, c).filter(keep)),
+            Axis::Descendant => nodes.extend(db.descendants(n, c).filter(keep)),
+            Axis::DescendantOrSelf => nodes.extend(db.descendants_or_self(n, c).filter(keep)),
+            Axis::Parent => nodes.extend(db.parent(n, c).filter(keep)),
+            Axis::Ancestor => nodes.extend(db.ancestors(n, c).filter(keep)),
             Axis::AncestorOrSelf => {
-                if db.colors(n).contains(c) || n == McNodeId::DOCUMENT {
-                    nodes.push(n);
-                }
-                nodes.extend(db.ancestors(n, c));
+                nodes.extend(Some(n).filter(|&n| in_c(n)).filter(keep));
+                nodes.extend(db.ancestors(n, c).filter(keep));
             }
-            Axis::SelfAxis => {
-                if db.colors(n).contains(c) || n == McNodeId::DOCUMENT {
-                    nodes.push(n);
-                }
-            }
-            // Handled by the early return above; a step that still
-            // carries this axis here is a parser/planner defect, which
-            // must surface as a dynamic error rather than a crash.
+            Axis::SelfAxis => nodes.extend(Some(n).filter(|&n| in_c(n)).filter(keep)),
+            // Attribute steps resolve to `Resolved::Attr`; one that still
+            // carries this axis here must surface as a dynamic error
+            // rather than a crash.
             Axis::Attribute => {
                 return Err(EvalError::Dynamic(
                     "attribute axis reached tree navigation".into(),
@@ -489,48 +652,54 @@ fn eval_step<D: DiskManager>(ctx: &mut EvalContext<'_, D>, input: &[Item], step:
             }
         }
     }
-    // Node test.
-    match &step.test {
-        NodeTest::AnyNode => {}
-        NodeTest::AnyElement => nodes.retain(|&n| db.node(n).name.is_some()),
-        NodeTest::Name(_) => nodes.retain(|&n| db.node(n).name == want),
-    }
-    // Local order of the step color + dedup (path semantics). From one
-    // node, these axes yield distinct nodes in that order already.
+    Ok(inputs)
+}
+
+/// Puts a tree step's nodes in its color's local order without
+/// duplicates (path semantics), then keeps those its predicates pass.
+fn select<D: DiskManager>(
+    ctx: &mut EvalContext<'_, D>,
+    step: &Step,
+    c: ColorId,
+    inputs: usize,
+    nodes: &mut Vec<McNodeId>,
+) -> EvalResult<()> {
+    // From one node, these axes yield distinct nodes in that order
+    // already.
     let ordered = inputs <= 1
         && matches!(
             step.axis,
             Axis::Child | Axis::Descendant | Axis::DescendantOrSelf | Axis::SelfAxis | Axis::Parent
         );
     if !ordered {
+        let db = &ctx.stored.db;
         nodes.sort_by_key(|&n| db.code(n, c).map(|cd| cd.start).unwrap_or(0));
         nodes.dedup();
     }
-    // Predicates. A predicate evaluating to a single number is a
-    // POSITION test (XPath: `movie[2]` = the second movie), applied
-    // against the sequence surviving the previous predicates.
-    let mut survivors = nodes;
+    // A predicate evaluating to a single number is a POSITION test
+    // (XPath: `movie[2]` = the second movie), applied against the
+    // sequence surviving the previous predicates.
     for pred in &step.predicates {
-        let mut next = Vec::with_capacity(survivors.len());
-        for (pos, &n) in survivors.iter().enumerate() {
+        let mut kept = 0;
+        for pos in 0..nodes.len() {
+            let n = nodes[pos];
             let saved = ctx.context_item.replace(Item::Node(n, Some(c)));
-            let v = eval(ctx, pred);
-            ctx.context_item = saved;
-            let v = v?;
-            let keep = match v.as_slice() {
-                [Item::Num(want)] => (pos + 1) as f64 == *want,
-                _ => effective_boolean(&v),
+            let keep = match pred {
+                Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) => truth(ctx, pred),
+                _ => with_value(ctx, pred, |_, v| match v {
+                    [Item::Num(want)] => (pos + 1) as f64 == *want,
+                    _ => effective_boolean(v),
+                }),
             };
-            if keep {
-                next.push(n);
+            ctx.context_item = saved;
+            if keep? {
+                nodes[kept] = n;
+                kept += 1;
             }
         }
-        survivors = next;
+        nodes.truncate(kept);
     }
-    Ok(survivors
-        .into_iter()
-        .map(|n| Item::Node(n, Some(c)))
-        .collect())
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -587,7 +756,7 @@ pub(crate) fn format_num(n: f64) -> String {
 
 /// XPath general comparison: existential over both sequences, each
 /// pair of atomized values compared by [`CmpOp::holds`].
-pub fn general_compare<D: DiskManager>(ctx: &EvalContext<'_, D>, l: &Sequence, op: CmpOp, r: &Sequence) -> bool {
+pub fn general_compare<D: DiskManager>(ctx: &EvalContext<'_, D>, l: &[Item], op: CmpOp, r: &[Item]) -> bool {
     l.iter().any(|a| {
         r.iter().any(|b| match same_node(a, b) {
             // Two nodes compare by identity — the comparison the
@@ -614,7 +783,7 @@ fn same_node(a: &Item, b: &Item) -> Option<bool> {
 }
 
 /// XPath effective boolean value.
-pub fn effective_boolean(seq: &Sequence) -> bool {
+pub fn effective_boolean(seq: &[Item]) -> bool {
     match seq.first() {
         None => false,
         Some(Item::Bool(b)) if seq.len() == 1 => *b,
@@ -628,113 +797,109 @@ pub fn effective_boolean(seq: &Sequence) -> bool {
 // Functions
 // ---------------------------------------------------------------------------
 
-fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[Expr]) -> EvalResult<Sequence> {
-    match name {
-        "contains" => {
+fn call_into<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[Expr], out: &mut Sequence) -> EvalResult<()> {
+    let item = match name {
+        "contains" | "starts-with" => {
             expect_args(name, args, 2)?;
-            let hay = eval(ctx, &args[0])?;
-            let needle = eval(ctx, &args[1])?;
-            let needle = needle.first().map(|i| atomize(ctx, i)).unwrap_or_default();
-            let hit = hay.iter().any(|h| atomize_in(&ctx.stored, h).contains(&needle));
-            Ok(vec![Item::Bool(hit)])
+            let mut hay = ctx.scratch();
+            expr_into(ctx, &args[0], &mut hay)?;
+            let needle = first_string(ctx, &args[1])?;
+            let hit = hay.iter().any(|h| {
+                let h = atomize_in(&ctx.stored, h);
+                if name == "contains" {
+                    h.contains(&*needle)
+                } else {
+                    h.starts_with(&*needle)
+                }
+            });
+            ctx.recycle(hay);
+            Item::Bool(hit)
         }
         "count" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            Ok(vec![Item::Num(v.len() as f64)])
+            Item::Num(with_value(ctx, &args[0], |_, v| v.len())? as f64)
         }
         "empty" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            Ok(vec![Item::Bool(v.is_empty())])
+            Item::Bool(with_value(ctx, &args[0], |_, v| v.is_empty())?)
         }
         "not" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            Ok(vec![Item::Bool(!effective_boolean(&v))])
+            Item::Bool(!truth(ctx, &args[0])?)
         }
         "string" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            Ok(vec![Item::Str(
-                v.first().map(|i| atomize(ctx, i)).unwrap_or_default(),
-            )])
+            Item::Str(first_string(ctx, &args[0])?.into_owned())
         }
         "number" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            let n = v
-                .first()
-                .and_then(|i| as_number(&atomize_in(&ctx.stored, i)))
-                .unwrap_or(f64::NAN);
-            Ok(vec![Item::Num(n)])
-        }
-        "starts-with" => {
-            expect_args(name, args, 2)?;
-            let hay = eval(ctx, &args[0])?;
-            let prefix = eval(ctx, &args[1])?;
-            let prefix = prefix.first().map(|i| atomize(ctx, i)).unwrap_or_default();
-            let hit = hay.iter().any(|h| atomize_in(&ctx.stored, h).starts_with(&prefix));
-            Ok(vec![Item::Bool(hit)])
+            Item::Num(with_value(ctx, &args[0], |ctx, v| {
+                v.first()
+                    .and_then(|i| as_number(&atomize_in(&ctx.stored, i)))
+                    .unwrap_or(f64::NAN)
+            })?)
         }
         "string-length" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            let len = v
-                .first()
-                .map(|i| atomize_in(&ctx.stored, i).chars().count())
-                .unwrap_or(0);
-            Ok(vec![Item::Num(len as f64)])
+            let len = with_value(ctx, &args[0], |ctx, v| {
+                v.first()
+                    .map(|i| atomize_in(&ctx.stored, i).chars().count())
+                    .unwrap_or(0)
+            })?;
+            Item::Num(len as f64)
         }
         "concat" => {
-            let mut out = String::new();
+            let mut s = String::new();
             for a in args {
-                let v = eval(ctx, a)?;
-                for i in &v {
-                    out.push_str(&atomize_in(&ctx.stored, i));
-                }
+                with_value(ctx, a, |ctx, v| {
+                    for i in v {
+                        s.push_str(&atomize_in(&ctx.stored, i));
+                    }
+                })?;
             }
-            Ok(vec![Item::Str(out)])
+            Item::Str(s)
         }
         "sum" | "avg" | "min" | "max" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            let nums: Vec<f64> = v
-                .iter()
-                .filter_map(|i| as_number(&atomize_in(&ctx.stored, i)))
-                .collect();
+            let nums: Vec<f64> = with_value(ctx, &args[0], |ctx, v| {
+                v.iter()
+                    .filter_map(|i| as_number(&atomize_in(&ctx.stored, i)))
+                    .collect()
+            })?;
             if nums.is_empty() {
-                return Ok(if name == "sum" {
-                    vec![Item::Num(0.0)]
-                } else {
-                    vec![] // empty sequence for avg/min/max of nothing
-                });
+                // The empty sequence for avg/min/max of nothing.
+                if name == "sum" {
+                    out.push(Item::Num(0.0));
+                }
+                return Ok(());
             }
-            let r = match name {
+            Item::Num(match name {
                 "sum" => nums.iter().sum(),
                 "avg" => nums.iter().sum::<f64>() / nums.len() as f64,
                 "min" => nums.iter().copied().fold(f64::INFINITY, f64::min),
                 _ => nums.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            };
-            Ok(vec![Item::Num(r)])
+            })
         }
         "distinct-values" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            let mut seen = std::collections::HashSet::new();
-            let mut out = Vec::new();
-            for i in &v {
-                let s = atomize(ctx, i);
-                if seen.insert(s.clone()) {
-                    out.push(Item::Str(s));
+            return with_value(ctx, &args[0], |ctx, v| {
+                let mut seen = HashSet::new();
+                for i in v {
+                    let s = atomize(ctx, i);
+                    if seen.insert(s.clone()) {
+                        out.push(Item::Str(s));
+                    }
                 }
-            }
-            Ok(out)
+            });
         }
         "createCopy" => {
             expect_args(name, args, 1)?;
-            let v = eval(ctx, &args[0])?;
-            v.iter().map(|item| deep_copy(&ctx.stored, item)).collect()
+            return with_value(ctx, &args[0], |ctx, v| {
+                for item in v {
+                    out.push(deep_copy(&ctx.stored, item)?);
+                }
+                Ok(())
+            })?;
         }
         "createColor" => {
             expect_args(name, args, 2)?;
@@ -746,22 +911,22 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             if palette.get(&color_name).is_none() && palette.len() >= Palette::CAPACITY {
                 return Err(EvalError::PaletteFull(color_name));
             }
-            let v = eval(ctx, &args[1])?;
+            let v = value(ctx, &args[1])?;
+            // The palette or the interner may grow: steps resolve afresh.
+            ctx.steps.clear();
             let (stored, made) = ctx.exclusive()?;
             let c = stored.add_color(&color_name)?;
             // Built elements become stored nodes. Each item not in `c`
             // yet goes under the document node, the root every colored
             // tree shares (Definition 3.2), unless another item's
             // constructed content holds it.
-            let out: Sequence = v
-                .into_iter()
-                .map(|item| match item {
-                    Item::Built(b) => Item::Node(made.make(stored, &b), None),
-                    other => other,
-                })
-                .collect();
+            let start = out.len();
+            out.extend(v.into_iter().map(|item| match item {
+                Item::Built(b) => Item::Node(made.make(stored, &b), None),
+                other => other,
+            }));
             let mut seen = HashSet::new();
-            let mut roots: Vec<McNodeId> = out
+            let mut roots: Vec<McNodeId> = out[start..]
                 .iter()
                 .filter_map(|item| match *item {
                     Item::Node(n, _) => Some(n),
@@ -781,10 +946,12 @@ fn eval_call<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             }
             roots.retain(|n| !held.contains(n));
             stored.attach(McNodeId::DOCUMENT, &roots, &made.edges, c)?;
-            Ok(out)
+            return Ok(());
         }
-        other => Err(EvalError::Dynamic(format!("unknown function {other}()"))),
-    }
+        other => return Err(EvalError::Dynamic(format!("unknown function {other}()"))),
+    };
+    out.push(item);
+    Ok(())
 }
 
 fn expect_args(name: &str, args: &[Expr], n: usize) -> EvalResult<()> {
@@ -803,7 +970,7 @@ fn expect_args(name: &str, args: &[Expr], n: usize) -> EvalResult<()> {
 /// `createColor(black, ...)`).
 fn color_literal<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResult<String> {
     match e {
-        Expr::Lit(Literal::Str(s)) => Ok(s.clone()),
+        Expr::Lit(lit) => Ok(lit.text().to_string()),
         Expr::Path(p)
             if p.start == PathStart::Context
                 && p.steps.len() == 1
@@ -816,12 +983,8 @@ fn color_literal<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> Eval
                 Err(EvalError::Dynamic("bad color literal".into()))
             }
         }
-        _ => {
-            let v = eval(ctx, e)?;
-            v.first()
-                .map(|i| atomize(ctx, i))
-                .ok_or_else(|| EvalError::Dynamic("empty color literal".into()))
-        }
+        _ => with_value(ctx, e, |ctx, v| v.first().map(|i| atomize(ctx, i)))?
+            .ok_or_else(|| EvalError::Dynamic("empty color literal".into())),
     }
 }
 
@@ -829,10 +992,7 @@ fn color_literal<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> Eval
 // Constructors
 // ---------------------------------------------------------------------------
 
-fn eval_ctor<D: DiskManager>(
-    ctx: &mut EvalContext<'_, D>,
-    ctor: &Constructor,
-) -> EvalResult<Arc<Built>> {
+fn eval_ctor<D: DiskManager>(ctx: &mut EvalContext<'_, D>, ctor: &Constructor) -> EvalResult<Arc<Built>> {
     let mut text = String::new();
     let mut children = Vec::new();
     for item in &ctor.children {
@@ -845,7 +1005,7 @@ fn eval_ctor<D: DiskManager>(
                 // Identity-preserving: node items become children with
                 // their existing identity (§4.2); atomic items become
                 // text content.
-                for it in eval(ctx, e)? {
+                for it in value(ctx, e)? {
                     match it {
                         Item::Node(..) | Item::Built(_) => children.push(it),
                         other => text.push_str(&atomize_in(&ctx.stored, &other)),
@@ -913,71 +1073,94 @@ fn deep_copy<D: DiskManager>(stored: &StoredDb<D>, item: &Item) -> EvalResult<It
 // FLWOR
 // ---------------------------------------------------------------------------
 
-fn eval_flwor<D: DiskManager>(ctx: &mut EvalContext<'_, D>, f: &Flwor) -> EvalResult<Sequence> {
-    let mut out: Vec<(Vec<String>, Sequence)> = Vec::new();
-    bind_clauses(ctx, f, 0, &mut out)?;
-    if !f.order_by.is_empty() {
-        out.sort_by(|(ka, _), (kb, _)| {
-            for ((a, b), (_, ascending)) in ka.iter().zip(kb).zip(&f.order_by) {
-                // A total order, which the sort relies on: the empty key
-                // first, then numbers by value (total_cmp orders NaN,
-                // since "NaN" parses as f64), then other strings.
-                let ord = match (as_number(a), as_number(b)) {
-                    (Some(na), Some(nb)) => na.total_cmp(&nb),
-                    (na, nb) => (!a.is_empty(), na.is_none(), a)
-                        .cmp(&(!b.is_empty(), nb.is_none(), b)),
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return if *ascending { ord } else { ord.reverse() };
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+fn flwor_into<D: DiskManager>(ctx: &mut EvalContext<'_, D>, f: &Flwor, out: &mut Sequence) -> EvalResult<()> {
+    let where_ = f.where_.as_deref();
+    if f.order_by.is_empty() {
+        return bind_tuples(ctx, &f.clauses, where_, &mut |ctx| expr_into(ctx, &f.ret, out));
     }
-    Ok(out.into_iter().flat_map(|(_, seq)| seq).collect())
+    // Each tuple's keys and the range of its items in `items`.
+    let mut rows: Vec<(Vec<String>, std::ops::Range<usize>)> = Vec::new();
+    let mut items = Vec::new();
+    bind_tuples(ctx, &f.clauses, where_, &mut |ctx| {
+        let keys = f
+            .order_by
+            .iter()
+            .map(|(k, _)| first_string(ctx, k).map(Cow::into_owned))
+            .collect::<EvalResult<_>>()?;
+        let from = items.len();
+        expr_into(ctx, &f.ret, &mut items)?;
+        rows.push((keys, from..items.len()));
+        Ok(())
+    })?;
+    rows.sort_by(|(ka, _), (kb, _)| {
+        for ((a, b), (_, ascending)) in ka.iter().zip(kb).zip(&f.order_by) {
+            // A total order, which the sort relies on: the empty key
+            // first, then numbers by value (total_cmp orders NaN,
+            // since "NaN" parses as f64), then other strings.
+            let ord = match (as_number(a), as_number(b)) {
+                (Some(na), Some(nb)) => na.total_cmp(&nb),
+                (na, nb) => (!a.is_empty(), na.is_none(), a)
+                    .cmp(&(!b.is_empty(), nb.is_none(), b)),
+            };
+            if ord != std::cmp::Ordering::Equal {
+                return if *ascending { ord } else { ord.reverse() };
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    for (_, range) in rows {
+        out.extend(items[range].iter_mut().map(|i| std::mem::replace(i, Item::Bool(false))));
+    }
+    Ok(())
 }
 
-fn bind_clauses<D: DiskManager>(
-    ctx: &mut EvalContext<'_, D>,
-    f: &Flwor,
-    depth: usize,
-    out: &mut Vec<(Vec<String>, Sequence)>,
-) -> EvalResult<()> {
-    if depth == f.clauses.len() {
-        // where / order-by / return.
-        if let Some(w) = &f.where_ {
-            let v = eval(ctx, w)?;
-            if !effective_boolean(&v) {
+/// The one binding loop, of FLWOR expressions and update statements:
+/// binds each tuple of `clauses` in turn, keeps it when `where_` holds,
+/// and runs `body` on it. A `for` variable's slot is overwritten per
+/// item, not made anew, and the token is checked once per 256 items.
+pub(crate) fn bind_tuples<'a, D: DiskManager, F>(
+    ctx: &mut EvalContext<'a, D>,
+    clauses: &[FlworClause],
+    where_: Option<&Expr>,
+    body: &mut F,
+) -> EvalResult<()>
+where
+    F: FnMut(&mut EvalContext<'a, D>) -> EvalResult<()>,
+{
+    let Some((clause, rest)) = clauses.split_first() else {
+        if let Some(w) = where_ {
+            if !truth(ctx, w)? {
                 return Ok(());
             }
         }
-        let mut keys = Vec::with_capacity(f.order_by.len());
-        for (k, _) in &f.order_by {
-            let v = eval(ctx, k)?;
-            keys.push(v.first().map(|i| atomize(ctx, i)).unwrap_or_default());
-        }
-        let r = eval(ctx, &f.ret)?;
-        out.push((keys, r));
-        return Ok(());
-    }
-    match &f.clauses[depth] {
+        return body(ctx);
+    };
+    // The source is evaluated before the variable is bound, so that it
+    // still sees an outer binding of the same name.
+    let mut items = ctx.scratch();
+    match clause {
         FlworClause::For(var, src) => {
-            let items = eval(ctx, src)?;
-            for item in items {
-                let old = ctx.set_var(var, vec![item]);
-                bind_clauses(ctx, f, depth + 1, out)?;
-                ctx.restore_var(var, old);
+            expr_into(ctx, src, &mut items)?;
+            let slot = ctx.push_var(var);
+            for item in items.drain(..) {
+                ctx.tick(1)?;
+                let bound = &mut ctx.vars[slot].1;
+                bound.clear();
+                bound.push(item);
+                bind_tuples(ctx, rest, where_, body)?;
             }
-            Ok(())
         }
         FlworClause::Let(var, src) => {
-            let v = eval(ctx, src)?;
-            let old = ctx.set_var(var, v);
-            bind_clauses(ctx, f, depth + 1, out)?;
-            ctx.restore_var(var, old);
-            Ok(())
+            expr_into(ctx, src, &mut items)?;
+            let slot = ctx.push_var(var);
+            std::mem::swap(&mut ctx.vars[slot].1, &mut items);
+            bind_tuples(ctx, rest, where_, body)?;
         }
     }
+    // An error leaves its bindings behind; `eval` drops them.
+    ctx.bound -= 1;
+    ctx.recycle(items);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1505,5 +1688,121 @@ mod tests {
         );
         assert!(out.contains(&"8".to_string()));
         assert!(!out.contains(&"7".to_string()));
+    }
+
+    fn err(s: &mut StoredDb, q: &str) -> EvalError {
+        eval(&mut EvalContext::new(s), &parse_query(q).unwrap()).unwrap_err()
+    }
+
+    /// An inner `for` shadows an outer binding of the same name, which
+    /// is visible again after it; a `let` may rebind a name from its
+    /// own old value; a binding does not outlive its FLWOR.
+    #[test]
+    fn bindings_shadow_and_end_with_their_flwor() {
+        let mut s = movie_db();
+        let out = strings(
+            &mut s,
+            r#"for $x in ("1", "2") return (for $x in ("a") return $x, $x)"#,
+        );
+        assert_eq!(out, vec!["a", "1", "a", "2"]);
+        let out = strings(&mut s, r#"let $x := "a" let $x := concat($x, "b") return $x"#);
+        assert_eq!(out, vec!["ab"]);
+        let e = err(&mut s, r#"(for $x in ("1") return $x, $x)"#);
+        assert!(matches!(&e, EvalError::UnknownVar(v) if v == "x"), "{e}");
+        let e = err(&mut s, r#"for $x in ("1") return $y"#);
+        assert!(matches!(&e, EvalError::UnknownVar(v) if v == "y"), "{e}");
+    }
+
+    /// A predicate may read the variable its path starts from.
+    #[test]
+    fn a_predicate_reads_the_variable_its_path_starts_from() {
+        let mut s = movie_db();
+        let out = strings(
+            &mut s,
+            r#"for $x in document("m")/{red}descendant::movie
+               return $x/{red}child::name[. = $x/{red}child::name]"#,
+        );
+        assert_eq!(out, vec!["All About Eve", "Evil Fun", "Other Story"]);
+    }
+
+    /// Literal comparisons: numbers compare as numbers when both sides
+    /// are numbers, as strings otherwise; NaN equals nothing.
+    #[test]
+    fn literal_comparisons_follow_the_one_rule() {
+        let mut s = movie_db();
+        let count = |s: &mut StoredDb, pred: &str| {
+            strings(s, &format!(r#"count(document("m")/{{green}}descendant::votes[{pred}])"#))
+        };
+        for (pred, want) in [
+            (". = 7", "1"),
+            (r#". = "7""#, "1"),
+            (r#". = "07""#, "1"),
+            (r#". = "7x""#, "0"),
+            (r#". > "2""#, "2"),
+            // "2x" is no number, so "11" > "2x" fails as strings.
+            (r#". > "2x""#, "1"),
+            (r#". = "NaN""#, "0"),
+            (r#". != "NaN""#, "2"),
+            (". != 7", "1"),
+        ] {
+            assert_eq!(count(&mut s, pred), vec![want], "[{pred}]");
+        }
+    }
+
+    /// A position after a boolean predicate counts the survivors; a
+    /// number computed from a path is a position too.
+    #[test]
+    fn positions_after_booleans_and_from_paths() {
+        let mut s = movie_db();
+        let out = strings(
+            &mut s,
+            r#"document("m")/{red}descendant::movie[{red}child::name != "Evil Fun"][2]/{red}child::name"#,
+        );
+        assert_eq!(out, vec!["Other Story"]);
+        let out = strings(
+            &mut s,
+            r#"document("m")/{red}descendant::movie[count({red}child::name)]/{red}child::name"#,
+        );
+        assert_eq!(out, vec!["All About Eve"]);
+    }
+
+    /// A step evaluated before `createColor` interned its name sees the
+    /// new node afterwards, in the same query; so does a step in a new
+    /// color.
+    #[test]
+    fn steps_resolve_afresh_after_create_color() {
+        let mut s = movie_db();
+        let out = run(
+            &mut s,
+            r#"for $i in ("1", "2")
+               return (count(document("m")/{red}descendant::fresh), createColor("red", <fresh/>))"#,
+        );
+        assert_eq!((out.len(), &out[0], &out[2]), (4, &Item::Num(0.0), &Item::Num(1.0)));
+        let out = run(
+            &mut s,
+            r#"(createColor("white", <x/>), count(document("m")/{white}descendant::x))"#,
+        );
+        assert_eq!(out.last(), Some(&Item::Num(1.0)));
+    }
+
+    /// A step from a built element gives the empty sequence.
+    #[test]
+    fn a_step_from_a_built_element_is_empty() {
+        let mut s = movie_db();
+        let out = run(&mut s, r#"let $b := <a><name/></a> return $b/{red}descendant::name"#);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// An expired token ends evaluation with `Cancelled`.
+    #[test]
+    fn an_expired_token_cancels_a_cross_product() {
+        let s = movie_db();
+        let all = r#"document("m")/{red}descendant::node()"#;
+        let q = format!("for $a in {all}, $b in {all}, $c in {all}, $d in {all} return $a");
+        let token = CancelToken::new();
+        token.cancel();
+        let mut ctx = EvalContext::shared(&s).with_cancel(Some(token));
+        let e = eval(&mut ctx, &parse_query(&q).unwrap()).unwrap_err();
+        assert!(matches!(e, EvalError::Cancelled), "{e}");
     }
 }

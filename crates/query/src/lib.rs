@@ -22,10 +22,10 @@
 //!   operators.
 //! * [`update`] — two-phase color-aware update execution.
 //!
-//! Benchmark queries use hand-written plans over [`ops`] — the paper
-//! "manually specified the query plan, always choosing the one
-//! expected to be the best" — while examples and tests exercise the
-//! interpreter.
+//! The paper's §7 tables use hand-written plans over [`ops`] — the
+//! paper "manually specified the query plan, always choosing the one
+//! expected to be the best" — while `mctd` serves every FLWOR through
+//! the interpreter.
 
 pub mod ast;
 pub mod eval;

@@ -432,7 +432,7 @@ impl<'a> P<'a> {
                 // Literal / call / parenthesized / relative path.
                 if let Some(c) = self.peek() {
                     if c == b'"' || c == b'\'' {
-                        return Ok(Expr::Lit(Literal::Str(self.string_lit()?)));
+                        return Ok(Expr::Lit(Literal::str(self.string_lit()?)));
                     }
                     if c.is_ascii_digit()
                         || (c == b'-' && matches!(self.peek2(), Some(d) if d.is_ascii_digit()))
@@ -509,7 +509,7 @@ impl<'a> P<'a> {
         }
         let text = std::str::from_utf8(&self.b[start..self.at]).unwrap_or("");
         text.parse::<f64>()
-            .map(|n| Expr::Lit(Literal::Num(n)))
+            .map(|n| Expr::Lit(Literal::num(n)))
             .map_err(|_| self.err("bad number"))
     }
 

@@ -27,8 +27,7 @@
 //! fragment is reported as [`PlanError::Unsupported`] so callers can
 //! fall back to the interpreter ([`crate::eval()`]).
 
-use crate::ast::{as_number, Axis, CmpOp, Expr, Literal, NodeTest, PathExpr, PathStart, Step};
-use crate::eval::format_num;
+use crate::ast::{as_number, Axis, CmpOp, Expr, NodeTest, PathExpr, PathStart, Step};
 use crate::exec::{self, CancelToken};
 use mct_storage::DiskManager;
 use crate::ops::{self, dup_elim, select_attr_eq, Rel, Tuple};
@@ -699,8 +698,7 @@ fn compile_pred<D: DiskManager>(s: &StoredDb<D>, e: &Expr) -> Result<CompiledPre
         Expr::Cmp(l, op, r) => {
             // The literal's text as the interpreter atomizes it.
             let value = match &**r {
-                Expr::Lit(Literal::Str(v)) => v.clone(),
-                Expr::Lit(Literal::Num(n)) => format_num(*n),
+                Expr::Lit(lit) => lit.text().to_string(),
                 other => return Err(PlanError::Unsupported(format!("predicate rhs {other:?}"))),
             };
             match pred_target(s, l)? {
@@ -715,9 +713,9 @@ fn compile_pred<D: DiskManager>(s: &StoredDb<D>, e: &Expr) -> Result<CompiledPre
                 return Err(PlanError::Unsupported("contains on attribute".into()));
             }
             match &args[1] {
-                Expr::Lit(Literal::Str(v)) => Ok(CompiledPred::ContentContains {
+                Expr::Lit(lit) if lit.is_str() => Ok(CompiledPred::ContentContains {
                     child,
-                    value: v.clone(),
+                    value: lit.text().to_string(),
                 }),
                 other => Err(PlanError::Unsupported(format!("contains arg {other:?}"))),
             }

@@ -16,11 +16,9 @@
 //! an `insert` appends under the target in its colored tree,
 //! implicitly giving new nodes that existing color.
 
-use crate::ast::{FlworClause, UpdateAction, UpdateStmt};
+use crate::ast::{UpdateAction, UpdateStmt};
+use crate::eval::{bind_tuples, value, EvalContext, EvalError, EvalResult, Item, Materializer};
 use mct_storage::DiskManager;
-use crate::eval::{
-    atomize, effective_boolean, eval, EvalContext, EvalError, EvalResult, Item, Materializer,
-};
 use mct_core::{ColorId, McNodeId, StoredDb};
 
 /// One concrete pending update.
@@ -85,7 +83,10 @@ fn apply_update<D: DiskManager>(
         if let Some(c) = default_color {
             ctx = ctx.with_default_color(c)?;
         }
-        collect(&mut ctx, u, 0, &mut tuples, &mut pending)?;
+        bind_tuples(&mut ctx, &u.clauses, u.where_.as_deref(), &mut |ctx| {
+            tuples += usize::from(collect(ctx, u, &mut pending)?);
+            Ok(())
+        })?;
     }
     let elements = pending
         .iter()
@@ -115,102 +116,68 @@ fn apply_update<D: DiskManager>(
     Ok(UpdateOutcome { tuples, elements })
 }
 
+/// The pending updates of one bound tuple; whether it emitted any.
 fn collect<D: DiskManager>(
     ctx: &mut EvalContext<'_, D>,
     u: &UpdateStmt,
-    depth: usize,
-    tuples: &mut usize,
     out: &mut Vec<Pending>,
-) -> EvalResult<()> {
-    if depth == u.clauses.len() {
-        if let Some(w) = &u.where_ {
-            let v = eval(ctx, w)?;
-            if !effective_boolean(&v) {
-                return Ok(());
-            }
-        }
-        // Resolve the target binding.
-        let target_seq = ctx
-            .var(&u.target)
-            .cloned()
-            .ok_or_else(|| EvalError::UnknownVar(u.target.clone()))?;
-        let Some(Item::Node(target, target_color)) = target_seq.first().cloned() else {
-            return Err(EvalError::Dynamic("update target is not a node".into()));
-        };
-        let mut emitted = false;
-        for action in &u.actions {
-            match action {
-                UpdateAction::ReplaceValue(what, with) => {
-                    let nodes = eval(ctx, what)?;
-                    let vseq = eval(ctx, with)?;
-                    let value = vseq.first().map(|i| atomize(ctx, i)).unwrap_or_default();
-                    for item in nodes {
-                        if let Item::Node(n, _) = item {
-                            if n == McNodeId::DOCUMENT {
-                                return Err(EvalError::Dynamic(
-                                    "replace value target is the document node".into(),
-                                ));
-                            }
-                            out.push(Pending::Replace(n, value.clone()));
-                            emitted = true;
+) -> EvalResult<bool> {
+    // Resolve the target binding.
+    let Some(Item::Node(target, target_color)) = ctx
+        .var(&u.target)
+        .ok_or_else(|| EvalError::UnknownVar(u.target.clone()))?
+        .first()
+        .cloned()
+    else {
+        return Err(EvalError::Dynamic("update target is not a node".into()));
+    };
+    let mut emitted = false;
+    for action in &u.actions {
+        match action {
+            UpdateAction::ReplaceValue(what, with) => {
+                let nodes = value(ctx, what)?;
+                let vseq = value(ctx, with)?;
+                let v = vseq.first().map(|i| crate::eval::atomize(ctx, i)).unwrap_or_default();
+                for item in nodes {
+                    if let Item::Node(n, _) = item {
+                        if n == McNodeId::DOCUMENT {
+                            return Err(EvalError::Dynamic(
+                                "replace value target is the document node".into(),
+                            ));
                         }
-                    }
-                }
-                UpdateAction::Delete(what) => {
-                    let nodes = eval(ctx, what)?;
-                    for item in nodes {
-                        if let Item::Node(n, c) = item {
-                            if n == McNodeId::DOCUMENT {
-                                return Err(EvalError::Dynamic(
-                                    "cannot delete the document node".into(),
-                                ));
-                            }
-                            let c = c
-                                .or(target_color)
-                                .ok_or(EvalError::NoColor)?;
-                            out.push(Pending::Delete(n, c));
-                            emitted = true;
-                        }
-                    }
-                }
-                UpdateAction::Insert(what) => {
-                    let c = target_color.ok_or(EvalError::NoColor)?;
-                    let mut roots = eval(ctx, what)?;
-                    roots.retain(|item| matches!(item, Item::Node(..) | Item::Built(_)));
-                    if !roots.is_empty() {
-                        out.push(Pending::Insert {
-                            target,
-                            color: c,
-                            roots,
-                        });
+                        out.push(Pending::Replace(n, v.clone()));
                         emitted = true;
                     }
                 }
             }
-        }
-        if emitted {
-            *tuples += 1;
-        }
-        return Ok(());
-    }
-    match &u.clauses[depth] {
-        FlworClause::For(var, src) => {
-            let items = eval(ctx, src)?;
-            for item in items {
-                let old = ctx.set_var(var, vec![item]);
-                collect(ctx, u, depth + 1, tuples, out)?;
-                ctx.restore_var(var, old);
+            UpdateAction::Delete(what) => {
+                for item in value(ctx, what)? {
+                    if let Item::Node(n, c) = item {
+                        if n == McNodeId::DOCUMENT {
+                            return Err(EvalError::Dynamic("cannot delete the document node".into()));
+                        }
+                        let c = c.or(target_color).ok_or(EvalError::NoColor)?;
+                        out.push(Pending::Delete(n, c));
+                        emitted = true;
+                    }
+                }
             }
-            Ok(())
-        }
-        FlworClause::Let(var, src) => {
-            let v = eval(ctx, src)?;
-            let old = ctx.set_var(var, v);
-            collect(ctx, u, depth + 1, tuples, out)?;
-            ctx.restore_var(var, old);
-            Ok(())
+            UpdateAction::Insert(what) => {
+                let c = target_color.ok_or(EvalError::NoColor)?;
+                let mut roots = value(ctx, what)?;
+                roots.retain(|item| matches!(item, Item::Node(..) | Item::Built(_)));
+                if !roots.is_empty() {
+                    out.push(Pending::Insert {
+                        target,
+                        color: c,
+                        roots,
+                    });
+                    emitted = true;
+                }
+            }
         }
     }
+    Ok(emitted)
 }
 
 #[cfg(test)]

@@ -33,8 +33,10 @@
 //!
 //! Each request gets a [`CancelToken`] carrying its deadline (server
 //! default, overridable per request with an `X-Deadline-Ms` header).
-//! The parallel operators check it at morsel boundaries; an expired
-//! token surfaces as [`StorageError::Cancelled`] → `408`.
+//! The parallel operators check it at morsel boundaries and the
+//! interpreter once per 256 tuples or step outputs; an expired token
+//! surfaces as [`StorageError::Cancelled`] or [`EvalError::Cancelled`]
+//! → `408`.
 //!
 //! ## Shutdown
 //!
@@ -792,8 +794,8 @@ fn handle_query<D: DiskManager>(
         if let Some(r) = past_deadline(state, cancel.as_ref()) {
             return r;
         }
-        let items = eval(&mut EvalContext::shared(&db), &prepared.expr);
-        return respond_items(&db, items, ctx, json);
+        let items = eval(&mut EvalContext::shared(&db).with_cancel(cancel), &prepared.expr);
+        return respond_items(state, &db, items, ctx, json);
     }
     drop(db);
     let mut db = state.db.write().unwrap_or_else(PoisonError::into_inner);
@@ -805,12 +807,13 @@ fn handle_query<D: DiskManager>(
     // One transaction, as an update is: a refused `createColor` leaves
     // the store as it was, and a successful one is committed — durable
     // under a WAL and shipped to replicas.
-    let items = db.with_txn(|s| eval(&mut EvalContext::new(s), &prepared.expr));
-    respond_items(&db, items, ctx, json)
+    let items = db.with_txn(|s| eval(&mut EvalContext::new(s).with_cancel(cancel), &prepared.expr));
+    respond_items(state, &db, items, ctx, json)
 }
 
 /// Render the interpreter's answer, or its error.
 fn respond_items<D: DiskManager>(
+    state: &AppState<D>,
     stored: &StoredDb<D>,
     items: Result<Vec<Item>, EvalError>,
     ctx: &mut RequestCtx,
@@ -820,6 +823,10 @@ fn respond_items<D: DiskManager>(
         Ok(items) => items,
         Err(EvalError::Storage(e)) => {
             return Response::text(500, format!("execution failed: {e}\n"))
+        }
+        Err(EvalError::Cancelled) => {
+            state.metrics.timeouts.inc();
+            return Response::text(408, "deadline exceeded\n");
         }
         Err(e) => return Response::text(400, format!("query error: {e}\n")),
     };

@@ -965,3 +965,48 @@ fn queries_count_and_log_the_lock_they_took() {
     assert_eq!(exec[reads.len()], "interp_exclusive");
     let _ = std::fs::remove_file(&path);
 }
+
+/// An interpreted cross product honors its deadline: three unrelated
+/// `for` bindings over a TPC-W store would run for minutes, yet the
+/// reply is `408` within about a second, and an update sent meanwhile
+/// gets the write lock about as soon.
+#[test]
+fn an_interpreted_cross_product_gets_408_at_its_deadline_and_frees_the_lock() {
+    let _guard = test_lock();
+    let (stored, _) = tpcw_reads();
+    let handle = serve(stored, ServerConfig::default()).expect("server starts");
+    let state = Arc::clone(handle.state());
+    let timeouts = state.metrics.timeouts.get();
+    let all = r#"document("tpcw")/{cust}descendant::node()"#;
+    let mut query = post_query(&format!(
+        "for $a in {all}, $b in {all}, $c in {all} where $c/{{cust}}child::nosuch return $a"
+    ));
+    query.headers.push(("x-deadline-ms".to_string(), "100".to_string()));
+    let started = Instant::now();
+    let (tx, query_status) = mpsc::channel();
+    let s = Arc::clone(&state);
+    std::thread::spawn(move || {
+        let _ = tx.send(handle_request(&s, &query).status);
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    let mut update = post_query(
+        r#"for $a in document("tpcw")/{auth}descendant::author
+           where $a/{auth}child::name = "nobody"
+           update $a { replace value of $a/{auth}child::name with "x" }"#,
+    );
+    update.path = "/update".to_string();
+    let (tx, update_status) = mpsc::channel();
+    let s = Arc::clone(&state);
+    std::thread::spawn(move || {
+        let _ = tx.send(handle_request(&s, &update).status);
+    });
+    assert_eq!(query_status.recv_timeout(Duration::from_secs(3)), Ok(408));
+    assert_eq!(update_status.recv_timeout(Duration::from_secs(3)), Ok(200));
+    assert!(
+        started.elapsed() < Duration::from_millis(1500),
+        "both replies took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(state.metrics.timeouts.get(), timeouts + 1);
+    handle.shutdown();
+}

@@ -273,30 +273,30 @@ fn gen_pred(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
     let rel = |rng: &mut XorShiftRng, doc: &DocSpec| Expr::Path(gen_rel_path(rng, doc, None));
     match rng.gen_range(0..6u8) {
         // Positional.
-        0 => Expr::Lit(Literal::Num(rng.gen_range(1..=3u32) as f64)),
+        0 => Expr::Lit(Literal::num(rng.gen_range(1..=3u32) as f64)),
         // String comparison against content.
         1 => Expr::Cmp(
             Box::new(rel(rng, doc)),
             if rng.gen_bool(0.7) { CmpOp::Eq } else { CmpOp::Ne },
-            Box::new(Expr::Lit(Literal::Str(word(rng)))),
+            Box::new(Expr::Lit(Literal::str(word(rng)))),
         ),
         // Numeric comparison.
         2 => Expr::Cmp(
             Box::new(rel(rng, doc)),
             [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
                 [rng.gen_range(0..6usize)],
-            Box::new(Expr::Lit(Literal::Num(rng.gen_range(0..=12u32) as f64))),
+            Box::new(Expr::Lit(Literal::num(rng.gen_range(0..=12u32) as f64))),
         ),
         // contains().
         3 => Expr::Call(
             "contains".to_string(),
-            vec![rel(rng, doc), Expr::Lit(Literal::Str("a".to_string()))],
+            vec![rel(rng, doc), Expr::Lit(Literal::str("a".to_string()))],
         ),
         // count() threshold.
         4 => Expr::Cmp(
             Box::new(Expr::Call("count".to_string(), vec![rel(rng, doc)])),
             if rng.gen_bool(0.5) { CmpOp::Gt } else { CmpOp::Eq },
-            Box::new(Expr::Lit(Literal::Num(rng.gen_range(0..=2u32) as f64))),
+            Box::new(Expr::Lit(Literal::num(rng.gen_range(0..=2u32) as f64))),
         ),
         // Existence via not(empty(..)).
         _ => Expr::Call(
@@ -323,9 +323,9 @@ fn gen_flwor(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
             Box::new(Expr::Path(gen_rel_path(rng, doc, Some("x")))),
             if rng.gen_bool(0.6) { CmpOp::Eq } else { CmpOp::Gt },
             Box::new(if rng.gen_bool(0.6) {
-                Expr::Lit(Literal::Str(word(rng)))
+                Expr::Lit(Literal::str(word(rng)))
             } else {
-                Expr::Lit(Literal::Num(rng.gen_range(0..=9u32) as f64))
+                Expr::Lit(Literal::num(rng.gen_range(0..=9u32) as f64))
             }),
         ))
     });
@@ -453,9 +453,9 @@ pub fn gen_update(rng: &mut XorShiftRng, doc: &DocSpec) -> UpdateStmt {
             vec![UpdateAction::ReplaceValue(
                 x(),
                 Expr::Lit(if rng.gen_bool(0.6) {
-                    Literal::Str(word(rng))
+                    Literal::str(word(rng))
                 } else {
-                    Literal::Num(rng.gen_range(0..100u32) as f64)
+                    Literal::num(rng.gen_range(0..100u32) as f64)
                 }),
             )],
         ),
@@ -463,7 +463,7 @@ pub fn gen_update(rng: &mut XorShiftRng, doc: &DocSpec) -> UpdateStmt {
         5 => (
             Some(Box::new(gen_pred_on_var(rng, doc))),
             vec![
-                UpdateAction::ReplaceValue(x(), Expr::Lit(Literal::Str(word(rng)))),
+                UpdateAction::ReplaceValue(x(), Expr::Lit(Literal::str(word(rng)))),
                 UpdateAction::Insert(leaf(rng)),
             ],
         ),
@@ -495,7 +495,7 @@ fn gen_pred_on_var(rng: &mut XorShiftRng, doc: &DocSpec) -> Expr {
     Expr::Cmp(
         Box::new(Expr::Path(gen_rel_path(rng, doc, Some("x")))),
         if rng.gen_bool(0.5) { CmpOp::Eq } else { CmpOp::Ne },
-        Box::new(Expr::Lit(Literal::Str(word(rng)))),
+        Box::new(Expr::Lit(Literal::str(word(rng)))),
     )
 }
 
