@@ -791,13 +791,7 @@ impl<D: DiskManager> StoredDb<D> {
     /// order (via the tag B+-tree: page-cost-bearing).
     pub fn postings(&self, c: ColorId, tag: Sym) -> mct_storage::Result<Vec<StructRef>> {
         let posts = self.tag_indexes[self.storage_of(c)?].postings(&self.pool, tag.0)?;
-        Ok(posts
-            .into_iter()
-            .map(|p| StructRef {
-                node: McNodeId(p.node as u32),
-                code: p.code,
-            })
-            .collect())
+        Ok(struct_refs(posts))
     }
 
     /// Posting list by tag name (resolving through the interner).
@@ -806,6 +800,21 @@ impl<D: DiskManager> StoredDb<D> {
             Some(sym) => self.postings(c, sym),
             None => Ok(Vec::new()),
         }
+    }
+
+    /// The part of a posting list inside `regions`, the `(start, end)`
+    /// codes of color-`c` elements ([`mct_storage::TagIndex::postings_within`]).
+    pub fn postings_named_within(
+        &self,
+        c: ColorId,
+        tag: &str,
+        regions: &[(u32, u32)],
+    ) -> mct_storage::Result<Vec<StructRef>> {
+        let Some(sym) = self.db.names.get(tag) else {
+            return Ok(Vec::new());
+        };
+        let index = &self.tag_indexes[self.storage_of(c)?];
+        Ok(struct_refs(index.postings_within(&self.pool, sym.0, regions)?))
     }
 
     /// Nodes whose content equals `value` exactly.
@@ -1191,6 +1200,17 @@ impl<D: DiskManager> StoredDb<D> {
     pub fn flush_cache(&self) -> mct_storage::Result<()> {
         self.pool.evict_all()
     }
+}
+
+/// Tag-index postings as structural references.
+fn struct_refs(posts: Vec<mct_storage::index::Posting>) -> Vec<StructRef> {
+    posts
+        .into_iter()
+        .map(|p| StructRef {
+            node: McNodeId(p.node as u32),
+            code: p.code,
+        })
+        .collect()
 }
 
 /// True when `record` is a rooted catalog record (see the snapshot

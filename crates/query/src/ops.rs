@@ -32,7 +32,7 @@
 
 use crate::ast::{as_number, CmpOp};
 use crate::exec::{self, CancelToken};
-use mct_core::{ColorId, StoredDb, StructRef};
+use mct_core::{ColorId, McNodeId, StoredDb, StructRef};
 use mct_storage::DiskManager;
 use std::collections::HashMap;
 
@@ -470,12 +470,23 @@ pub fn select_attr_eq<D: DiskManager>(
 ) -> mct_storage::Result<Vec<Tuple>> {
     let mut out = Vec::new();
     for t in input {
-        let attrs = s.fetch_attrs(t[col].node)?;
-        if attrs.iter().any(|(n, v)| n == name && CmpOp::Eq.holds(v, value)) {
+        if has_attr_eq(s, t[col].node, name, value)? {
             out.push(t);
         }
     }
     Ok(out)
+}
+
+/// Whether element `n` has attribute `name` equal to `value`, compared
+/// as [`CmpOp::Eq`] compares.
+pub fn has_attr_eq<D: DiskManager>(
+    s: &StoredDb<D>,
+    n: McNodeId,
+    name: &str,
+    value: &str,
+) -> mct_storage::Result<bool> {
+    let attrs = s.fetch_attrs(n)?;
+    Ok(attrs.iter().any(|(a, v)| a == name && CmpOp::Eq.holds(v, value)))
 }
 
 /// Remove duplicate tuples, comparing the node ids of `cols`.

@@ -8,8 +8,9 @@
 //! 1. **Segment** a colored path expression into maximal single-color
 //!    runs of downward steps (`child` / `descendant`).
 //! 2. Compile each run into index scans feeding a **holistic chain
-//!    join** (PathStack), with content/attribute predicates applied as
-//!    early as possible — on the scan output, before any join.
+//!    join** (PathStack). Each scan after the first reads only inside
+//!    the regions of the list before it, and content/attribute
+//!    predicates filter each scan's output before the next is read.
 //! 3. Join consecutive runs with the **cross-tree operator** when the
 //!    color changes (the paper's "evaluate a single-color query, then
 //!    a cross-tree join, before evaluating the next single-color
@@ -30,7 +31,7 @@
 use crate::ast::{as_number, Axis, CmpOp, Expr, NodeTest, PathExpr, PathStart, Step};
 use crate::exec::{self, CancelToken};
 use mct_storage::DiskManager;
-use crate::ops::{self, dup_elim, select_attr_eq, Rel, Tuple};
+use crate::ops::{self, dup_elim, Rel, Tuple};
 use mct_core::{ColorId, McNodeId, StoredDb, StructRef};
 use mct_storage::PoolStats;
 use std::fmt;
@@ -82,7 +83,8 @@ enum Stage {
         color: ColorId,
         tags: Vec<String>,
         rels: Vec<Rel>,
-        /// Predicates to apply per chain position, after the join.
+        /// Predicates per chain position, each filtering its position's
+        /// list before the join.
         preds: Vec<Vec<CompiledPred>>,
         /// The chain opens the path with a `child::` step: only roots
         /// of the colored tree may bind the first tag (`document/
@@ -314,45 +316,34 @@ impl PathPlan {
                     content_entry(s, *color, tag, child_tag, value)?
                 }
                 Stage::Chain { color, tags, rels, preds, root_only } => {
-                    // Gather the posting lists; a leading `«pipeline»`
-                    // placeholder consumes the incoming tuples.
+                    // One list per tag, each filtered by its own
+                    // predicates as soon as it is read. A leading
+                    // `«pipeline»` placeholder takes the incoming
+                    // tuples; every later list is read only inside the
+                    // regions of the list before it.
                     let mut lists: Vec<Vec<StructRef>> = Vec::with_capacity(tags.len());
-                    let start = if tags.first().map(String::as_str) == Some("«pipeline»") {
-                        let cur = current.take().unwrap_or_default();
-                        lists.push(cur.into_iter().map(|t| t[0]).collect());
-                        1
-                    } else {
-                        0
-                    };
-                    // Gather the remaining posting lists — one index
-                    // scan per chain tag, fanned out when parallel.
-                    let rest = &tags[start..];
-                    if threads > 1 && rest.len() > 1 {
-                        lists.extend(exec::run_morsels(threads, rest.len(), |i| {
-                            s.postings_named(*color, &rest[i])
-                        })?);
-                    } else {
-                        for tag in rest {
-                            lists.push(s.postings_named(*color, tag)?);
+                    for (pos, tag) in tags.iter().enumerate() {
+                        let mut list = match lists.last() {
+                            Some(prev) => s.postings_named_within(*color, tag, &outermost(prev))?,
+                            None if tag == "«pipeline»" => {
+                                current.take().unwrap_or_default().into_iter().map(|t| t[0]).collect()
+                            }
+                            None => s.postings_named(*color, tag)?,
+                        };
+                        if pos == 0 && *root_only {
+                            // `document/child::x`: only roots of the
+                            // colored tree bind the opening tag.
+                            list.retain(|r| {
+                                matches!(s.db.parent(r.node, *color), None | Some(McNodeId::DOCUMENT))
+                            });
                         }
-                    }
-                    if *root_only {
-                        // `document/child::x`: only roots of the
-                        // colored tree bind the opening tag.
-                        lists[0].retain(|r| {
-                            matches!(s.db.parent(r.node, *color), None | Some(McNodeId::DOCUMENT))
-                        });
+                        for p in &preds[pos] {
+                            list = apply_pred_par(s, list, *color, p, threads, cancel)?;
+                        }
+                        lists.push(list);
                     }
                     let joined = exec::holistic_chain_par(&lists, rels, threads, cancel)?;
-                    // Apply per-position predicates, then project to the
-                    // last column.
-                    let mut tuples = joined;
-                    for (pos, ps) in preds.iter().enumerate() {
-                        for p in ps {
-                            tuples = apply_pred_par(s, tuples, pos, *color, p, threads, cancel)?;
-                        }
-                    }
-                    ops::sort_by_col(ops::project(tuples, &[tags.len() - 1]), 0)
+                    ops::sort_by_col(ops::project(joined, &[tags.len() - 1]), 0)
                 }
                 Stage::CrossTree { to } => {
                     let cur = current.take().unwrap_or_default();
@@ -397,86 +388,91 @@ impl PathPlan {
     }
 }
 
-/// [`apply_pred`] over morsels: predicates filter tuples
-/// independently and chunk outputs merge in chunk order, so the
-/// result equals the sequential filter exactly.
+/// The regions `(start, end)` of `list`'s outermost elements, in start
+/// order: a region inside one already kept adds nothing to read, so the
+/// result is sorted and disjoint.
+fn outermost(list: &[StructRef]) -> Vec<(u32, u32)> {
+    let mut codes: Vec<(u32, u32)> = list.iter().map(|r| (r.code.start, r.code.end)).collect();
+    codes.sort_unstable();
+    let mut out: Vec<(u32, u32)> = Vec::with_capacity(codes.len());
+    for (start, end) in codes {
+        match out.last_mut() {
+            Some(last) if start < last.1 => last.1 = last.1.max(end),
+            _ => out.push((start, end)),
+        }
+    }
+    out
+}
+
+/// [`apply_pred`] over morsels: predicates test elements independently
+/// and chunk outputs merge in chunk order, so the result equals the
+/// sequential filter exactly.
 fn apply_pred_par<D: DiskManager>(
     s: &StoredDb<D>,
-    tuples: Vec<Tuple>,
-    col: usize,
+    list: Vec<StructRef>,
     color: ColorId,
     p: &CompiledPred,
     threads: usize,
     cancel: Option<&CancelToken>,
-) -> mct_storage::Result<Vec<Tuple>> {
-    if threads <= 1 || tuples.len() < 2 * exec::MIN_MORSEL {
-        return apply_pred(s, tuples, col, color, p);
+) -> mct_storage::Result<Vec<StructRef>> {
+    if threads <= 1 || list.len() < 2 * exec::MIN_MORSEL {
+        return apply_pred(s, list, color, p);
     }
-    let ranges = exec::chunk_ranges(tuples.len(), threads);
+    let ranges = exec::chunk_ranges(list.len(), threads);
     let chunks = exec::run_morsels(threads, ranges.len(), |ci| {
         exec::check_cancel(cancel)?;
-        apply_pred(s, tuples[ranges[ci].clone()].to_vec(), col, color, p)
+        apply_pred(s, list[ranges[ci].clone()].to_vec(), color, p)
     })?;
     Ok(chunks.into_iter().flatten().collect())
 }
 
-/// Apply one compiled predicate — a pure read, safe to fan across
-/// threads.
+/// Keep the elements of `list` that pass one compiled predicate — a
+/// pure read, safe to fan across threads. A predicate tests only its
+/// own element, so filtering a chain's list before the join equals
+/// filtering the joined tuples.
 fn apply_pred<D: DiskManager>(
     s: &StoredDb<D>,
-    tuples: Vec<Tuple>,
-    col: usize,
+    list: Vec<StructRef>,
     color: ColorId,
     p: &CompiledPred,
-) -> mct_storage::Result<Vec<Tuple>> {
-    match p {
-        CompiledPred::AttrEq { name, value } => select_attr_eq(s, tuples, col, name, value),
-        CompiledPred::Cmp { child, op, value } => {
-            filter_by_value(s, tuples, col, color, child.as_ref(), |v| op.holds(v, value))
-        }
-        CompiledPred::ContentContains { child, value } => {
-            filter_by_value(s, tuples, col, color, child.as_ref(), |v| v.contains(value.as_str()))
-        }
-    }
-}
-
-/// Keep the tuples whose `col` element passes `test` on its value in
-/// `color` (`child: None`), or has a child of the child step's tag, in
-/// that step's color, that does on its value there. Tuples of one node
-/// arrive together from a join, so the last node's outcome is reused
-/// rather than its value read again.
-fn filter_by_value<D: DiskManager>(
-    s: &StoredDb<D>,
-    tuples: Vec<Tuple>,
-    col: usize,
-    color: ColorId,
-    child: Option<&ChildStep>,
-    test: impl Fn(&str) -> bool,
-) -> mct_storage::Result<Vec<Tuple>> {
+) -> mct_storage::Result<Vec<StructRef>> {
     let mut out = Vec::new();
-    let mut last: Option<(McNodeId, bool)> = None;
-    for t in tuples {
-        let n = t[col].node;
-        let hit = match (last, child) {
-            (Some((seen, hit)), _) if seen == n => hit,
-            (_, None) => test(&value_of(s, n, color)?),
-            (_, Some((cc, name))) => {
-                let mut hit = false;
-                for ch in s.db.children(n, *cc) {
-                    if s.db.name_str(ch) == Some(name) && test(&value_of(s, ch, *cc)?) {
-                        hit = true;
-                        break;
-                    }
-                }
-                hit
+    for r in list {
+        let keep = match p {
+            CompiledPred::AttrEq { name, value } => ops::has_attr_eq(s, r.node, name, value)?,
+            CompiledPred::Cmp { child, op, value } => {
+                value_passes(s, r.node, color, child.as_ref(), |v| op.holds(v, value))?
+            }
+            CompiledPred::ContentContains { child, value } => {
+                value_passes(s, r.node, color, child.as_ref(), |v| v.contains(value.as_str()))?
             }
         };
-        last = Some((n, hit));
-        if hit {
-            out.push(t);
+        if keep {
+            out.push(r);
         }
     }
     Ok(out)
+}
+
+/// Whether element `n` passes `test` on its value in `color` (`child:
+/// None`), or has a child of the child step's tag, in that step's
+/// color, that does on its value there.
+fn value_passes<D: DiskManager>(
+    s: &StoredDb<D>,
+    n: McNodeId,
+    color: ColorId,
+    child: Option<&ChildStep>,
+    test: impl Fn(&str) -> bool,
+) -> mct_storage::Result<bool> {
+    let Some((cc, name)) = child else {
+        return Ok(test(&value_of(s, n, color)?));
+    };
+    for ch in s.db.children(n, *cc) {
+        if s.db.name_str(ch) == Some(name) && test(&value_of(s, ch, *cc)?) {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// An element's value as [`crate::eval::atomize`] takes it: its own

@@ -367,6 +367,47 @@ pub fn planted() -> Vec<(String, MctDatabase, Vec<CaseOp>)> {
         vec![q("document(\"d\")/{red}descendant::a[@k = \"7\"]")],
     ));
 
+    // 13. Same-tag elements nested in each other: a chain scans each
+    //    list inside its predecessor's outermost regions, so a region
+    //    nested in another is dropped and `child` must still find the
+    //    inner element's children. One predicate filters a middle list.
+    {
+        let mut db = MctDatabase::new();
+        let red = db.add_color("red");
+        let root = db.new_element("root", red);
+        db.append_child(McNodeId::DOCUMENT, root, red);
+        let el = |db: &mut MctDatabase, parent, tag: &str, text: Option<&str>| {
+            let n = db.new_element(tag, red);
+            if let Some(t) = text {
+                db.set_content(n, t);
+            }
+            db.append_child(parent, n, red);
+            n
+        };
+        let outer = el(&mut db, root, "a", None);
+        db.set_attr(outer, "x", "1");
+        let inner = el(&mut db, outer, "a", None);
+        el(&mut db, inner, "b", Some("1"));
+        el(&mut db, inner, "c", None);
+        el(&mut db, outer, "b", Some("2"));
+        let deep = el(&mut db, outer, "a", None);
+        let deepest = el(&mut db, deep, "a", None);
+        el(&mut db, deepest, "b", Some("3"));
+        let last = el(&mut db, root, "a", None);
+        el(&mut db, last, "b", Some("4"));
+        out.push((
+            "planted-nested-regions".to_string(),
+            db,
+            vec![
+                q("document(\"d\")/{red}descendant::a/{red}child::b"),
+                q("document(\"d\")/{red}descendant::a/{red}child::a/{red}child::b"),
+                q("document(\"d\")/{red}descendant::a/{red}descendant::a/{red}child::b"),
+                q("document(\"d\")/{red}descendant::root/{red}descendant::a[{red}child::b = \"1\"]/{red}child::c"),
+                q("document(\"d\")/{red}descendant::a[@x = \"1\"]/{red}descendant::a/{red}child::b"),
+            ],
+        ));
+    }
+
     out
 }
 

@@ -7,7 +7,7 @@
 //!
 //! A tree is either created empty and grown by inserts, or built
 //! bottom-up from sorted entries by [`BTree::bulk_load`], which packs
-//! every node up to the split threshold. Reads (`get`, `scan_range`)
+//! every node up to the split threshold. Reads (`get`, `scan_ranges`)
 //! walk the node bytes in place; only insert and delete decode a node
 //! into owned entries and re-encode it.
 //!
@@ -205,15 +205,37 @@ impl<'a> NodeView<'a> {
     /// Internal node: the child covering `key` — that of the last entry
     /// whose key is `<= key`, else `child0`.
     fn child_for(&self, key: &[u8]) -> Result<PageId> {
-        let mut child = self.link;
-        for e in self.entries() {
-            let (k, c) = e?;
-            if k > key {
+        Ok(self.seek(self.first_slot(), key, 0)?.child)
+    }
+
+    /// Internal node: the slot of `child0`.
+    fn first_slot(&self) -> Slot {
+        Slot {
+            child: PageId(self.link),
+            at: 0,
+            off: NODE_HEADER,
+        }
+    }
+
+    /// Internal node: move right from `slot` to the child covering
+    /// `key`, past at least `min_at` entries.
+    fn seek(&self, mut slot: Slot, key: &[u8], min_at: usize) -> Result<Slot> {
+        while slot.at < self.count {
+            let mut r = Reader {
+                buf: self.buf,
+                at: slot.off,
+            };
+            let klen = r.u16()? as usize;
+            if r.bytes(klen)? > key && slot.at >= min_at {
                 break;
             }
-            child = c as u32;
+            slot = Slot {
+                child: PageId(r.u32()?),
+                at: slot.at + 1,
+                off: r.at,
+            };
         }
-        Ok(PageId(child))
+        Ok(slot)
     }
 
     /// Leaf: the value stored under `key`.
@@ -233,6 +255,16 @@ impl<'a> NodeView<'a> {
     fn next_leaf(&self) -> Option<PageId> {
         self.link.checked_sub(1).map(PageId)
     }
+}
+
+/// A child of an internal node, with where the entry after it starts:
+/// `at` entries lie left of it (0 for `child0`), and the next entry is
+/// at byte `off` of the node.
+#[derive(Clone, Copy)]
+struct Slot {
+    child: PageId,
+    at: usize,
+    off: usize,
 }
 
 struct Writer<'a> {
@@ -663,24 +695,73 @@ impl BTree {
     }
 
     /// Visit every `(key, value)` with `lo <= key < hi` in key order.
-    /// `hi = None` means unbounded above. `f` runs while the leaf's page
-    /// is pinned, so it must not call back into the pool.
+    /// `hi = None` means unbounded above. The one-range case of
+    /// [`Self::scan_ranges`].
     pub fn scan_range<D: DiskManager>(
         &self,
         pool: &BufferPool<D>,
         lo: &[u8],
         hi: Option<&[u8]>,
+        f: impl FnMut(&[u8], u64),
+    ) -> Result<()> {
+        self.scan_ranges(pool, &[(lo, hi)], f)
+    }
+
+    /// Visit every `(key, value)` that lies in one of `ranges`, in key
+    /// order. Each range is `[lo, hi)`, `hi = None` unbounded above;
+    /// the ranges must be sorted and disjoint (empty and adjacent ones
+    /// are fine). `f` runs while the leaf's page is pinned, so it must
+    /// not call back into the pool.
+    ///
+    /// One forward cursor: it descends once, to the leaf of the first
+    /// `lo`, keeping a copy of the internal node above that leaf, then
+    /// only moves right — to the child that copy routes the next wanted
+    /// key to, so a leaf lying wholly between two ranges is not read,
+    /// and past its last child along the leaf chain. No page is read
+    /// twice: a scan costs at most the tree's height plus its leaves.
+    pub fn scan_ranges<D: DiskManager, K: AsRef<[u8]>>(
+        &self,
+        pool: &BufferPool<D>,
+        ranges: &[(K, Option<K>)],
         mut f: impl FnMut(&[u8], u64),
     ) -> Result<()> {
-        let mut next = self.at_leaf(pool, lo, |leaf| scan_leaf(leaf, lo, hi, &mut f))?;
-        while let Some(page) = next {
-            next = pool.with_page(page, |buf| {
-                let leaf = NodeView::parse(buf)?;
-                if !leaf.leaf {
+        // `r`: the first range the cursor has not passed the end of.
+        let mut r = 0;
+        let mut parent: Option<(Vec<u8>, Slot)> = None;
+        let mut descending = true;
+        let mut page = self.root;
+        while r < ranges.len() {
+            // Continue(child) on the way down; Break(chain link) once a
+            // leaf is scanned.
+            let step = pool.with_page(page, |buf| {
+                let node = NodeView::parse(buf)?;
+                if node.leaf {
+                    descending = false;
+                    scan_leaf(&node, ranges, &mut r, &mut f)?;
+                    return Ok(ControlFlow::Break(node.next_leaf()));
+                }
+                if !descending {
                     return Err(StorageError::Corrupt("leaf chain hit internal node"));
                 }
-                scan_leaf(&leaf, lo, hi, &mut f)
+                let slot = node.seek(node.first_slot(), ranges[r].0.as_ref(), 0)?;
+                parent = Some((buf.to_vec(), slot));
+                Ok(ControlFlow::Continue(slot.child))
             })??;
+            page = match step {
+                ControlFlow::Continue(child) => child,
+                // Right of the leaf just read: route through the copy
+                // while it has children left, then follow the chain.
+                ControlFlow::Break(chained) => match &mut parent {
+                    Some((body, slot)) if r < ranges.len() && slot.at < NodeView::parse(body)?.count => {
+                        *slot = NodeView::parse(body)?.seek(*slot, ranges[r].0.as_ref(), slot.at + 1)?;
+                        slot.child
+                    }
+                    _ => match chained {
+                        Some(p) => p,
+                        None => break,
+                    },
+                },
+            };
         }
         Ok(())
     }
@@ -698,25 +779,27 @@ impl BTree {
     }
 }
 
-/// Visit a leaf's entries in `[lo, hi)`. Returns the next leaf to visit,
-/// or `None` once `hi` is reached or the chain ends.
-fn scan_leaf(
+/// Visit a leaf's entries that lie in `ranges[*r..]`, moving `*r` past
+/// each range whose end the keys reach (to `ranges.len()` when all are).
+fn scan_leaf<K: AsRef<[u8]>>(
     leaf: &NodeView<'_>,
-    lo: &[u8],
-    hi: Option<&[u8]>,
+    ranges: &[(K, Option<K>)],
+    r: &mut usize,
     f: &mut impl FnMut(&[u8], u64),
-) -> Result<Option<PageId>> {
+) -> Result<()> {
     for e in leaf.entries() {
         let (k, v) = e?;
-        if k < lo {
-            continue;
+        while ranges[*r].1.as_ref().is_some_and(|hi| k >= hi.as_ref()) {
+            *r += 1;
+            if *r == ranges.len() {
+                return Ok(());
+            }
         }
-        if hi.is_some_and(|hi| k >= hi) {
-            return Ok(None);
+        if k >= ranges[*r].0.as_ref() {
+            f(k, v);
         }
-        f(k, v);
     }
-    Ok(leaf.next_leaf())
+    Ok(())
 }
 
 fn descend(entries: &[(Vec<u8>, PageId)], child0: PageId, key: &[u8]) -> PageId {
@@ -1015,5 +1098,105 @@ mod tests {
         for (k, v) in &expected {
             assert_eq!(t.get(&p, k).unwrap(), Some(*v));
         }
+    }
+
+    // ----- multi-range scans ----------------------------------------------------
+
+    /// Ranges over key points `0..max`: the gaps between sorted random
+    /// cut points, each kept with odds 1/2, so some are empty (equal
+    /// cuts) and some adjacent (two kept neighbours); every third set
+    /// ends unbounded.
+    fn random_ranges(seed: &mut u64, max: u64) -> Vec<(u64, Option<u64>)> {
+        let mut next = |n: u64| {
+            *seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (*seed >> 33) % n
+        };
+        let mut cuts: Vec<u64> = (0..=next(40)).map(|_| next(max)).collect();
+        cuts.sort_unstable();
+        let mut out: Vec<(u64, Option<u64>)> = cuts
+            .windows(2)
+            .filter(|_| next(2) == 0)
+            .map(|w| (w[0], Some(w[1])))
+            .collect();
+        if next(3) == 0 {
+            if let Some(last) = out.last_mut() {
+                last.1 = None;
+            }
+        }
+        out
+    }
+
+    /// `scan_ranges` over `t` (keys `key(0), key(2), …` for `n` entries)
+    /// returns the full scan filtered by the ranges, and reads at most
+    /// the tree's height plus its leaves, for random range sets and for
+    /// ranges between two leaves' keys and past the last key.
+    fn check_scan_ranges(p: &BufferPool<MemDisk>, t: &BTree, n: u64, key: impl Fn(u64) -> Vec<u8>) {
+        let all = t.range_vec(p, &[], None).unwrap();
+        assert_eq!(all.len() as u64, n);
+        let height = u64::from(t.height(p).unwrap());
+        let mark = p.stats();
+        t.range_vec(p, &[], None).unwrap();
+        let leaves = p.stats().delta_since(&mark).accesses() - (height - 1);
+        assert!(leaves >= 20, "{leaves} leaves");
+        let cap = n / leaves; // keys per leaf, about
+        let max = 2 * n + 10;
+        let mut sets: Vec<Vec<(u64, Option<u64>)>> = vec![
+            vec![],
+            // Between the keys of leaves 3 and 4 (odd points hold no key).
+            vec![(2 * 4 * cap - 3, Some(2 * 4 * cap - 1))],
+            // Past the last key, bounded and not.
+            vec![(2 * n, Some(2 * n + 4))],
+            vec![(1, Some(3)), (2 * n + 1, None)],
+            // The two ends only: the leaves between are skipped.
+            vec![(0, Some(1)), (2 * n - 2, None)],
+        ];
+        let mut seed = n;
+        sets.extend((0..300).map(|_| random_ranges(&mut seed, max)));
+        for (i, ranges) in sets.iter().enumerate() {
+            let keyed: Vec<(Vec<u8>, Option<Vec<u8>>)> =
+                ranges.iter().map(|&(lo, hi)| (key(lo), hi.map(&key))).collect();
+            let want: Vec<(Vec<u8>, u64)> = all
+                .iter()
+                .filter(|(k, _)| {
+                    keyed.iter().any(|(lo, hi)| k >= lo && hi.as_ref().is_none_or(|hi| k < hi))
+                })
+                .cloned()
+                .collect();
+            let mark = p.stats();
+            let mut got = Vec::new();
+            t.scan_ranges(p, &keyed, |k, v| got.push((k.to_vec(), v))).unwrap();
+            let cost = p.stats().delta_since(&mark).accesses();
+            assert_eq!(got, want, "set {i}: {ranges:?}");
+            assert!(cost <= height + leaves, "set {i}: {cost} pages for {ranges:?}");
+            if i == 4 && height == 2 {
+                assert_eq!(cost, 3, "root and the two end leaves");
+            }
+        }
+    }
+
+    #[test]
+    fn scan_ranges_equals_the_filtered_full_scan() {
+        // Bulk-loaded, two levels.
+        let n = 24 * leaf_capacity();
+        let (p, t) = load_and_check(&even_entries(n));
+        check_scan_ranges(&p, &t, n, |v| v.to_be_bytes().to_vec());
+        // Grown by inserts in scrambled order: half-full leaves.
+        let p = BufferPool::new(MemDisk::new(), 256 * PAGE_SIZE);
+        let mut t = BTree::create(&p).unwrap();
+        let n = 16 * leaf_capacity();
+        for i in 0..n {
+            let v = 2 * ((i * 7_919) % n);
+            t.insert(&p, &v.to_be_bytes(), v / 2).unwrap();
+        }
+        check_scan_ranges(&p, &t, n, |v| v.to_be_bytes().to_vec());
+        // Three levels (600-byte keys: 13 entries a leaf, 14 children an
+        // internal node), so the cursor walks off its copied node.
+        let long = |v: u64| format!("{v:0>600}").into_bytes();
+        let entries: Vec<(Vec<u8>, u64)> = (0..400).map(|i| (long(2 * i), i)).collect();
+        let (p, t) = load_and_check(&entries);
+        assert_eq!(t.height(&p).unwrap(), 3);
+        check_scan_ranges(&p, &t, 400, long);
     }
 }

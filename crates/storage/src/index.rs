@@ -20,6 +20,7 @@ use std::sync::OnceLock;
 struct IndexCounters {
     tag_inserts: Counter,
     tag_probes: Counter,
+    tag_entries: Counter,
     content_inserts: Counter,
     content_probes: Counter,
 }
@@ -29,6 +30,7 @@ fn index_counters() -> &'static IndexCounters {
     C.get_or_init(|| IndexCounters {
         tag_inserts: mct_obs::counter("storage.index.tag.inserts"),
         tag_probes: mct_obs::counter("storage.index.tag.probes"),
+        tag_entries: mct_obs::counter("storage.index.tag.entries"),
         content_inserts: mct_obs::counter("storage.index.content.inserts"),
         content_probes: mct_obs::counter("storage.index.content.probes"),
     })
@@ -101,16 +103,51 @@ impl TagIndex {
         pool: &BufferPool<D>,
         tag: u32,
     ) -> Result<Vec<Posting>> {
-        index_counters().tag_probes.inc();
-        let lo = KeyEncoder::u32(tag).to_vec();
-        let hi = tag.checked_add(1).map(|t| KeyEncoder::u32(t).to_vec());
+        self.postings_starting(pool, tag, std::iter::once((0, 1 << 32)))
+    }
+
+    /// The postings for `tag` that lie inside one of `regions`, in
+    /// document order. A region `(s, e)` is an element's interval code,
+    /// and holds the postings whose start is in `(s, e]`: the element's
+    /// descendants. Regions must be sorted by `s` and disjoint; one
+    /// cursor reads them all ([`BTree::scan_ranges`]).
+    pub fn postings_within<D: DiskManager>(
+        &self,
+        pool: &BufferPool<D>,
+        tag: u32,
+        regions: &[(u32, u32)],
+    ) -> Result<Vec<Posting>> {
+        let starts = regions.iter().map(|&(s, e)| (u64::from(s) + 1, u64::from(e) + 1));
+        self.postings_starting(pool, tag, starts)
+    }
+
+    /// The postings for `tag` whose start lies in one of the `[lo, hi)`
+    /// spans of `starts` (`u64`, so a span can end past `u32::MAX`).
+    /// Counts one probe, and every posting returned.
+    fn postings_starting<D: DiskManager>(
+        &self,
+        pool: &BufferPool<D>,
+        tag: u32,
+        starts: impl Iterator<Item = (u64, u64)>,
+    ) -> Result<Vec<Posting>> {
+        let counters = index_counters();
+        counters.tag_probes.inc();
+        // `be32(tag) ‖ be32(start)` sorts before every key of that tag
+        // and start. Start 2^32 gives the next tag's first key, or no
+        // bound after the last tag.
+        let key = |start: u64| (u64::from(tag) << 32).checked_add(start).map(u64::to_be_bytes);
+        let ranges: Vec<([u8; 8], Option<[u8; 8]>)> = starts
+            .filter(|(lo, hi)| lo < hi)
+            .filter_map(|(lo, hi)| Some((key(lo)?, key(hi))))
+            .collect();
         let mut out = Vec::new();
-        self.tree.scan_range(pool, &lo, hi.as_deref(), |k, v| {
+        self.tree.scan_ranges(pool, &ranges, |k, v| {
             out.push(Posting {
                 code: IntervalCode::from_bytes(&k[4..]),
                 node: v,
             });
         })?;
+        counters.tag_entries.add(out.len() as u64);
         Ok(out)
     }
 
@@ -294,6 +331,29 @@ mod tests {
         idx.insert(&p, u32::MAX, code(1, 2, 1), 10).unwrap();
         assert_eq!(idx.postings(&p, u32::MAX).unwrap().len(), 1);
         assert_eq!(idx.postings(&p, u32::MAX - 1).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn postings_within_reads_the_starts_inside_each_region() {
+        let p = pool();
+        let mut idx = TagIndex::create(&p).unwrap();
+        for start in [5u32, 10, 11, 20, 30, u32::MAX] {
+            idx.insert(&p, 7, code(start, start, 2), u64::from(start)).unwrap();
+        }
+        idx.insert(&p, 8, code(12, 13, 1), 1).unwrap();
+        idx.insert(&p, u32::MAX, code(3, 9, 1), 99).unwrap();
+        let nodes = |tag: u32, regions: &[(u32, u32)]| -> Vec<u64> {
+            let posts = idx.postings_within(&p, tag, regions).unwrap();
+            posts.iter().map(|p| p.node).collect()
+        };
+        // `(s, e]`: the region's own start is outside, its end inside.
+        assert_eq!(nodes(7, &[(5, 11), (19, 30)]), [10, 11, 20, 30]);
+        assert_eq!(nodes(7, &[(0, 4), (11, 19)]), [] as [u64; 0]);
+        // An end of u32::MAX reaches the last start, not the next tag.
+        assert_eq!(nodes(7, &[(30, u32::MAX)]), [u64::from(u32::MAX)]);
+        assert_eq!(nodes(7, &[(u32::MAX, u32::MAX)]), [] as [u64; 0]);
+        assert_eq!(nodes(u32::MAX, &[(2, u32::MAX)]), [99]);
+        assert_eq!(nodes(7, &[]), [] as [u64; 0]);
     }
 
     #[test]
