@@ -802,19 +802,36 @@ impl<D: DiskManager> StoredDb<D> {
         }
     }
 
-    /// The part of a posting list inside `regions`, the `(start, end)`
-    /// codes of color-`c` elements ([`mct_storage::TagIndex::postings_within`]).
-    pub fn postings_named_within(
+    /// The color-`c` elements named `tag` below any of `nodes`, read
+    /// from the tag index: each node's region is its code in `c` (the
+    /// document node's is the whole list; a node not in `c` has none),
+    /// and one cursor reads the outermost regions
+    /// ([`mct_storage::TagIndex::postings_within`]). In start order,
+    /// without duplicates.
+    pub fn descendants_named(
         &self,
         c: ColorId,
-        tag: &str,
-        regions: &[(u32, u32)],
+        tag: Sym,
+        nodes: impl IntoIterator<Item = McNodeId>,
     ) -> mct_storage::Result<Vec<StructRef>> {
-        let Some(sym) = self.db.names.get(tag) else {
-            return Ok(Vec::new());
-        };
+        let mut codes: Vec<(u32, u32)> = nodes
+            .into_iter()
+            .filter_map(|n| match n {
+                McNodeId::DOCUMENT => Some((0, u32::MAX)),
+                n => self.db.code(n, c).map(|code| (code.start, code.end)),
+            })
+            .collect();
+        codes.sort_unstable();
+        // A region inside one already kept adds nothing to read.
+        let mut regions: Vec<(u32, u32)> = Vec::with_capacity(codes.len());
+        for (start, end) in codes {
+            match regions.last_mut() {
+                Some(last) if start < last.1 => last.1 = last.1.max(end),
+                _ => regions.push((start, end)),
+            }
+        }
         let index = &self.tag_indexes[self.storage_of(c)?];
-        Ok(struct_refs(index.postings_within(&self.pool, sym.0, regions)?))
+        Ok(struct_refs(index.postings_within(&self.pool, tag.0, &regions)?))
     }
 
     /// Nodes whose content equals `value` exactly.

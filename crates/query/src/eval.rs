@@ -4,14 +4,19 @@
 //! [`StoredDb`]. `mctd` serves every FLWOR and constructor with it,
 //! updates bind their tuples with its binding loop, and `mctfuzz`
 //! checks the planner against it, so it shares no code with the
-//! planner or the operators. Its cost rule: lookups are paid once per
-//! query and nothing is allocated per node. Each step resolves its
-//! `{color}` and name once per top-level [`eval`] (a memo cleared when
-//! `createColor` grows the palette or the interner); predicates,
-//! `where`, `and` and `or` evaluate to a `bool`; scratch sequences are
-//! pooled; variables live in a scope stack read by borrow. A
+//! planner or the operators but one read: a named `descendant` step
+//! takes its nodes from the tag index through
+//! [`StoredDb::descendants_named`], as the planner's chains do; every
+//! other step walks the resident twin. Its cost rule: lookups are paid
+//! once per query, work once per match, and nothing is allocated per
+//! node. Each step resolves its `{color}` and name once per top-level
+//! [`eval`] (a memo cleared when `createColor` grows the palette or the
+//! interner); predicates, `where`, `and` and `or` evaluate to a `bool`;
+//! a comparison of the context item, a variable or one `child` step
+//! from them with a literal tests each node in place; scratch sequences
+//! are pooled; variables live in a scope stack read by borrow. A
 //! [`CancelToken`] ([`EvalContext::with_cancel`]) is checked once per
-//! 256 tuples or step outputs.
+//! 256 tuples, step outputs or nodes compared.
 //!
 //! Semantics implemented from §4:
 //!
@@ -25,11 +30,11 @@
 //! * `createColor` is the one form that changes the store: it makes
 //!   the built elements of a sequence stored nodes and materializes the
 //!   sequence under that colored tree's document root; a duplicate is
-//!   refused before anything is attached, but after the color and the
-//!   built nodes are made, so a caller that wants a refusal to leave
-//!   no trace runs the query inside `StoredDb::with_txn`, as `mctd`
-//!   does. It needs a context made by [`EvalContext::new`]; on one
-//!   made by [`EvalContext::shared`] it is [`EvalError::ReadOnly`];
+//!   refused before the color or any built node is made, so a refused
+//!   call changes nothing (earlier calls of the same query stand; `mctd`
+//!   runs the query inside `StoredDb::with_txn`). It needs a context
+//!   made by [`EvalContext::new`]; on one made by
+//!   [`EvalContext::shared`] it is [`EvalError::ReadOnly`];
 //! * attaching one node twice into the same colored tree raises the
 //!   paper's *dynamic error* (the `dupl-problem` example).
 
@@ -39,6 +44,7 @@ use mct_core::{AttachError, ColorId, McNodeId, MctDatabase, Palette, StoredDb};
 use mct_storage::{DiskManager, MemDisk};
 use mct_xml::Sym;
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Deref;
@@ -526,6 +532,11 @@ fn truth<D: DiskManager>(ctx: &mut EvalContext<'_, D>, e: &Expr) -> EvalResult<b
 /// A general comparison. A literal's text and number were fixed by
 /// the parser, so only the other side is atomized and parsed.
 fn compare<D: DiskManager>(ctx: &mut EvalContext<'_, D>, l: &Expr, op: CmpOp, r: &Expr) -> EvalResult<bool> {
+    if let (Expr::Path(p), Expr::Lit(lit)) = (l, r) {
+        if let Some(hit) = compare_in_place(ctx, p, op, lit)? {
+            return Ok(hit);
+        }
+    }
     let mut lv = ctx.scratch();
     expr_into(ctx, l, &mut lv)?;
     let hit = match r {
@@ -536,6 +547,52 @@ fn compare<D: DiskManager>(ctx: &mut EvalContext<'_, D>, l: &Expr, op: CmpOp, r:
     };
     ctx.recycle(lv);
     Ok(hit)
+}
+
+/// [`compare`] of a path with a literal, testing each node where the
+/// path reaches it and stopping at the first hit: no sequence is built.
+/// `None` unless `p` starts at the context item or a variable and has
+/// at most one `child` step, without predicates.
+fn compare_in_place<D: DiskManager>(
+    ctx: &mut EvalContext<'_, D>,
+    p: &PathExpr,
+    op: CmpOp,
+    lit: &Literal,
+) -> EvalResult<Option<bool>> {
+    let step = match p.steps.as_slice() {
+        [] => None,
+        [s] if s.axis == Axis::Child && s.predicates.is_empty() => Some(s),
+        _ => return Ok(None),
+    };
+    let var = match &p.start {
+        PathStart::Var(v) => Some(ctx.var_slot(v)?),
+        PathStart::Context => None,
+        PathStart::Document(_) => return Ok(None),
+    };
+    let step = match step.map(|s| ctx.resolve(s)).transpose()? {
+        Some(Resolved::Attr(_)) => return Ok(None),
+        Some(Resolved::Tree(c, test)) => Some((c, test)),
+        None => None,
+    };
+    let db = &ctx.stored.db;
+    let mut tested = 0;
+    let mut holds = |item: &Item| {
+        tested += 1;
+        op.holds_parsed(&atomize_in(&ctx.stored, item), lit.text(), lit.number())
+    };
+    let start = start_items(ctx, &p.start, var, &[]);
+    let hit = match step {
+        None => start.iter().any(&mut holds),
+        Some((c, test)) => start.iter().any(|item| match *item {
+            Item::Node(n, _) => db
+                .children(n, c)
+                .filter(|&k| test.matches(db, k))
+                .any(|k| holds(&Item::Node(k, Some(c)))),
+            _ => false,
+        }),
+    };
+    ctx.tick(tested + 1)?;
+    Ok(Some(hit))
 }
 
 // ---------------------------------------------------------------------------
@@ -559,10 +616,10 @@ fn path_into<D: DiskManager>(ctx: &mut EvalContext<'_, D>, p: &PathExpr, out: &m
         let mut output = if last { std::mem::take(out) } else { ctx.scratch() };
         let mut nodes = ctx.ids.pop().unwrap_or_default();
         let from = if i == 0 { start_items(ctx, &p.start, var, &doc) } else { &input };
-        let inputs = gather(&ctx.stored.db, step, r, from, &mut nodes, &mut output)?;
+        let ordered = gather(&ctx.stored, step, r, from, &mut nodes, &mut output)?;
         ctx.tick(nodes.len() + 1)?;
         if let Resolved::Tree(c, _) = r {
-            select(ctx, step, c, inputs, &mut nodes)?;
+            select(ctx, step, c, ordered, &mut nodes)?;
             output.extend(nodes.iter().map(|&n| Item::Node(n, Some(c))));
         }
         nodes.clear();
@@ -595,20 +652,26 @@ fn start_items<'c, D: DiskManager>(
 
 /// Appends what `step` reaches from `input` and passes its node test:
 /// node ids to `nodes` for a tree step, attribute values to `out` for
-/// an attribute step. Returns how many input items were nodes. A built
-/// element has no color, so every colored axis from it is empty.
-fn gather(
-    db: &MctDatabase,
+/// an attribute step. Returns whether `nodes` is in the step color's
+/// local order without duplicates already. A built element has no
+/// color, so every colored axis from it is empty.
+///
+/// A named `descendant` step reads the tag index, inside the regions
+/// of its input nodes ([`StoredDb::descendants_named`], the read the
+/// planner's chains make); every other step walks the resident twin.
+fn gather<D: DiskManager>(
+    stored: &StoredDb<D>,
     step: &Step,
     r: Resolved,
     input: &[Item],
     nodes: &mut Vec<McNodeId>,
     out: &mut Sequence,
-) -> EvalResult<usize> {
+) -> EvalResult<bool> {
+    let db = &stored.db;
     let (c, test) = match r {
         Resolved::Attr(sym) => {
             let NodeTest::Name(name) = &step.test else {
-                return Ok(0);
+                return Ok(true);
             };
             for item in input {
                 let value = match item {
@@ -620,9 +683,18 @@ fn gather(
                 };
                 out.extend(value.map(|v| Item::Str(v.to_string())));
             }
-            return Ok(0);
+            return Ok(true);
         }
-        Resolved::Tree(_, Test::Never) => return Ok(0),
+        Resolved::Tree(_, Test::Never) => return Ok(true),
+        Resolved::Tree(c, Test::Name(tag)) if step.axis == Axis::Descendant => {
+            let from = input.iter().filter_map(|item| match *item {
+                Item::Node(n, _) => Some(n),
+                _ => None,
+            });
+            let found = stored.descendants_named(c, tag, from)?;
+            nodes.extend(found.iter().map(|r| r.node));
+            return Ok(true);
+        }
         Resolved::Tree(c, test) => (c, test),
     };
     let keep = |n: &McNodeId| test.matches(db, *n);
@@ -652,25 +724,25 @@ fn gather(
             }
         }
     }
-    Ok(inputs)
+    // From one node, these axes yield distinct nodes in that order
+    // already.
+    Ok(inputs <= 1
+        && matches!(
+            step.axis,
+            Axis::Child | Axis::Descendant | Axis::DescendantOrSelf | Axis::SelfAxis | Axis::Parent
+        ))
 }
 
 /// Puts a tree step's nodes in its color's local order without
-/// duplicates (path semantics), then keeps those its predicates pass.
+/// duplicates (path semantics) unless they are `ordered` already, then
+/// keeps those its predicates pass.
 fn select<D: DiskManager>(
     ctx: &mut EvalContext<'_, D>,
     step: &Step,
     c: ColorId,
-    inputs: usize,
+    ordered: bool,
     nodes: &mut Vec<McNodeId>,
 ) -> EvalResult<()> {
-    // From one node, these axes yield distinct nodes in that order
-    // already.
-    let ordered = inputs <= 1
-        && matches!(
-            step.axis,
-            Axis::Child | Axis::Descendant | Axis::DescendantOrSelf | Axis::SelfAxis | Axis::Parent
-        );
     if !ordered {
         let db = &ctx.stored.db;
         nodes.sort_by_key(|&n| db.code(n, c).map(|cd| cd.start).unwrap_or(0));
@@ -915,36 +987,17 @@ fn call_into<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
             // The palette or the interner may grow: steps resolve afresh.
             ctx.steps.clear();
             let (stored, made) = ctx.exclusive()?;
+            let roots = fragment_roots(stored, made, &v, &color_name)?;
             let c = stored.add_color(&color_name)?;
-            // Built elements become stored nodes. Each item not in `c`
-            // yet goes under the document node, the root every colored
-            // tree shares (Definition 3.2), unless another item's
-            // constructed content holds it.
-            let start = out.len();
+            // Built elements become stored nodes.
             out.extend(v.into_iter().map(|item| match item {
                 Item::Built(b) => Item::Node(made.make(stored, &b), None),
                 other => other,
             }));
-            let mut seen = HashSet::new();
-            let mut roots: Vec<McNodeId> = out[start..]
-                .iter()
-                .filter_map(|item| match *item {
-                    Item::Node(n, _) => Some(n),
-                    _ => None,
-                })
-                .filter(|&n| n != McNodeId::DOCUMENT && stored.db.parent(n, c).is_none())
-                .filter(|&n| seen.insert(n))
+            let roots: Vec<McNodeId> = roots
+                .into_iter()
+                .map(|k| k.unwrap_or_else(|addr| made.made[&addr].1))
                 .collect();
-            let mut held = HashSet::new();
-            let mut stack = roots.clone();
-            while let Some(n) = stack.pop() {
-                for &k in made.edges.get(&n).into_iter().flatten() {
-                    if held.insert(k) {
-                        stack.push(k);
-                    }
-                }
-            }
-            roots.retain(|n| !held.contains(n));
             stored.attach(McNodeId::DOCUMENT, &roots, &made.edges, c)?;
             return Ok(());
         }
@@ -952,6 +1005,90 @@ fn call_into<D: DiskManager>(ctx: &mut EvalContext<'_, D>, name: &str, args: &[E
     };
     out.push(item);
     Ok(())
+}
+
+/// A node of a `createColor` fragment before it is made: a stored node
+/// (a built element made earlier is one), or the address of a built
+/// element not made yet.
+type FragNode = Result<McNodeId, usize>;
+
+/// The nodes `createColor` attaches under the document node: each item
+/// not in color `color` yet, unless another item's constructed content
+/// holds it, in order. Each goes under the document node, the root
+/// every colored tree shares (Definition 3.2).
+///
+/// The fragment is checked as [`StoredDb::attach`] checks it, but
+/// before the color or any built element is made, so a refused call
+/// changes nothing: [`EvalError::DuplicateNode`] when a node is reached
+/// twice or is in the color already, [`EvalError::Dynamic`] when a
+/// built element, which has no node yet, is reached twice.
+fn fragment_roots<D: DiskManager>(
+    stored: &StoredDb<D>,
+    made: &Materializer,
+    items: &[Item],
+    color: &str,
+) -> EvalResult<Vec<FragNode>> {
+    let db = &stored.db;
+    let c = db.palette.get(color);
+    let node = |item: &Item| match item {
+        Item::Node(n, _) => Some(Ok(*n)),
+        Item::Built(b) => {
+            let addr = Arc::as_ptr(b) as usize;
+            Some(made.made.get(&addr).map_or(Err(addr), |&(_, n)| Ok(n)))
+        }
+        _ => None,
+    };
+    // The children of each built element not made yet, and its name.
+    let mut fresh: HashMap<usize, (&str, Vec<FragNode>)> = HashMap::new();
+    let mut stack: Vec<&Item> = items.iter().collect();
+    while let Some(item) = stack.pop() {
+        if let (Item::Built(b), Some(Err(addr))) = (item, node(item)) {
+            if let Entry::Vacant(e) = fresh.entry(addr) {
+                e.insert((&b.name, b.children.iter().filter_map(node).collect()));
+                stack.extend(&b.children);
+            }
+        }
+    }
+    let children = |n: FragNode, into: &mut Vec<FragNode>| match n {
+        Ok(n) => into.extend(made.edges.get(&n).into_iter().flatten().map(|&k| Ok(k))),
+        Err(addr) => into.extend_from_slice(&fresh[&addr].1),
+    };
+    let in_c = |n: McNodeId| c.is_some_and(|c| db.parent(n, c).is_some());
+    let mut seen = HashSet::new();
+    let mut roots: Vec<FragNode> = items
+        .iter()
+        .filter_map(node)
+        .filter(|&n| n.map_or(true, |n| n != McNodeId::DOCUMENT && !in_c(n)))
+        .filter(|&n| seen.insert(n))
+        .collect();
+    let mut held = HashSet::new();
+    let mut stack = Vec::new();
+    for &r in &roots {
+        children(r, &mut stack);
+    }
+    while let Some(n) = stack.pop() {
+        if held.insert(n) {
+            children(n, &mut stack);
+        }
+    }
+    roots.retain(|n| !held.contains(n));
+    // Attach's own walk: the document node and every node of `c` are
+    // in `c` already.
+    let mut seen = HashSet::new();
+    let mut stack = roots.clone();
+    while let Some(n) = stack.pop() {
+        if n.is_ok_and(|n| n == McNodeId::DOCUMENT || in_c(n)) || !seen.insert(n) {
+            return Err(match n {
+                Ok(n) => EvalError::DuplicateNode(n, color.to_string()),
+                Err(addr) => EvalError::Dynamic(format!(
+                    "constructed element <{}> occurs more than once in colored tree {{{color}}}",
+                    fresh[&addr].0
+                )),
+            });
+        }
+        children(n, &mut stack);
+    }
+    Ok(roots)
 }
 
 fn expect_args(name: &str, args: &[Expr], n: usize) -> EvalResult<()> {
@@ -1447,9 +1584,36 @@ mod tests {
                </dupl-problem>)"#,
         )
         .unwrap();
+        let before = (s.db.len(), s.db.palette.len(), s.snapshot_catalog());
         let mut ctx = EvalContext::new(&mut s);
         let err = eval(&mut ctx, &e).unwrap_err();
         assert!(matches!(err, EvalError::DuplicateNode(..)), "{err}");
+        // Refused before the color or any built node was made.
+        assert!((s.db.len(), s.db.palette.len(), s.snapshot_catalog()) == before);
+        assert!(s.db.color("black").is_none());
+    }
+
+    /// `createColor` refuses a node already in the color and a built
+    /// element reached twice, and changes nothing; a call before the
+    /// refused one stands.
+    #[test]
+    fn a_refused_create_color_changes_nothing() {
+        let mut s = movie_db();
+        let before = (s.db.len(), s.db.palette.len(), s.snapshot_catalog());
+        for q in [
+            r#"createColor("red", <x>{ document("m")/{red}descendant::movie[1] }</x>)"#,
+            r#"let $b := <b/> return createColor("black", <x>{ $b }{ $b }</x>)"#,
+            r#"let $b := <b/> return createColor("black", (<x>{ $b }</x>, <y>{ $b }</y>))"#,
+        ] {
+            let e = err(&mut s, q);
+            assert!(matches!(e, EvalError::DuplicateNode(..) | EvalError::Dynamic(_)), "{q}: {e}");
+            assert!((s.db.len(), s.db.palette.len(), s.snapshot_catalog()) == before, "{q}");
+        }
+        let q = r#"for $i in (1, 2) return createColor("black", <x>{ document("m")/{blue}child::actor }</x>)"#;
+        assert!(matches!(err(&mut s, q), EvalError::DuplicateNode(..)));
+        let black = s.db.color("black").expect("the first iteration stands");
+        assert_eq!(s.db.children(McNodeId::DOCUMENT, black).count(), 1);
+        assert!(s.check().unwrap().is_ok());
     }
 
     #[test]
@@ -1791,6 +1955,92 @@ mod tests {
         let mut s = movie_db();
         let out = run(&mut s, r#"let $b := <a><name/></a> return $b/{red}descendant::name"#);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// A comparison of a short path with a literal is tested in place;
+    /// it answers as the same comparison with a sequence on the right,
+    /// which builds the left side's sequence.
+    #[test]
+    fn in_place_comparisons_answer_as_sequences_do() {
+        let mut db = movie_mct();
+        let red = db.color("red").unwrap();
+        let root = db.new_element("nums", red);
+        db.append_child(McNodeId::DOCUMENT, root, red);
+        for v in ["7", " 07", "seven", "NaN"] {
+            let n = db.new_element("n", red);
+            db.set_content(n, v);
+            db.append_child(root, n, red);
+        }
+        let mut s = StoredDb::build(db, 8 * 1024 * 1024).unwrap();
+        let movies = r#"document("m")/{red}descendant::movie"#;
+        let nums = r#"document("m")/{red}child::nums"#;
+        let with_x = r#"let $x := (<b>7</b>, "x", 3) where $x"#;
+        // (text before the literal, the literal, text after it, rows)
+        for (before, lit, after, want) in [
+            // A content-less child compares by its string-value.
+            (format!("{movies}[{{red}}child::movie-role ="), r#""Margo""#, "]", 1),
+            (format!("{movies}[{{green}}child::votes ="), "7", "]", 1),
+            (format!("{movies}[{{green}}child::votes >"), r#""10""#, "]", 1),
+            (format!("{movies}[{{green}}child::votes !="), "7", "]", 1),
+            (format!("{movies}[{{green}}child::votes ="), r#""NaN""#, "]", 0),
+            // Several same-named children: any one decides.
+            (format!("{nums}[{{red}}child::n ="), "7", "]", 1),
+            (format!("{nums}[{{red}}child::n ="), r#""seven""#, "]", 1),
+            (format!("{nums}[{{red}}child::n !="), "7", "]", 1),
+            // "seven" is no number, so it is greater than "100" as a
+            // string.
+            (format!("{nums}[{{red}}child::n >"), "100", "]", 1),
+            (format!("{nums}[{{red}}child::n <"), "0", "]", 0),
+            (format!("{nums}[{{red}}child::n ="), r#""NaN""#, "]", 0),
+            (format!("{nums}[{{red}}child::n !="), r#""NaN""#, "]", 1),
+            (format!("{nums}/{{red}}child::n[. ="), "7", "]", 2),
+            (format!("{nums}/{{red}}child::n[. <"), r#""8""#, "]", 2),
+            (format!("{nums}/{{red}}child::n[. ="), r#""NaN""#, "]", 0),
+            // A variable holding built and atomic items, with no step
+            // and with a step a built element gives nothing for.
+            (format!("{with_x} ="), "7", " return 1", 1),
+            (format!("{with_x} ="), r#""x""#, " return 1", 1),
+            (format!("{with_x} ="), "3", " return 1", 1),
+            (format!("{with_x} ="), r#""y""#, " return 1", 0),
+            (format!("{with_x}/{{red}}child::b ="), "7", " return 1", 0),
+            (r#"let $x := document("m")/{red}child::none where $x !="#.into(), "1", " return 1", 0),
+            (format!("for $m in {movies} where $m/{{red}}child::name ="), r#""Evil Fun""#, " return $m", 1),
+        ] {
+            let q = format!("{before} {lit}{after}");
+            assert_eq!(run(&mut s, &q).len(), want, "{q}");
+            // The same with a two-item sequence on the right.
+            let q = format!("{before} ({lit}, {lit}){after}");
+            assert_eq!(run(&mut s, &q).len(), want, "{q}");
+        }
+    }
+
+    /// A comparison tested in place still checks the token: one
+    /// candidate with many children is cancelled in its predicate, and
+    /// in a `where` clause.
+    #[test]
+    fn an_expired_token_cancels_an_in_place_comparison() {
+        let mut db = MctDatabase::new();
+        let red = db.add_color("red");
+        let root = db.new_element("root", red);
+        db.append_child(McNodeId::DOCUMENT, root, red);
+        for i in 0..1_000 {
+            let a = db.new_element("a", red);
+            db.set_content(a, &i.to_string());
+            db.append_child(root, a, red);
+        }
+        let s = StoredDb::build(db, 8 * 1024 * 1024).unwrap();
+        for q in [
+            r#"document("d")/{red}child::root[{red}child::a = "none"]"#,
+            r#"for $r in document("d")/{red}child::root where $r/{red}child::a = "none" return $r"#,
+        ] {
+            let e = parse_query(q).unwrap();
+            let run = |token| eval(&mut EvalContext::shared(&s).with_cancel(token), &e);
+            assert!(run(None).unwrap().is_empty(), "{q}");
+            let token = CancelToken::new();
+            token.cancel();
+            let e = run(Some(token)).unwrap_err();
+            assert!(matches!(e, EvalError::Cancelled), "{q}: {e}");
+        }
     }
 
     /// An expired token ends evaluation with `Cancelled`.

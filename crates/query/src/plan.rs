@@ -324,7 +324,10 @@ impl PathPlan {
                     let mut lists: Vec<Vec<StructRef>> = Vec::with_capacity(tags.len());
                     for (pos, tag) in tags.iter().enumerate() {
                         let mut list = match lists.last() {
-                            Some(prev) => s.postings_named_within(*color, tag, &outermost(prev))?,
+                            Some(prev) => match s.db.names.get(tag) {
+                                Some(sym) => s.descendants_named(*color, sym, prev.iter().map(|r| r.node))?,
+                                None => Vec::new(),
+                            },
                             None if tag == "«pipeline»" => {
                                 current.take().unwrap_or_default().into_iter().map(|t| t[0]).collect()
                             }
@@ -386,22 +389,6 @@ impl PathPlan {
         }
         Ok((current.unwrap_or_default(), collected))
     }
-}
-
-/// The regions `(start, end)` of `list`'s outermost elements, in start
-/// order: a region inside one already kept adds nothing to read, so the
-/// result is sorted and disjoint.
-fn outermost(list: &[StructRef]) -> Vec<(u32, u32)> {
-    let mut codes: Vec<(u32, u32)> = list.iter().map(|r| (r.code.start, r.code.end)).collect();
-    codes.sort_unstable();
-    let mut out: Vec<(u32, u32)> = Vec::with_capacity(codes.len());
-    for (start, end) in codes {
-        match out.last_mut() {
-            Some(last) if start < last.1 => last.1 = last.1.max(end),
-            _ => out.push((start, end)),
-        }
-    }
-    out
 }
 
 /// [`apply_pred`] over morsels: predicates test elements independently

@@ -1,10 +1,11 @@
 //! The interpreter allocates per query, not per node.
 //!
 //! A counting global allocator measures one evaluation of a predicate
-//! path and of a FLWOR with a `where` on stores of 200 and of 2 000
-//! `customer` elements. Ten times the candidates must cost the same
-//! number of allocations, up to the few extra regrowths of the vectors
-//! that hold the candidates.
+//! path and of a FLWOR with a `where`, each comparing a child with a
+//! literal (tested in place), on stores of 200 and of 2 000 `customer`
+//! elements. Ten times the candidates must cost the same number of
+//! allocations, up to the few extra regrowths of the vectors that hold
+//! the candidates.
 
 use mct_core::{McNodeId, MctDatabase, StoredDb};
 use mct_query::{eval, parse_query, EvalContext};
@@ -73,6 +74,8 @@ fn evaluation_allocates_per_query_not_per_candidate() {
     for query in [
         r#"document("d")/descendant::customer[child::uname = "u7"]"#,
         r#"for $c in document("d")/descendant::customer where $c/child::uname = "u7" return $c"#,
+        r#"document("d")/{c}descendant::customer[{c}child::uname = "u7"]"#,
+        r#"for $x in document("d")/{c}descendant::customer where $x/{c}child::uname = "u7" return $x"#,
     ] {
         let (a, rows_a) = allocations(&small, query);
         let (b, rows_b) = allocations(&large, query);

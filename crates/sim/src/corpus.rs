@@ -408,6 +408,48 @@ pub fn planted() -> Vec<(String, MctDatabase, Vec<CaseOp>)> {
         ));
     }
 
+    // 14. Comparisons of a child or a variable with a literal, which
+    //    the interpreter tests node by node: a content-less child
+    //    compares by its string-value, numeric-looking content with a
+    //    string literal as a number, and a `for` variable may hold a
+    //    constructed element, which has content but no color.
+    {
+        let mut db = MctDatabase::new();
+        let red = db.add_color("red");
+        let root = db.new_element("root", red);
+        db.append_child(McNodeId::DOCUMENT, root, red);
+        let el = |db: &mut MctDatabase, parent, tag: &str, text: Option<&str>| {
+            let n = db.new_element(tag, red);
+            if let Some(t) = text {
+                db.set_content(n, t);
+            }
+            db.append_child(parent, n, red);
+            n
+        };
+        let a = el(&mut db, root, "a", None);
+        let b = el(&mut db, a, "b", None);
+        el(&mut db, b, "c", Some("x"));
+        el(&mut db, b, "d", Some("y"));
+        for v in ["07", "7x"] {
+            let a = el(&mut db, root, "a", None);
+            el(&mut db, a, "b", Some(v));
+        }
+        let each_a = "for $a in document(\"d\")/{red}descendant::a where $a/{red}child::b";
+        out.push((
+            "planted-literal-compare".to_string(),
+            db,
+            vec![
+                q(&format!("{each_a} = \"xy\" return $a")),
+                q(&format!("{each_a} = \"7\" return $a")),
+                q(&format!("{each_a} != \"7\" return $a")),
+                q(&format!("{each_a} > \"6\" return $a")),
+                q("document(\"d\")/{red}descendant::a[{red}child::b = \"07.0\"]"),
+                q("for $x in (<b>07</b>, <b>x</b>) where $x = \"7\" return $x"),
+                q("for $x in <a><b>xy</b></a> where $x/{red}child::b = \"xy\" return \"hit\""),
+            ],
+        ));
+    }
+
     out
 }
 

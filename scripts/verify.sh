@@ -40,6 +40,15 @@ par_out=$(cargo run --release --offline --bin mctq -- \
 echo "$par_out" | grep -q "result(s) via planner" \
     || { echo "FAIL: parallel smoke produced no planner results"; exit 1; }
 
+echo "==> interpreted FLWOR reads the tag index"
+# A named descendant step in the interpreter takes its nodes from the
+# tag index, not from a walk of the resident tree.
+FLWOR_QUERY='for $c in document("t")/{cust}descendant::customer[{cust}child::uname = "u"] return $c/{cust}child::name'
+flwor_out=$(cargo run --release --offline --bin mctq -- \
+    --db tpcw --scale 0.05 --metrics-json "$FLWOR_QUERY")
+echo "$flwor_out" | grep -Eq '"storage\.index\.tag\.probes": [1-9]' \
+    || { echo "FAIL: an interpreted FLWOR made no tag-index probe"; exit 1; }
+
 echo "==> concurrent buffer-pool stress"
 RUST_BACKTRACE=1 cargo test -p mct-storage --test concurrent_pool --offline -q
 

@@ -266,8 +266,8 @@ fn figure2_queries_end_to_end() {
            </dupl-problem>)"#,
     );
     assert!(matches!(dupl, Err(EvalError::DuplicateNode(..))));
-    // The failed createColor colored nothing.
-    assert_eq!(s.db.tree_size(s.db.color("black").unwrap()), 1);
+    // The refused createColor made nothing, not even its color.
+    assert!(s.db.color("black").is_none());
 
     let upd = parse_update(
         r#"for $m in document("mdb.xml")/{green}descendant::movie

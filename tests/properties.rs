@@ -444,6 +444,117 @@ fn planner_equals_interpreter() {
 }
 
 // ---------------------------------------------------------------------------
+// Named descendant steps: the tag index against the twin
+// ---------------------------------------------------------------------------
+
+/// The twin walk a named descendant step made before it read the tag
+/// index: `db.descendants` of each of `nodes`, kept by name, sorted by
+/// start in `c` and deduplicated.
+fn twin_descendants(s: &StoredDb, c: ColorId, tag: &str, nodes: &[McNodeId]) -> Vec<McNodeId> {
+    let mut out: Vec<McNodeId> = nodes
+        .iter()
+        .flat_map(|&n| s.db.descendants(n, c))
+        .filter(|&d| s.db.name_str(d) == Some(tag))
+        .collect();
+    out.sort_by_key(|&d| s.db.code(d, c).unwrap().start);
+    out.dedup();
+    out
+}
+
+/// `StoredDb::descendants_named` — the read of the interpreter's named
+/// `descendant` steps and of the planner's chains — equals the twin
+/// walk, which wildcard steps keep. Stores come from mct-sim, then
+/// random `attach` (of elements named like existing ones, so same-tag
+/// elements nest), `detach` and `createColor` steps. Inputs are random
+/// node sets holding the document node, nested same-tag elements and
+/// nodes outside the step's color, called directly and, with built and
+/// atomic items beside them, through a query.
+#[test]
+fn indexed_descendant_step_equals_the_twin_walk() {
+    const TAGS: [&str; 4] = ["a", "b", "item", "name"];
+    for case in 0..40u64 {
+        let seed = 11_000 + case;
+        let mut rng = XorShiftRng::seed_from_u64(seed);
+        let doc = gen_doc(&mut rng);
+        let mut s = StoredDb::build(doc.build().0, 8 << 20).unwrap();
+        for step in 0..8 {
+            let c = ColorId(rng.gen_range(0..s.db.palette.len()) as u8);
+            match rng.gen_range(0..4u8) {
+                0 | 1 => {
+                    if let Some(parent) = pick(&s, &mut rng, c) {
+                        let e = s.new_element(TAGS[rng.gen_range(0..TAGS.len())], None, &[]);
+                        s.attach(parent, &[e], &HashMap::new(), c).unwrap();
+                    }
+                }
+                2 => {
+                    if let Some(victim) = pick(&s, &mut rng, c) {
+                        s.detach(victim, c).unwrap();
+                    }
+                }
+                _ => create_color(&mut s, &mut rng, &doc, step),
+            }
+        }
+        fail_with_seed!(ok seed, s.check().unwrap().is_ok());
+        for ci in 0..s.db.palette.len() {
+            let c = ColorId(ci as u8);
+            let color = s.db.palette.name(c).to_string();
+            for tag in TAGS {
+                let Some(sym) = s.db.names.get(tag) else {
+                    continue;
+                };
+                for _ in 0..4 {
+                    // Any nodes, in any colors; often every `tag` of
+                    // `c`, which nest; sometimes the document node.
+                    let mut nodes: Vec<McNodeId> = (0..rng.gen_range(0..6usize))
+                        .map(|_| McNodeId(rng.gen_range(0..s.db.len()) as u32))
+                        .collect();
+                    if rng.gen_bool(0.5) {
+                        let all = s.db.descendants(McNodeId::DOCUMENT, c);
+                        nodes.extend(all.filter(|&n| s.db.name_str(n) == Some(tag)));
+                    }
+                    if rng.gen_bool(0.3) {
+                        nodes.push(McNodeId::DOCUMENT);
+                    }
+                    let got: Vec<McNodeId> = s
+                        .descendants_named(c, sym, nodes.iter().copied())
+                        .unwrap()
+                        .iter()
+                        .map(|r| r.node)
+                        .collect();
+                    let want = twin_descendants(&s, c, tag, &nodes);
+                    fail_with_seed!(eq seed, got, want, "{{{color}}}descendant::{tag} from {nodes:?}");
+                }
+                // Through the interpreter, from a variable that holds
+                // stored nodes of another step, built and atomic items.
+                let other = ColorId(rng.gen_range(0..s.db.palette.len()) as u8);
+                let other = s.db.palette.name(other);
+                let from = format!(
+                    r#"(document("d")/{{{other}}}descendant::{}, <{tag}><{tag}/></{tag}>, "x", 1)"#,
+                    TAGS[rng.gen_range(0..TAGS.len())]
+                );
+                let run = |s: &mut StoredDb, ret: &str| {
+                    let q = format!("let $x := {from} return {ret}");
+                    eval(&mut EvalContext::new(s), &parse_query(&q).unwrap()).unwrap()
+                };
+                let nodes: Vec<McNodeId> = run(&mut s, "$x")
+                    .iter()
+                    .filter_map(|i| match i {
+                        Item::Node(n, _) => Some(*n),
+                        _ => None,
+                    })
+                    .collect();
+                let got = run(&mut s, &format!("$x/{{{color}}}descendant::{tag}"));
+                let want: Vec<Item> = twin_descendants(&s, c, tag, &nodes)
+                    .into_iter()
+                    .map(|n| Item::Node(n, Some(c)))
+                    .collect();
+                fail_with_seed!(eq seed, got, want, "$x/{{{color}}}descendant::{tag}, $x := {from}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Catalog records: the live store, recovery and a replica agree byte for byte
 // ---------------------------------------------------------------------------
 
@@ -529,14 +640,19 @@ fn ship(
 
 /// `createColor` over the nodes of a random path, wrapped in a fresh
 /// element (new nodes, new names, a new colored tree).
-fn create_color(s: &mut StoredDb<SharedDisk>, rng: &mut XorShiftRng, doc: &DocSpec, k: usize) {
+fn create_color<D: DiskManager>(
+    s: &mut StoredDb<D>,
+    rng: &mut XorShiftRng,
+    doc: &DocSpec,
+    k: usize,
+) {
     let path = Expr::Path(mct_sim::gen::gen_abs_path(rng, doc, 2));
     let q = format!("createColor(\"k{k}\", <grp{k}> {{ {path} }} </grp{k}>)");
     let _ = eval(&mut EvalContext::new(s), &parse_query(&q).unwrap());
 }
 
 /// A random element carrying `c`, other than the document node.
-fn pick(s: &StoredDb<SharedDisk>, rng: &mut XorShiftRng, c: ColorId) -> Option<McNodeId> {
+fn pick<D: DiskManager>(s: &StoredDb<D>, rng: &mut XorShiftRng, c: ColorId) -> Option<McNodeId> {
     let members: Vec<McNodeId> = s.db.descendants(McNodeId::DOCUMENT, c).collect();
     (!members.is_empty()).then(|| members[rng.gen_range(0..members.len())])
 }
